@@ -4,7 +4,7 @@
 
 CARGO ?= cargo
 
-.PHONY: verify fmt clippy test build bench bench-campaign bench-adjudicate bench-trace bench-services bench-smoke chaos-smoke monitor-smoke services-smoke services-shard-smoke examples
+.PHONY: verify fmt clippy test build bench bench-campaign bench-adjudicate bench-trace bench-services bench-smoke chaos-smoke monitor-smoke services-smoke services-shard-smoke examples experiments-check perfbench-check
 
 verify: fmt clippy test
 
@@ -99,3 +99,19 @@ examples:
 	$(CARGO) run -q --example robust_store
 	$(CARGO) run -q --example self_healing_server
 	$(CARGO) run -q --example automatic_repair
+
+# Reproduction gate: the release `exp_all` tables must be byte-identical
+# to the committed experiments_output.txt, so a change that moves any
+# reproduced number shows up as a diff. When a change is meant to move
+# one, regenerate the file with
+#   cargo run --release -q -p redundancy-bench --bin exp_all > experiments_output.txt
+# (with no REDUNDANCY_* variables set) and commit it with the change.
+experiments-check:
+	$(CARGO) run --release -q -p redundancy-bench --bin exp_all | diff -u experiments_output.txt -
+
+# The benchmark harness lives outside the workspace (its own manifest
+# and lock file) and compiles against the Campaign and Adjudicator APIs:
+# build it and run its self-tests so an API change cannot break it
+# unnoticed.
+perfbench-check:
+	$(CARGO) test --offline --manifest-path perfbench/Cargo.toml

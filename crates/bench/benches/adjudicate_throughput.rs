@@ -1,5 +1,5 @@
 //! Adjudication throughput: branchless SoA column kernels vs the
-//! scalar voters (host-time).
+//! single-row voter kernel (host-time).
 //!
 //! The headline family is `adjudicate/columns_majority_n3`: majority
 //! vote over pre-packed [`OutcomeColumns`] at arity 3 — the TMR shape —
@@ -17,20 +17,20 @@
 //!   a wider arity over the same columns.
 //! - `pack_rows_n3`: the cost of interning + packing rows into columns,
 //!   measured separately so the vote kernels above stay pure.
-//! - `vote_row_majority_n3`: the single-row zero-alloc kernel the
-//!   pattern engines call through `adjudicate_batch_row`.
-//! - `scalar_majority_n3`: the historical AoS `MajorityVoter` over the
-//!   same rows — the baseline the column kernels are measured against.
+//! - `vote_row_majority_n3`: the single-row zero-alloc kernel behind
+//!   `MajorityVoter::adjudicate` over the same rows — the per-trial
+//!   path the pattern engines take, and the baseline the column kernels
+//!   are measured against.
 //!
-//! Every kernel is asserted verdict-identical to the scalar voter on
-//! the bench data before anything is timed. Run with
+//! The column kernel is asserted verdict-identical to `MajorityVoter`
+//! on the bench data before anything is timed. Run with
 //! `CRITERION_JSON_OUT=BENCH_campaign.json` (see `make bench-campaign`)
 //! to mirror the numbers into the shared JSON; the recorder merges by
 //! label, so this binary and `campaign_throughput` coexist in one file.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use redundancy_core::adjudicator::voting::MajorityVoter;
-use redundancy_core::adjudicator::{batch, Adjudicator, OutcomeColumns, RowVerdict, VoteRule};
+use redundancy_core::adjudicator::{Adjudicator, OutcomeColumns, RowVerdict, VoteRule};
 use redundancy_core::outcome::{VariantFailure, VariantOutcome};
 
 /// Rows per adjudication pass. One pass at arity 3 is `ROWS * 3`
@@ -88,7 +88,6 @@ fn pack(rows: &[Vec<Option<u64>>], arity: usize) -> OutcomeColumns<u64> {
 }
 
 fn bench_adjudicate(c: &mut Criterion) {
-    assert!(batch::enabled(), "batch path must be on for this bench");
     let rows3 = rows(3);
     let rows7 = rows(7);
     let columns3 = pack(&rows3, 3);
@@ -97,7 +96,7 @@ fn bench_adjudicate(c: &mut Criterion) {
     let majority = MajorityVoter::new();
 
     // Guard the equivalence contract on the bench data before timing:
-    // the column kernel must reproduce the scalar voter verdict exactly.
+    // the column kernel must reproduce the voter's verdict exactly.
     let verdicts = columns3.adjudicate(VoteRule::Majority);
     for (verdict, outcomes) in verdicts.iter().zip(&aos3) {
         assert_eq!(
@@ -156,21 +155,8 @@ fn bench_adjudicate(c: &mut Criterion) {
         });
     });
 
-    // Single-row kernel: the engines' per-trial entry point.
+    // Single-row kernel through the voter: the engines' per-trial path.
     group.bench_function(BenchmarkId::new("vote_row_majority_n3", ROWS), |b| {
-        b.iter(|| {
-            let mut accepted = 0usize;
-            for outcomes in &aos3 {
-                accepted += usize::from(
-                    batch::vote_row(VoteRule::Majority, |a, b| a == b, outcomes).is_accepted(),
-                );
-            }
-            std::hint::black_box(accepted)
-        });
-    });
-
-    // Historical AoS baseline: the scalar voter over the same rows.
-    group.bench_function(BenchmarkId::new("scalar_majority_n3", ROWS), |b| {
         b.iter(|| {
             let mut accepted = 0usize;
             for outcomes in &aos3 {

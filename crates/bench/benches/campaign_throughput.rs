@@ -30,7 +30,6 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use redundancy_core::adjudicator::batch;
 use redundancy_core::adjudicator::voting::MajorityVoter;
 use redundancy_core::context::ExecContext;
 use redundancy_core::obs::RingBufferObserver;
@@ -190,26 +189,6 @@ fn bench_campaign(c: &mut Criterion) {
         );
         drop(monitor);
     }
-
-    // Batch-adjudication A/B: the same light campaign with the
-    // branchless row kernel disabled, benched back-to-back against
-    // `parallel_{TRIALS}_jobs/1` above so host drift doesn't masquerade
-    // as kernel speedup. Bit-identity under the toggle is asserted
-    // before timing (and pinned for good by the `batch_invariance`
-    // integration test).
-    batch::set_enabled(false);
-    let batchoff = campaign.run_parallel(CAMPAIGN_SEED, 1, |seed, i| nvp_trial(&pattern, seed, i));
-    assert_eq!(serial, batchoff, "summary diverged with batch path off");
-    group.bench_with_input(
-        BenchmarkId::new(format!("batchoff_parallel_{TRIALS}_jobs"), 1usize),
-        &1usize,
-        |b, &jobs| {
-            b.iter(|| {
-                campaign.run_parallel(CAMPAIGN_SEED, jobs, |seed, i| nvp_trial(&pattern, seed, i))
-            });
-        },
-    );
-    batch::set_enabled(true);
 
     // Heavy workload: ~10 µs of compute per trial.
     group.bench_function(BenchmarkId::new("serial_heavy", TRIALS_HEAVY), |b| {

@@ -13,6 +13,7 @@
 //! uninterrupted run's — the sweep measures cost, never correctness.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -20,7 +21,7 @@ use redundancy_core::cost::Cost;
 use redundancy_core::obs::{to_jsonl, CollectorObserver};
 use redundancy_sim::checkpoint::CheckpointSpec;
 use redundancy_sim::table::Table;
-use redundancy_sim::{parallel_tasks, Campaign, ChaosPlan, TrialOutcome};
+use redundancy_sim::{parallel_tasks, Campaign, ChaosPlan, RunSpec, TrialOutcome};
 
 /// A seed-driven synthetic trial with mixed dispositions and costs, so
 /// any resume bug (re-run, skip, reorder) shifts the summary.
@@ -31,6 +32,22 @@ fn synthetic_trial(seed: u64, i: usize) -> TrialOutcome {
         1 | 2 => TrialOutcome::Detected { cost },
         _ => TrialOutcome::Correct { cost },
     }
+}
+
+/// A checkpoint path in the system temp directory that no other call in
+/// this process shares: concurrent calls with equal arguments (parallel
+/// tests, sweep cells) must not delete or resume each other's files.
+fn unique_checkpoint_path(tag: &str) -> PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let mut path = std::env::temp_dir();
+    path.push(format!(
+        "redundancy_{tag}_{}_{}.ckpt",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    // A crashed earlier process with the same id may have left one.
+    let _ = std::fs::remove_file(&path);
+    path
 }
 
 /// One cell of the interval sweep.
@@ -63,22 +80,22 @@ pub struct ResumeMeasurement {
 pub fn measure(trials: usize, seed: u64, interval: usize, kill_at: usize) -> ResumeMeasurement {
     let campaign = Campaign::new(trials);
     let clean = campaign.run_parallel(seed, 1, synthetic_trial);
-    let mut path = std::env::temp_dir();
-    path.push(format!(
-        "redundancy_e19_{}_{}_{interval}.ckpt",
-        std::process::id(),
-        seed
-    ));
-    let _ = std::fs::remove_file(&path);
-    let spec = CheckpointSpec::new(&path, interval);
+    let path = unique_checkpoint_path("e19");
+    let checkpoint = CheckpointSpec::new(&path, interval);
     let chaos = ChaosPlan::new(seed).kill_before_trial(kill_at);
+    let spec = RunSpec {
+        jobs: 1,
+        checkpoint: Some(&checkpoint),
+        chaos: Some(&chaos),
+        ..RunSpec::default()
+    };
     let killed = catch_unwind(AssertUnwindSafe(|| {
-        campaign.run_parallel_resumable_chaos(seed, 1, &spec, Some(&chaos), synthetic_trial)
+        campaign.execute(seed, &spec, |_, s, i| synthetic_trial(s, i))
     }));
     assert!(killed.is_err(), "the scripted kill must fire");
     let reruns = AtomicUsize::new(0);
     let resumed = campaign
-        .run_parallel_resumable_chaos(seed, 1, &spec, Some(&chaos), |s, i| {
+        .execute(seed, &spec, |_, s, i| {
             reruns.fetch_add(1, Ordering::Relaxed);
             synthetic_trial(s, i)
         })
@@ -165,14 +182,8 @@ pub fn chaos_smoke(trials: usize, seed: u64, jobs: usize) -> usize {
     let clean = campaign.run_traced(seed, clean_sink.clone(), trial);
     let clean_stream = to_jsonl(&clean_sink.take());
 
-    let mut path = std::env::temp_dir();
-    path.push(format!(
-        "redundancy_chaos_smoke_{}_{}.ckpt",
-        std::process::id(),
-        seed
-    ));
-    let _ = std::fs::remove_file(&path);
-    let spec = CheckpointSpec::new(&path, 4);
+    let path = unique_checkpoint_path("chaos_smoke");
+    let checkpoint = CheckpointSpec::new(&path, 4);
     let chaos = ChaosPlan::new(seed)
         .kill_before_trial(trials / 3)
         .kill_after_trial(trials / 2)
@@ -182,16 +193,13 @@ pub fn chaos_smoke(trials: usize, seed: u64, jobs: usize) -> usize {
     let (resumed, stream) = loop {
         assert!(kills <= 4, "chaos resumption never converged");
         let sink = Arc::new(CollectorObserver::new());
-        let attempt = catch_unwind(AssertUnwindSafe(|| {
-            campaign.run_traced_parallel_resumable_chaos(
-                seed,
-                jobs,
-                sink.clone(),
-                &spec,
-                Some(&chaos),
-                trial,
-            )
-        }));
+        let spec = RunSpec {
+            jobs,
+            observer: Some(sink.clone()),
+            checkpoint: Some(&checkpoint),
+            chaos: Some(&chaos),
+        };
+        let attempt = catch_unwind(AssertUnwindSafe(|| campaign.execute(seed, &spec, trial)));
         match attempt {
             Ok(summary) => break (summary.expect("checkpoint io"), to_jsonl(&sink.take())),
             Err(payload) => {
@@ -236,6 +244,29 @@ mod tests {
         let coarse = measure(64, SEED, 32, 47);
         assert!(fine.finished_but_lost < coarse.finished_but_lost);
         assert!(fine.committed_at_kill > coarse.committed_at_kill);
+    }
+
+    #[test]
+    fn concurrent_measurements_with_equal_arguments_do_not_collide() {
+        // Calls with equal arguments must not share a checkpoint file,
+        // or they delete or resume each other's progress.
+        const CALLS: usize = 8;
+        let start = std::sync::Barrier::new(CALLS);
+        std::thread::scope(|scope| {
+            let calls: Vec<_> = (0..CALLS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        measure(512, SEED, 4, 384)
+                    })
+                })
+                .collect();
+            for call in calls {
+                let m = call.join().expect("measure completes");
+                assert_eq!(m.committed_at_kill, 384);
+                assert!(m.identical);
+            }
+        });
     }
 
     #[test]

@@ -16,73 +16,149 @@
 
 pub mod experiments;
 
+/// Trials per campaign unless `REDUNDANCY_TRIALS` says otherwise.
+const DEFAULT_TRIALS: usize = 2_000;
+
+/// The seed experiments run under unless `REDUNDANCY_SEED` says
+/// otherwise.
+const DEFAULT_SEED: u64 = 0x5eed_2008;
+
 /// Default number of Monte-Carlo trials, overridable via the
-/// `REDUNDANCY_TRIALS` environment variable.
+/// `REDUNDANCY_TRIALS` environment variable (a positive integer; any
+/// other value warns and runs the default).
 #[must_use]
 pub fn default_trials() -> usize {
-    std::env::var("REDUNDANCY_TRIALS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2_000)
+    env_or("REDUNDANCY_TRIALS", parse_trials_env, || DEFAULT_TRIALS)
 }
 
 /// The fixed seed experiments run under (reproducibility); override with
-/// `REDUNDANCY_SEED`.
+/// `REDUNDANCY_SEED` (a decimal integer; any other value warns and runs
+/// the default).
 #[must_use]
 pub fn default_seed() -> u64 {
-    std::env::var("REDUNDANCY_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0x5eed_2008)
+    env_or("REDUNDANCY_SEED", parse_seed_env, || DEFAULT_SEED)
 }
 
 /// The worker-thread count for experiment campaigns: `--jobs N` on the
 /// command line, else the `REDUNDANCY_JOBS` environment variable, else
-/// the hardware's available parallelism.
+/// the hardware's available parallelism. A flag or variable value that
+/// is not a positive integer warns, naming it, and falls through to the
+/// next source.
 ///
 /// Results are bit-for-bit identical for any value (see
 /// [`redundancy_sim::parallel`]); the knob only trades wall-clock time
 /// for cores.
 #[must_use]
 pub fn jobs_arg() -> usize {
-    let mut args = std::env::args();
-    while let Some(arg) = args.next() {
-        if arg == "--jobs" {
-            if let Some(n) = args.next().and_then(|s| s.parse().ok()) {
-                return n;
-            }
-        } else if let Some(n) = arg.strip_prefix("--jobs=").and_then(|s| s.parse().ok()) {
-            return n;
-        }
+    match parse_jobs_flag(std::env::args()) {
+        Ok(Some(jobs)) => return jobs,
+        Ok(None) => {}
+        Err(warning) => eprintln!("{warning}"),
     }
-    match std::env::var("REDUNDANCY_JOBS") {
-        Ok(value) => match parse_jobs_env(&value) {
-            Ok(jobs) => jobs,
-            Err(warning) => {
-                if let Some(warning) = warning {
-                    eprintln!("{warning}");
-                }
-                redundancy_sim::available_jobs()
-            }
-        },
-        Err(_) => redundancy_sim::available_jobs(),
+    env_or(
+        "REDUNDANCY_JOBS",
+        parse_jobs_env,
+        redundancy_sim::available_jobs,
+    )
+}
+
+/// Reads the environment variable `name` through `parse`: a valid value
+/// is used, an unset or empty one silently falls back to `default`, and
+/// an invalid one prints `parse`'s warning before falling back.
+fn env_or<T>(
+    name: &str,
+    parse: fn(&str) -> Result<T, Option<String>>,
+    default: impl FnOnce() -> T,
+) -> T {
+    match std::env::var(name).as_deref().map(parse) {
+        Ok(Ok(value)) => value,
+        Ok(Err(Some(warning))) => {
+            eprintln!("{warning}");
+            default()
+        }
+        Ok(Err(None)) | Err(_) => default(),
     }
 }
 
-/// Parses a `REDUNDANCY_JOBS` value: `Ok(n)` for a positive integer,
-/// `Err(None)` for an empty value (treated as unset), `Err(Some(msg))`
-/// for a set-but-ignored value — [`jobs_arg`] prints the message so a
-/// typo (`REDUNDANCY_JOBS=0`, `=abc`) doesn't silently re-serialize the
-/// campaign on the hardware default.
-fn parse_jobs_env(value: &str) -> Result<usize, Option<String>> {
-    match value.trim().parse::<usize>() {
-        Ok(jobs) if jobs > 0 => Ok(jobs),
+/// Parses one environment value: `Ok(v)` when the trimmed value parses
+/// and passes `valid`, `Err(None)` for an empty value (treated as
+/// unset), `Err(Some(msg))` for a set-but-ignored value — the message
+/// names the variable, the value, what was `expected` and the
+/// `fallback` used instead, so a typo doesn't silently run the default.
+fn parse_env<T: std::str::FromStr>(
+    name: &str,
+    value: &str,
+    valid: fn(&T) -> bool,
+    expected: &str,
+    fallback: &str,
+) -> Result<T, Option<String>> {
+    match value.trim().parse::<T>() {
+        Ok(parsed) if valid(&parsed) => Ok(parsed),
         _ if value.trim().is_empty() => Err(None),
         _ => Err(Some(format!(
-            "warning: ignoring REDUNDANCY_JOBS={value:?}: expected a positive integer, \
-             using available parallelism"
+            "warning: ignoring {name}={value:?}: expected {expected}, using {fallback}"
         ))),
     }
+}
+
+/// Parses a `REDUNDANCY_JOBS` value (a positive integer; `0` or `abc`
+/// would otherwise silently re-serialize the campaign on the hardware
+/// default).
+fn parse_jobs_env(value: &str) -> Result<usize, Option<String>> {
+    parse_env(
+        "REDUNDANCY_JOBS",
+        value,
+        |&jobs| jobs > 0,
+        "a positive integer",
+        "available parallelism",
+    )
+}
+
+/// Parses a `REDUNDANCY_TRIALS` value (a positive integer: a campaign
+/// of zero trials has nothing to summarize).
+fn parse_trials_env(value: &str) -> Result<usize, Option<String>> {
+    parse_env(
+        "REDUNDANCY_TRIALS",
+        value,
+        |&trials| trials > 0,
+        "a positive integer",
+        &format!("the default {DEFAULT_TRIALS}"),
+    )
+}
+
+/// Parses a `REDUNDANCY_SEED` value (a decimal `u64`).
+fn parse_seed_env(value: &str) -> Result<u64, Option<String>> {
+    parse_env(
+        "REDUNDANCY_SEED",
+        value,
+        |_| true,
+        "a decimal integer",
+        &format!("the default seed {DEFAULT_SEED}"),
+    )
+}
+
+/// Finds `--jobs N` / `--jobs=N` in `args`: `Ok(Some(n))` for a positive
+/// integer, `Ok(None)` when the flag is absent, and `Err(msg)` naming
+/// the flag and the value when the value is missing or not a positive
+/// integer.
+fn parse_jobs_flag<I: Iterator<Item = String>>(mut args: I) -> Result<Option<usize>, String> {
+    while let Some(arg) = args.next() {
+        let value = if arg == "--jobs" {
+            args.next().unwrap_or_default()
+        } else if let Some(value) = arg.strip_prefix("--jobs=") {
+            value.to_owned()
+        } else {
+            continue;
+        };
+        return match value.trim().parse::<usize>() {
+            Ok(jobs) if jobs > 0 => Ok(Some(jobs)),
+            _ => Err(format!(
+                "warning: ignoring --jobs {value:?}: expected a positive integer, \
+                 using REDUNDANCY_JOBS or available parallelism"
+            )),
+        };
+    }
+    Ok(None)
 }
 
 /// Default sampling interval of the campaign flight recorder.
@@ -272,6 +348,60 @@ mod tests {
             assert!(
                 warning.contains("REDUNDANCY_JOBS") && warning.contains(bad),
                 "warning must name the variable and the value: {warning}"
+            );
+        }
+    }
+
+    /// Asserts that `bad` warns and the warning names `name` and `bad`.
+    fn assert_warns<T: std::fmt::Debug>(parsed: Result<T, Option<String>>, name: &str, bad: &str) {
+        let warning = parsed
+            .expect_err("bad value falls back")
+            .expect("bad value warns");
+        assert!(
+            warning.contains(name) && warning.contains(&format!("{bad:?}")),
+            "warning must name the variable and the value: {warning}"
+        );
+    }
+
+    #[test]
+    fn trials_env_values_parse_warn_or_stay_silent() {
+        assert_eq!(parse_trials_env("300"), Ok(300));
+        assert_eq!(parse_trials_env(" 50 "), Ok(50));
+        assert_eq!(parse_trials_env(""), Err(None));
+        // Zero trials would summarize nothing (E4 would print NaN).
+        for bad in ["0", "lots", "-3"] {
+            assert_warns(parse_trials_env(bad), "REDUNDANCY_TRIALS", bad);
+        }
+    }
+
+    #[test]
+    fn seed_env_values_parse_warn_or_stay_silent() {
+        assert_eq!(parse_seed_env("42"), Ok(42));
+        assert_eq!(parse_seed_env("0"), Ok(0));
+        assert_eq!(parse_seed_env(" "), Err(None));
+        // Seeds are decimal: a hex seed warns instead of silently running
+        // the default.
+        for bad in ["0x2a", "seed", "-1"] {
+            assert_warns(parse_seed_env(bad), "REDUNDANCY_SEED", bad);
+        }
+    }
+
+    #[test]
+    fn jobs_flag_parses_or_warns() {
+        let parse = |args: &[&str]| parse_jobs_flag(args.iter().map(ToString::to_string));
+        assert_eq!(parse(&["exp"]), Ok(None));
+        assert_eq!(parse(&["exp", "--trace"]), Ok(None));
+        assert_eq!(parse(&["exp", "--jobs", "4"]), Ok(Some(4)));
+        assert_eq!(parse(&["exp", "--jobs=8", "--trace"]), Ok(Some(8)));
+        for (args, bad) in [
+            (&["exp", "--jobs", "abc"][..], "abc"),
+            (&["exp", "--jobs=0"][..], "0"),
+            (&["exp", "--jobs"][..], ""),
+        ] {
+            let warning = parse(args).expect_err("bad flag warns");
+            assert!(
+                warning.contains("--jobs") && warning.contains(&format!("{bad:?}")),
+                "warning must name the flag and the value: {warning}"
             );
         }
     }

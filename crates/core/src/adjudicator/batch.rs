@@ -1,24 +1,24 @@
 //! Branchless batch adjudication: vote like hardware TMR.
 //!
-//! The voters in [`voting`](crate::adjudicator::voting) decide one
-//! `&[VariantOutcome]` at a time through enum matching, cloning and a
-//! greedy agreement-class scan. That is the right interface for a single
-//! pattern run, but a Monte-Carlo campaign adjudicates the *same shaped*
-//! row millions of times — and hardware TMR voters decide in a single
-//! cycle. This module provides the campaign back-end:
+//! A Monte-Carlo campaign adjudicates the *same shaped* row millions of
+//! times — and hardware TMR voters decide in a single cycle. This module
+//! holds the one implementation of every exact-equality voting rule:
 //!
 //! - [`VoteRule`] names the four exact-equality voting rules
 //!   (majority / plurality / quorum / unanimity) so engines can route
 //!   them without knowing the concrete voter type;
-//! - [`vote_row`] is a zero-alloc row kernel, observably identical to the
-//!   historical voters (same winner, same tie behavior, same rejection
-//!   precedence) — pattern engines reach it through
-//!   [`Adjudicator::adjudicate_batch_row`] for every Exhaustive run;
+//! - [`vote_row`] is the zero-alloc row kernel behind
+//!   [`Adjudicator::adjudicate`] of all four voters in
+//!   [`voting`](crate::adjudicator::voting);
 //! - [`OutcomeColumns`] is the SoA chunk layout: equal outputs are
 //!   interned once per chunk, outcomes become `u32` class IDs plus a
 //!   per-row success bitset, and [`OutcomeColumns::adjudicate_into`]
 //!   computes whole chunks of verdicts branchlessly with per-slot
 //!   agreement bitmasks and popcounts.
+//!
+//! A scalar reference voter (greedy agreement classes, the textbook
+//! "general voting algorithm") lives in the `batch_equivalence`
+//! integration test as the oracle both kernels are pinned to.
 //!
 //! `std::simd` is not used: it is still unstable on the toolchain this
 //! workspace pins, and the scalar u64 bitmask kernels already decide a
@@ -30,13 +30,11 @@
 //! scalar paths and return `None` from
 //! [`Adjudicator::vote_rule`].
 //!
+//! [`Adjudicator::adjudicate`]: crate::adjudicator::Adjudicator::adjudicate
 //! [`Adjudicator::vote_rule`]: crate::adjudicator::Adjudicator::vote_rule
-//! [`Adjudicator::adjudicate_batch_row`]:
-//!     crate::adjudicator::Adjudicator::adjudicate_batch_row
 
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 use crate::outcome::{RejectionReason, VariantOutcome, Verdict};
 
@@ -78,68 +76,33 @@ impl VoteRule {
     }
 }
 
-const STATE_UNSET: u8 = 0;
-const STATE_ON: u8 = 1;
-const STATE_OFF: u8 = 2;
-
-/// Process-global batch-path switch, resolved lazily from the
-/// `REDUNDANCY_BATCH_ADJ` environment variable (default: on).
-static BATCH_STATE: AtomicU8 = AtomicU8::new(STATE_UNSET);
-
-/// Whether the batch adjudication path is engaged.
-///
-/// Defaults to on; set `REDUNDANCY_BATCH_ADJ=0` (or `false`/`off`/`no`)
-/// to fall back to the scalar voters everywhere, or flip it at runtime
-/// with [`set_enabled`]. The verdicts are bit-identical either way
-/// (pinned by the `batch_equivalence` proptests and the campaign
-/// invariance tests); the switch exists for benchmarking and bisecting.
-#[must_use]
-pub fn enabled() -> bool {
-    match BATCH_STATE.load(Ordering::Relaxed) {
-        STATE_ON => true,
-        STATE_OFF => false,
-        _ => {
-            let on = !matches!(
-                std::env::var("REDUNDANCY_BATCH_ADJ").as_deref(),
-                Ok("0") | Ok("false") | Ok("off") | Ok("no")
-            );
-            BATCH_STATE.store(if on { STATE_ON } else { STATE_OFF }, Ordering::Relaxed);
-            on
-        }
-    }
-}
-
-/// Forces the batch path on or off for this process (overrides the
-/// environment). Intended for benchmarks and A/B tests.
-pub fn set_enabled(on: bool) {
-    BATCH_STATE.store(if on { STATE_ON } else { STATE_OFF }, Ordering::Relaxed);
-}
-
 /// Zero-alloc row kernel: computes `rule` over one outcome row with the
-/// given output equality, using stack buffers for every arity up to
-/// [`MAX_ARITY`] (larger rows spill to one heap buffer).
+/// outputs' `==` as the agreement relation, using stack buffers for
+/// every arity up to [`MAX_ARITY`] (larger rows spill to one heap
+/// buffer).
 ///
-/// Observably identical to the historical voters:
+/// The semantics every exact voter inherits, pinned against the scalar
+/// reference voter by the `batch_equivalence` proptests:
 /// - agreement classes form in first-appearance order, represented by
 ///   their first member;
-/// - on support ties the *last* leading class wins (the `max_by_key`
-///   behavior the voters inherited), except under plurality where ties
-///   reject;
+/// - on support ties the *last* leading class wins (`max_by_key`'s
+///   pick), except under plurality where ties reject;
 /// - rejection precedence is `NoOutcomes` → `AllFailed` → `NoQuorum` →
 ///   `Disagreement`, and `dissent = len - support` counts detectable
-///   failures as dissent.
-pub fn vote_row<O, E>(rule: VoteRule, eq: E, outcomes: &[VariantOutcome<O>]) -> Verdict<O>
-where
-    O: Clone,
-    E: Fn(&O, &O) -> bool,
-{
+///   failures as dissent;
+/// - unanimity rejects any failed outcome as `AllFailed` before
+///   comparing outputs.
+pub fn vote_row<O: Clone + PartialEq>(
+    rule: VoteRule,
+    outcomes: &[VariantOutcome<O>],
+) -> Verdict<O> {
     let n = outcomes.len();
     if n == 0 {
         return Verdict::rejected(RejectionReason::NoOutcomes);
     }
     if matches!(rule, VoteRule::Unanimity) {
-        // Unanimity short-circuits on any failure (historically labelled
-        // `AllFailed`) before comparing outputs.
+        // Unanimity short-circuits on any failure (labelled `AllFailed`)
+        // before comparing outputs.
         if outcomes.iter().any(|o| !o.is_ok()) {
             return Verdict::rejected(RejectionReason::AllFailed);
         }
@@ -147,7 +110,7 @@ where
         return if outcomes
             .iter()
             .skip(1)
-            .all(|o| eq(o.output().expect("checked success"), first))
+            .all(|o| o.output().expect("checked success") == first)
         {
             Verdict::accepted(first.clone(), n, 0)
         } else {
@@ -174,7 +137,7 @@ where
             let rep_output = outcomes[*rep as usize]
                 .output()
                 .expect("representatives are successful outcomes");
-            if eq(rep_output, output) {
+            if rep_output == output {
                 *count += 1;
                 matched = true;
                 break;
@@ -544,17 +507,6 @@ fn unanimity_row(ids: &[u32], ok: u64, full: u64) -> RowVerdict {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adjudicator::voting::{MajorityVoter, PluralityVoter, QuorumVoter, UnanimityVoter};
-    use crate::adjudicator::Adjudicator;
-    use crate::outcome::VariantFailure;
-
-    fn oks<O: Clone>(values: &[O]) -> Vec<VariantOutcome<O>> {
-        values
-            .iter()
-            .enumerate()
-            .map(|(i, v)| VariantOutcome::ok(format!("v{i}"), v.clone()))
-            .collect()
-    }
 
     #[test]
     fn rule_thresholds_match_voters() {
@@ -565,55 +517,6 @@ mod tests {
         assert_eq!(VoteRule::Unanimity.threshold(3), 3);
         assert!(VoteRule::Plurality.tie_rejects());
         assert!(!VoteRule::Majority.tie_rejects());
-    }
-
-    #[test]
-    fn vote_row_matches_scalar_voters_on_fixed_rows() {
-        let rows: Vec<Vec<VariantOutcome<i64>>> = vec![
-            oks(&[1, 1, 2]),
-            oks(&[1, 2, 3]),
-            oks(&[5, 6, 5, 6]),
-            oks(&[3, 1, 3, 2, 3]),
-            oks(&[7]),
-            vec![],
-            vec![
-                VariantOutcome::failed("a", VariantFailure::Timeout),
-                VariantOutcome::failed("b", VariantFailure::Omission),
-            ],
-            {
-                let mut o = oks(&[7, 7, 8]);
-                o.push(VariantOutcome::failed("v3", VariantFailure::Timeout));
-                o
-            },
-        ];
-        for outcomes in &rows {
-            assert_eq!(
-                vote_row(VoteRule::Majority, |a, b| a == b, outcomes),
-                MajorityVoter::new().adjudicate(outcomes),
-            );
-            assert_eq!(
-                vote_row(VoteRule::Plurality, |a, b| a == b, outcomes),
-                PluralityVoter::new().adjudicate(outcomes),
-            );
-            assert_eq!(
-                vote_row(VoteRule::Quorum(2), |a, b| a == b, outcomes),
-                QuorumVoter::new(2).adjudicate(outcomes),
-            );
-            assert_eq!(
-                vote_row(VoteRule::Unanimity, |a, b| a == b, outcomes),
-                UnanimityVoter::new().adjudicate(outcomes),
-            );
-        }
-    }
-
-    #[test]
-    fn vote_row_handles_rows_wider_than_the_bitset() {
-        let values: Vec<i64> = (0..100).map(|i| i % 3).collect();
-        let outcomes = oks(&values);
-        assert_eq!(
-            vote_row(VoteRule::Plurality, |a, b| a == b, &outcomes),
-            PluralityVoter::new().adjudicate(&outcomes),
-        );
     }
 
     #[test]
@@ -641,57 +544,6 @@ mod tests {
     }
 
     #[test]
-    fn columns_match_scalar_voters_row_by_row() {
-        // Mixed successes, failures, duplicates, all-failed rows.
-        let rows: Vec<Vec<Option<i64>>> = vec![
-            vec![Some(1), Some(1), Some(2)],
-            vec![Some(1), Some(2), Some(3)],
-            vec![None, None, None],
-            vec![Some(5), None, Some(5)],
-            vec![None, Some(7), None],
-            vec![Some(2), Some(2), Some(2)],
-        ];
-        let mut cols: OutcomeColumns<i64> = OutcomeColumns::new(3);
-        for row in &rows {
-            cols.push_row(row);
-        }
-        let cases = [
-            (VoteRule::Majority, MajorityVoter::new().into_boxed()),
-            (VoteRule::Plurality, PluralityVoter::new().into_boxed()),
-            (VoteRule::Quorum(2), QuorumVoter::new(2).into_boxed()),
-            (VoteRule::Unanimity, UnanimityVoter::new().into_boxed()),
-        ];
-        for (rule, voter) in &cases {
-            let verdicts = cols.adjudicate(*rule);
-            for (row, verdict) in rows.iter().zip(&verdicts) {
-                let outcomes: Vec<VariantOutcome<i64>> = row
-                    .iter()
-                    .enumerate()
-                    .map(|(i, v)| match v {
-                        Some(v) => VariantOutcome::ok(format!("v{i}"), *v),
-                        None => VariantOutcome::failed(format!("v{i}"), VariantFailure::Timeout),
-                    })
-                    .collect();
-                assert_eq!(
-                    verdict.to_verdict(&cols),
-                    voter.adjudicate(&outcomes),
-                    "rule {rule:?}, row {row:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn enabled_toggle_round_trips() {
-        let initial = enabled();
-        set_enabled(false);
-        assert!(!enabled());
-        set_enabled(true);
-        assert!(enabled());
-        set_enabled(initial);
-    }
-
-    #[test]
     #[should_panic(expected = "row arity mismatch")]
     fn push_row_rejects_wrong_arity() {
         let mut cols: OutcomeColumns<i64> = OutcomeColumns::new(3);
@@ -702,15 +554,5 @@ mod tests {
     #[should_panic(expected = "arity must be in")]
     fn zero_arity_columns_panic() {
         let _ = OutcomeColumns::<i64>::new(0);
-    }
-
-    trait IntoBoxed<O> {
-        fn into_boxed(self) -> Box<dyn Adjudicator<O>>;
-    }
-
-    impl<O: 'static, A: Adjudicator<O> + 'static> IntoBoxed<O> for A {
-        fn into_boxed(self) -> Box<dyn Adjudicator<O>> {
-            Box::new(self)
-        }
     }
 }

@@ -13,9 +13,9 @@
 //! - [`incremental`] provides the streaming interface
 //!   ([`IncrementalAdjudicator`]) that lets pattern engines fix a verdict
 //!   before every variant has run;
-//! - [`batch`] provides the branchless campaign back-end: exact-equality
-//!   voting rules ([`VoteRule`]) computed over SoA outcome columns, with
-//!   a row kernel the pattern engines route Exhaustive runs through.
+//! - [`batch`] provides the exact-equality voting rules ([`VoteRule`]):
+//!   the row kernel every exact voter decides through, and the same
+//!   rules computed branchlessly over SoA outcome columns.
 //!
 //! [`AcceptanceTest`]: acceptance::AcceptanceTest
 
@@ -63,27 +63,20 @@ pub trait Adjudicator<O>: Send + Sync {
     ///
     /// Returning `Some(rule)` is a promise that
     /// [`adjudicate`](Self::adjudicate) is observably identical to
-    /// [`batch::vote_row`] under `rule` with the output's `==` as the
-    /// agreement relation — it lets campaign back-ends pack whole batches
-    /// of outcome rows into [`OutcomeColumns`] and adjudicate them through
-    /// the branchless SoA kernels. Adjudicators whose agreement relation
-    /// is not plain equality (acceptance tests, median, tolerance, trimmed
-    /// mean) keep the default `None` and always take their scalar path.
+    /// [`batch::vote_row`] under `rule` (the four exact voters decide
+    /// through it), so a caller may pack whole batches of outcome rows
+    /// into [`OutcomeColumns`] and adjudicate them through the
+    /// branchless SoA kernels instead. Adjudicators whose agreement
+    /// relation is not plain equality (acceptance tests, median,
+    /// tolerance, trimmed mean) keep the default `None`.
     fn vote_rule(&self) -> Option<VoteRule> {
         None
     }
 
-    /// Adjudicates one complete row of outcomes on the batch fast path.
-    ///
-    /// Pattern engines call this instead of
-    /// [`adjudicate`](Self::adjudicate) when every variant has finished
-    /// (Exhaustive runs). The default simply delegates to `adjudicate`;
-    /// the exact-equality voting family overrides it to route through the
-    /// branchless [`batch::vote_row`] kernel when [`batch::enabled`]
-    /// returns `true`. Overrides must produce verdicts observably
-    /// identical to `adjudicate` — same winner, same tie behavior, same
-    /// rejection precedence — so toggling the batch path never changes
-    /// results.
+    /// Adjudicates one complete row of outcomes. The engines call
+    /// [`adjudicate`](Self::adjudicate) directly; this entry point stays,
+    /// defaulting to it, for implementors that still provide it. An
+    /// override must produce verdicts identical to `adjudicate`.
     fn adjudicate_batch_row(&self, outcomes: &[VariantOutcome<O>]) -> Verdict<O> {
         self.adjudicate(outcomes)
     }
@@ -111,10 +104,6 @@ impl<O> Adjudicator<O> for Box<dyn Adjudicator<O>> {
 
     fn vote_rule(&self) -> Option<VoteRule> {
         self.as_ref().vote_rule()
-    }
-
-    fn adjudicate_batch_row(&self, outcomes: &[VariantOutcome<O>]) -> Verdict<O> {
-        self.as_ref().adjudicate_batch_row(outcomes)
     }
 }
 

@@ -6,75 +6,18 @@
 //! `2k + 1` versions tolerates `k` faulty results is a direct property of
 //! [`MajorityVoter`], verified by the property tests at the bottom of this
 //! module and measured by experiment E4.
+//!
+//! The four exact-equality voters (majority, plurality, quorum,
+//! unanimity) all decide through one implementation, the zero-alloc row
+//! kernel [`batch::vote_row`]. The inexact voters (median, tolerance,
+//! trimmed mean) compare outputs by order or distance rather than
+//! equality and keep their own scalar paths.
 
 use crate::adjudicator::batch::{self, VoteRule};
 use crate::adjudicator::incremental::{IncrementalAdjudicator, StreamingUnanimity, StreamingVote};
 use crate::adjudicator::Adjudicator;
 use crate::outcome::{RejectionReason, VariantOutcome, Verdict};
 use crate::taxonomy::Adjudication;
-
-/// Groups successful outputs into agreement classes by `eq`, returning
-/// `(representative_index, count)` per class, ordered by first appearance.
-fn agreement_classes<O, F: Fn(&O, &O) -> bool>(
-    outcomes: &[VariantOutcome<O>],
-    eq: F,
-) -> Vec<(usize, usize)> {
-    let mut classes: Vec<(usize, usize)> = Vec::new();
-    for (i, outcome) in outcomes.iter().enumerate() {
-        let Ok(output) = &outcome.result else {
-            continue;
-        };
-        let mut matched = false;
-        for (rep, count) in classes.iter_mut() {
-            let rep_output = outcomes[*rep]
-                .output()
-                .expect("representatives are successful outcomes");
-            if eq(rep_output, output) {
-                *count += 1;
-                matched = true;
-                break;
-            }
-        }
-        if !matched {
-            classes.push((i, 1));
-        }
-    }
-    classes
-}
-
-fn vote<O: Clone>(
-    outcomes: &[VariantOutcome<O>],
-    eq: impl Fn(&O, &O) -> bool,
-    threshold: usize,
-    tie_is_rejection: bool,
-) -> Verdict<O> {
-    if outcomes.is_empty() {
-        return Verdict::rejected(RejectionReason::NoOutcomes);
-    }
-    let classes = agreement_classes(outcomes, eq);
-    if classes.is_empty() {
-        return Verdict::rejected(RejectionReason::AllFailed);
-    }
-    let (best_rep, best_count) = classes
-        .iter()
-        .copied()
-        .max_by_key(|&(_, count)| count)
-        .expect("non-empty classes");
-    if best_count < threshold {
-        return Verdict::rejected(RejectionReason::NoQuorum);
-    }
-    if tie_is_rejection {
-        let ties = classes.iter().filter(|&&(_, c)| c == best_count).count();
-        if ties > 1 {
-            return Verdict::rejected(RejectionReason::Disagreement);
-        }
-    }
-    let output = outcomes[best_rep]
-        .output()
-        .expect("representative is successful")
-        .clone();
-    Verdict::accepted(output, best_count, outcomes.len() - best_count)
-}
 
 /// Strict-majority voter: accepts an output agreed on by more than half of
 /// *all* outcomes (failed outcomes count against the majority, as in
@@ -115,8 +58,7 @@ impl<O: Clone + PartialEq> Adjudicator<O> for MajorityVoter {
     }
 
     fn adjudicate(&self, outcomes: &[VariantOutcome<O>]) -> Verdict<O> {
-        let threshold = outcomes.len() / 2 + 1;
-        vote(outcomes, |a, b| a == b, threshold, false)
+        batch::vote_row(VoteRule::Majority, outcomes)
     }
 
     fn begin_incremental<'a>(&'a self, total: usize) -> Box<dyn IncrementalAdjudicator<O> + 'a>
@@ -128,14 +70,6 @@ impl<O: Clone + PartialEq> Adjudicator<O> for MajorityVoter {
 
     fn vote_rule(&self) -> Option<VoteRule> {
         Some(VoteRule::Majority)
-    }
-
-    fn adjudicate_batch_row(&self, outcomes: &[VariantOutcome<O>]) -> Verdict<O> {
-        if batch::enabled() {
-            batch::vote_row(VoteRule::Majority, |a, b| a == b, outcomes)
-        } else {
-            self.adjudicate(outcomes)
-        }
     }
 }
 
@@ -163,7 +97,7 @@ impl<O: Clone + PartialEq> Adjudicator<O> for PluralityVoter {
     }
 
     fn adjudicate(&self, outcomes: &[VariantOutcome<O>]) -> Verdict<O> {
-        vote(outcomes, |a, b| a == b, 1, true)
+        batch::vote_row(VoteRule::Plurality, outcomes)
     }
 
     fn begin_incremental<'a>(&'a self, total: usize) -> Box<dyn IncrementalAdjudicator<O> + 'a>
@@ -177,14 +111,6 @@ impl<O: Clone + PartialEq> Adjudicator<O> for PluralityVoter {
 
     fn vote_rule(&self) -> Option<VoteRule> {
         Some(VoteRule::Plurality)
-    }
-
-    fn adjudicate_batch_row(&self, outcomes: &[VariantOutcome<O>]) -> Verdict<O> {
-        if batch::enabled() {
-            batch::vote_row(VoteRule::Plurality, |a, b| a == b, outcomes)
-        } else {
-            self.adjudicate(outcomes)
-        }
     }
 }
 
@@ -225,7 +151,7 @@ impl<O: Clone + PartialEq> Adjudicator<O> for QuorumVoter {
     }
 
     fn adjudicate(&self, outcomes: &[VariantOutcome<O>]) -> Verdict<O> {
-        vote(outcomes, |a, b| a == b, self.quorum, false)
+        batch::vote_row(VoteRule::Quorum(self.quorum), outcomes)
     }
 
     fn begin_incremental<'a>(&'a self, total: usize) -> Box<dyn IncrementalAdjudicator<O> + 'a>
@@ -237,14 +163,6 @@ impl<O: Clone + PartialEq> Adjudicator<O> for QuorumVoter {
 
     fn vote_rule(&self) -> Option<VoteRule> {
         Some(VoteRule::Quorum(self.quorum))
-    }
-
-    fn adjudicate_batch_row(&self, outcomes: &[VariantOutcome<O>]) -> Verdict<O> {
-        if batch::enabled() {
-            batch::vote_row(VoteRule::Quorum(self.quorum), |a, b| a == b, outcomes)
-        } else {
-            self.adjudicate(outcomes)
-        }
     }
 }
 
@@ -272,22 +190,7 @@ impl<O: Clone + PartialEq> Adjudicator<O> for UnanimityVoter {
     }
 
     fn adjudicate(&self, outcomes: &[VariantOutcome<O>]) -> Verdict<O> {
-        if outcomes.is_empty() {
-            return Verdict::rejected(RejectionReason::NoOutcomes);
-        }
-        if outcomes.iter().any(|o| !o.is_ok()) {
-            return Verdict::rejected(RejectionReason::AllFailed);
-        }
-        let first = outcomes[0].output().expect("checked success");
-        if outcomes
-            .iter()
-            .skip(1)
-            .all(|o| o.output().expect("checked success") == first)
-        {
-            Verdict::accepted(first.clone(), outcomes.len(), 0)
-        } else {
-            Verdict::rejected(RejectionReason::Disagreement)
-        }
+        batch::vote_row(VoteRule::Unanimity, outcomes)
     }
 
     fn begin_incremental<'a>(&'a self, total: usize) -> Box<dyn IncrementalAdjudicator<O> + 'a>
@@ -303,14 +206,6 @@ impl<O: Clone + PartialEq> Adjudicator<O> for UnanimityVoter {
 
     fn vote_rule(&self) -> Option<VoteRule> {
         Some(VoteRule::Unanimity)
-    }
-
-    fn adjudicate_batch_row(&self, outcomes: &[VariantOutcome<O>]) -> Verdict<O> {
-        if batch::enabled() {
-            batch::vote_row(VoteRule::Unanimity, |a, b| a == b, outcomes)
-        } else {
-            self.adjudicate(outcomes)
-        }
     }
 }
 

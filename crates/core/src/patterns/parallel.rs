@@ -78,7 +78,7 @@ impl<O> StreamJudge<O> for EvaluationJudge<'_, O> {
     }
 
     fn conclude(&mut self, outcomes: &[VariantOutcome<O>]) -> Verdict<O> {
-        self.adjudicator.adjudicate_batch_row(outcomes)
+        self.adjudicator.adjudicate(outcomes)
     }
 }
 
@@ -222,9 +222,7 @@ impl<I, O> ParallelEvaluation<I, O> {
             DecisionPolicy::Exhaustive => {
                 let outcomes = execute_all(&self.variants, input, ctx, self.mode);
                 ctx.add_parallel_costs(outcomes.iter().map(|o| o.cost));
-                // Exact-equality voters route through the branchless row
-                // kernel; everything else keeps its scalar path.
-                let verdict = self.adjudicator.adjudicate_batch_row(&outcomes);
+                let verdict = self.adjudicator.adjudicate(&outcomes);
                 (outcomes, verdict)
             }
             DecisionPolicy::Eager => {

@@ -19,7 +19,7 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 
 use crate::event::{Event, EventKind, ROOT_SPAN};
 use crate::observer::{ObsHandle, Observer};
@@ -162,35 +162,12 @@ pub fn merge_shards(shards: Vec<Vec<Event>>) -> Vec<Event> {
 /// in-flight shards, which the streaming merge bounds).
 const SHARD_POOL_CAP: usize = 1024;
 
-/// Default cap on the per-event capacity a fresh buffer is pre-reserved
-/// to (see [`prewarm_cap`]). Far above any per-trial event count the
-/// simulator produces, while still bounding a pathological trial's
-/// influence on every later checkout.
-const DEFAULT_SHARD_PREWARM: usize = 4096;
-
-/// Resolves `REDUNDANCY_SHARD_PREWARM`: the cap on how many events a
-/// *fresh* pool checkout pre-reserves capacity for (fresh checkouts
-/// mirror the observed high-water mark, clamped to this cap). An empty
-/// value is treated as unset; a set-but-invalid value warns once and
-/// falls back to the default, so a typo doesn't silently change the
-/// allocation profile.
-fn prewarm_cap() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| match std::env::var("REDUNDANCY_SHARD_PREWARM") {
-        Ok(value) => match value.trim().parse::<usize>() {
-            Ok(cap) => cap,
-            _ if value.trim().is_empty() => DEFAULT_SHARD_PREWARM,
-            _ => {
-                eprintln!(
-                    "warning: ignoring REDUNDANCY_SHARD_PREWARM={value:?}: expected an \
-                     event count, using default {DEFAULT_SHARD_PREWARM}"
-                );
-                DEFAULT_SHARD_PREWARM
-            }
-        },
-        Err(_) => DEFAULT_SHARD_PREWARM,
-    })
-}
+/// Cap on how many events a *fresh* pool checkout pre-reserves capacity
+/// for (fresh checkouts mirror the observed high-water mark, clamped to
+/// this cap). Far above any per-trial event count the simulator
+/// produces, while still bounding a pathological trial's influence on
+/// every later checkout.
+const SHARD_PREWARM_CAP: usize = 4096;
 
 /// A free list of event buffers shared between shard producers and the
 /// merger: producers [`check_out`](ShardPool::check_out) a warmed-up
@@ -218,9 +195,8 @@ impl ShardPool {
     /// Takes a spare (empty, capacity-warm) buffer. When the pool is dry
     /// (the first checkouts of a campaign, or a burst wider than the
     /// steady-state window) the fresh buffer is pre-reserved to the
-    /// observed high-water capacity — clamped by
-    /// `REDUNDANCY_SHARD_PREWARM` — so it does not regrow step by step
-    /// through its first trial.
+    /// observed high-water capacity — clamped to 4096 events — so it
+    /// does not regrow step by step through its first trial.
     #[must_use]
     pub fn check_out(&self) -> Vec<Event> {
         if let Some(buf) = self
@@ -231,7 +207,10 @@ impl ShardPool {
         {
             return buf;
         }
-        let reserve = self.high_water.load(Ordering::Relaxed).min(prewarm_cap());
+        let reserve = self
+            .high_water
+            .load(Ordering::Relaxed)
+            .min(SHARD_PREWARM_CAP);
         Vec::with_capacity(reserve)
     }
 

@@ -5,9 +5,8 @@
 //! engine itself, following the crash-only recipe: a campaign
 //! periodically commits its completed-trial outcomes (and, for traced
 //! runs, the merged event-stream prefix) to an append-only JSONL file,
-//! and [`Campaign::run_parallel_resumable`] /
-//! [`Campaign::run_traced_parallel_resumable`] skip the committed prefix
-//! on restart. Because trials are independently seeded by index and
+//! and [`Campaign::execute`] with a [`RunSpec::checkpoint`] skips the
+//! committed prefix on restart. Because trials are independently seeded by index and
 //! costs round-trip bit-exactly (`u64` fields as decimal, `design_cost`
 //! via [`f64::to_bits`]), a killed-and-resumed campaign produces a
 //! **bit-identical [`TrialSummary`]** — and a byte-identical traced
@@ -38,8 +37,8 @@
 //! longest valid prefix ending in an outcome line and truncates the rest
 //! before appending.
 //!
-//! [`Campaign::run_parallel_resumable`]: crate::trial::Campaign::run_parallel_resumable
-//! [`Campaign::run_traced_parallel_resumable`]: crate::trial::Campaign::run_traced_parallel_resumable
+//! [`Campaign::execute`]: crate::trial::Campaign::execute
+//! [`RunSpec::checkpoint`]: crate::trial::RunSpec::checkpoint
 //! [`TrialSummary`]: crate::trial::TrialSummary
 
 use std::collections::BTreeMap;

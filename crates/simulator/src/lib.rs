@@ -17,11 +17,12 @@
 //! [`early_exit::work_saved`].
 //!
 //! Campaign trials are independently seeded and therefore embarrassingly
-//! parallel: [`trial::Campaign::run_parallel`] and
-//! [`trial::Campaign::run_traced_parallel`] shard them across the
+//! parallel: [`trial::Campaign::execute`] shards them across the
 //! persistent worker pool ([`pool`]) in chunks ([`parallel`]) while
 //! producing bit-for-bit the same summary — and, for traced runs, the
-//! same event stream — as the serial paths.
+//! same event stream — as the serial paths; a [`trial::RunSpec`] adds
+//! tracing, checkpointed resumption ([`checkpoint`]) and injected harness
+//! faults ([`chaos`]) to the same engine.
 //!
 //! A running campaign can be watched live: the engine's hot paths feed
 //! lock-free telemetry shards (chunk claims, sampled trial durations,
@@ -56,4 +57,4 @@ pub use parallel::{
 pub use pool::WorkerPool;
 pub use stats::{mean_ci, wilson_interval, Estimate, Proportion};
 pub use table::Table;
-pub use trial::{Campaign, TrialOutcome, TrialSummary};
+pub use trial::{Campaign, RunSpec, TrialOutcome, TrialSummary};

@@ -1,11 +1,9 @@
 //! Monte-Carlo campaigns: run a seeded trial many times, classify and
 //! summarize.
 
-use std::hash::Hash;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use redundancy_core::adjudicator::{OutcomeColumns, RowVerdict, VoteRule};
 use redundancy_core::context::{CancelToken, ExecContext};
 use redundancy_core::cost::Cost;
 use redundancy_core::obs::telemetry::{self, Counter, Timer};
@@ -14,8 +12,8 @@ use redundancy_core::obs::{
 };
 
 use crate::chaos::ChaosPlan;
-use crate::checkpoint::{self, CheckpointLog, CheckpointSpec};
-use crate::parallel::{chunk_size, parallel_indexed, parallel_indexed_chunked_hooked};
+use crate::checkpoint::{self, CheckpointLog, CheckpointSpec, Resumed};
+use crate::parallel::{chunk_size, parallel_indexed_chunked_hooked};
 use crate::stats::{mean_ci, wilson_interval, Estimate, Proportion};
 
 /// The classification of one trial.
@@ -238,84 +236,131 @@ impl Campaign {
         summarize(&outcomes)
     }
 
-    /// Runs the campaign through the branchless batch adjudication
-    /// back-end: trials fill rows of an
-    /// [`OutcomeColumns`] chunk (`None` slots are detectable failures),
-    /// whole segments of rows are adjudicated at once under `rule` with
-    /// the SoA popcount kernels, and `classify` maps each compact
-    /// [`RowVerdict`] — with the chunk available to resolve interned
-    /// winning outputs — to a [`TrialOutcome`].
+    /// Runs the campaign as `spec` describes: the one engine behind
+    /// every runner except the serial references [`run`](Self::run) and
+    /// [`run_traced`](Self::run_traced).
     ///
-    /// This is the campaign shape the batch path exists for: the same
-    /// `arity`-wide vote adjudicated once per trial over thousands of
-    /// trials. Columns, verdict buffer and row scratch are reused across
-    /// segments, so the steady-state loop allocates only for outputs the
-    /// interner has not seen before. `produce` must fill `row` with
-    /// exactly `arity` slots and returns the trial's cost.
+    /// Trial `i` gets an [`ExecContext`] seeded with
+    /// [`trial_seed`](Self::trial_seed)`(campaign_seed, i)`, exactly as
+    /// [`run_traced`](Self::run_traced) seeds it, and outcomes are
+    /// collected in trial-index order. The returned [`TrialSummary`] is
+    /// therefore **bit-for-bit identical** to the serial one for every
+    /// spec:
     ///
-    /// Per-trial duration sampling does not apply here — adjudication is
-    /// amortized across a segment, so there is no per-trial interval to
-    /// time — but disposition counters still feed the flight recorder.
+    /// - **`jobs`** shards trials in chunks across the persistent worker
+    ///   pool; parallelism changes wall-clock time, never results.
+    /// - **`observer`**, when enabled, receives exactly the event stream
+    ///   [`run_traced`](Self::run_traced) records. Concurrent trials
+    ///   cannot share one span-id allocator without interleaving their
+    ///   streams, so every trial records into its worker's pooled
+    ///   [`CollectorObserver`](redundancy_core::obs::CollectorObserver)
+    ///   shard, and as soon as every earlier trial has finished its shard
+    ///   is forwarded with span ids renumbered into one campaign-wide
+    ///   sequence ([`StreamingMerger`]). Workers that run too far ahead
+    ///   of the merge frontier wait for it, so peak buffering is a small
+    ///   window of in-flight trials and a bounded `observer` (e.g. a ring
+    ///   buffer) bounds peak memory independent of campaign length.
+    ///   Drained shard allocations are recycled through a [`ShardPool`].
+    ///   `None` or a disabled observer runs untraced.
+    /// - **`checkpoint`** commits completed outcomes (and, traced, the
+    ///   committed prefix of the merged stream) to the file in contiguous
+    ///   batches of [`CheckpointSpec::interval`] trials. A restart with
+    ///   the same arguments replays the committed prefix into `observer`
+    ///   and runs only the rest, so summary and stream match an
+    ///   uninterrupted run's; work completed but not yet flushed when the
+    ///   process died is re-run. Restarting with a different seed, trial
+    ///   count or tracedness is refused ([`checkpoint::Error::Mismatch`]).
+    /// - **`chaos`** injects harness faults: worker kills at trial
+    ///   boundaries, cooperative cancellation on a scripted fuel-charge
+    ///   check ([`CancelToken::cancel_after`]) and chunk scheduling
+    ///   delays. A killed or chaos-cancelled trial panics (payload
+    ///   `"chaos: ..."`) instead of recording its outcome, so resuming
+    ///   from the checkpoint converges on the clean run.
+    ///
+    /// # Errors
+    ///
+    /// Only with a `checkpoint`: returns [`checkpoint::Error`] when the
+    /// file cannot be read or written, records a committed-trial gap
+    /// ([`checkpoint::Error::Corrupt`]), or pins different campaign
+    /// parameters.
     ///
     /// # Panics
     ///
-    /// Panics if `arity` is outside the columns' supported range or
-    /// `produce` fills a row with the wrong arity.
-    pub fn run_batch_adjudicated<O, P, C>(
+    /// Propagates a panic from the trial closure or a chaos fault once
+    /// the worker pool has quiesced, like [`run`](Self::run).
+    pub fn execute<F>(
         &self,
         campaign_seed: u64,
-        rule: VoteRule,
-        arity: usize,
-        mut produce: P,
-        mut classify: C,
-    ) -> TrialSummary
+        spec: &RunSpec<'_>,
+        trial: F,
+    ) -> Result<TrialSummary, checkpoint::Error>
     where
-        O: Clone + Eq + Hash,
-        P: FnMut(u64, usize, &mut Vec<Option<O>>) -> Cost,
-        C: FnMut(&RowVerdict, &OutcomeColumns<O>, Cost) -> TrialOutcome,
+        F: Fn(&mut ExecContext, u64, usize) -> TrialOutcome + Sync,
     {
-        /// Trials per packed segment: big enough to amortize the
-        /// adjudication pass and keep the interner warm, small enough
-        /// that the columns stay cache-resident.
-        const BATCH_SEGMENT: usize = 1024;
-        telemetry::add(Counter::TrialsScheduled, self.trials as u64);
-        let segment = BATCH_SEGMENT.min(self.trials);
-        let mut columns: OutcomeColumns<O> = OutcomeColumns::with_row_capacity(arity, segment);
-        let mut verdicts: Vec<RowVerdict> = Vec::new();
-        let mut row: Vec<Option<O>> = Vec::with_capacity(arity);
-        let mut costs: Vec<Cost> = Vec::with_capacity(segment);
-        let mut outcomes = Vec::with_capacity(self.trials);
-        let mut start = 0usize;
-        while start < self.trials {
-            let end = (start + BATCH_SEGMENT).min(self.trials);
-            columns.clear();
-            costs.clear();
-            for i in start..end {
-                row.clear();
-                costs.push(produce(Self::trial_seed(campaign_seed, i), i, &mut row));
-                columns.push_row(&row);
+        let observer = spec.observer.as_ref().filter(|observer| observer.enabled());
+        let (log, resumed) = match spec.checkpoint {
+            Some(checkpoint) => {
+                let (log, resumed) = CheckpointLog::open(
+                    checkpoint,
+                    campaign_seed,
+                    self.trials,
+                    observer.is_some(),
+                )?;
+                (Some(Arc::new(log)), resumed)
             }
-            columns.adjudicate_into(rule, &mut verdicts);
-            for (verdict, &cost) in verdicts.iter().zip(&costs) {
-                let outcome = classify(verdict, &columns, cost);
-                record_trial(None, &outcome);
-                outcomes.push(outcome);
+            None => (None, Resumed::default()),
+        };
+        if let Some(observer) = observer {
+            // Replay the committed stream prefix: the sink assigns global
+            // sequence numbers at record time, so replay continues the
+            // numbering exactly where the interrupted run left off.
+            for event in resumed.events {
+                observer.record(event);
             }
-            start = end;
         }
-        summarize(&outcomes)
+        let start = resumed.outcomes.len();
+        let mut outcomes = resumed.outcomes;
+        if start < self.trials {
+            let fresh = match observer {
+                Some(observer) => self.traced_segment(
+                    campaign_seed,
+                    spec.jobs,
+                    Arc::clone(observer),
+                    start,
+                    resumed.span_offset,
+                    log.as_ref(),
+                    spec.chaos,
+                    &trial,
+                ),
+                None => self.untraced_segment(
+                    campaign_seed,
+                    spec.jobs,
+                    start,
+                    log.as_deref(),
+                    spec.chaos,
+                    &trial,
+                ),
+            };
+            // Without a resumed prefix the fresh outcomes are the whole
+            // result: take them rather than copy them (peak memory).
+            if outcomes.is_empty() {
+                outcomes = fresh;
+            } else {
+                outcomes.extend(fresh);
+            }
+        }
+        if let Some(log) = log {
+            log.finish()?;
+        }
+        Ok(summarize(&outcomes))
     }
 
     /// Runs the campaign with trials sharded across up to `jobs` worker
-    /// threads (`std::thread::scope`; no threads at all for `jobs <= 1`).
-    ///
-    /// Each trial derives its own seed exactly as [`run`](Self::run)
-    /// does and outcomes are collected in trial-index order, so the
-    /// returned [`TrialSummary`] is **bit-for-bit identical** to the
-    /// serial one for any worker count — parallelism changes wall-clock
-    /// time, never results. The only difference from [`run`](Self::run)
-    /// is the closure bound: workers share it, so it must be `Fn + Sync`
-    /// rather than `FnMut`.
+    /// threads: [`execute`](Self::execute) with only `jobs` set, for
+    /// closures that need no [`ExecContext`]. The summary is bit-for-bit
+    /// that of [`run`](Self::run); the only difference is the closure
+    /// bound — workers share it, so it must be `Fn + Sync` rather than
+    /// `FnMut`.
     ///
     /// # Panics
     ///
@@ -324,40 +369,19 @@ impl Campaign {
     where
         F: Fn(u64, usize) -> TrialOutcome + Sync,
     {
-        telemetry::add(Counter::TrialsScheduled, self.trials as u64);
-        let outcomes = parallel_indexed(jobs, self.trials, |i| {
-            let timed = trial_timer(i);
-            let outcome = trial(Self::trial_seed(campaign_seed, i), i);
-            record_trial(timed, &outcome);
-            outcome
-        });
-        summarize(&outcomes)
+        let spec = RunSpec {
+            jobs,
+            ..RunSpec::default()
+        };
+        self.execute(campaign_seed, &spec, |_, seed, i| trial(seed, i))
+            .expect("a campaign without a checkpoint does no checkpoint I/O")
     }
 
     /// Runs a traced campaign with trials sharded across up to `jobs`
-    /// worker threads, preserving both the summary *and* the recorded
-    /// event stream of the serial [`run_traced`](Self::run_traced).
-    ///
-    /// Concurrent trials cannot share one span-id allocator without
-    /// interleaving their streams in scheduling order, so every trial
-    /// records into its worker's pooled
-    /// [`CollectorObserver`](redundancy_core::obs::CollectorObserver)
-    /// shard through a fresh [`ObsHandle`]. As soon as every earlier
-    /// trial has finished, a trial's shard is forwarded to `observer`
-    /// with its span ids renumbered into one campaign-wide sequence
-    /// ([`StreamingMerger`]) — exactly the ids and record order the
-    /// serial shared allocator produces. The stream `observer` sees is
-    /// therefore bit-for-bit identical to the serial one, and
+    /// worker threads: [`execute`](Self::execute) with `jobs` and
+    /// `observer` set. The summary and the stream `observer` sees are
+    /// bit-for-bit those of [`run_traced`](Self::run_traced), so
     /// [`crate::forensics::split_trials`] applies unchanged.
-    ///
-    /// Unlike the first generation of this method (which buffered every
-    /// shard until the campaign ended), peak buffering is bounded by a
-    /// small window of in-flight trials — workers that run too far ahead
-    /// of the merge frontier wait for it — so a bounded `observer` (e.g.
-    /// a ring buffer) bounds peak memory too, independent of campaign
-    /// length. Drained shard allocations are recycled through a
-    /// [`ShardPool`], making steady-state trace collection
-    /// allocation-free.
     pub fn run_traced_parallel<F>(
         &self,
         campaign_seed: u64,
@@ -368,64 +392,23 @@ impl Campaign {
     where
         F: Fn(&mut ExecContext, u64, usize) -> TrialOutcome + Sync,
     {
-        self.run_traced_parallel_stats(campaign_seed, jobs, observer, trial)
-            .0
-    }
-
-    /// Like [`run_traced_parallel`](Self::run_traced_parallel), but also
-    /// returns the merge statistics (buffering window and high-water
-    /// mark), so callers — and the memory-bound tests — can observe that
-    /// streaming actually bounded peak shard buffering.
-    pub fn run_traced_parallel_stats<F>(
-        &self,
-        campaign_seed: u64,
-        jobs: usize,
-        observer: Arc<dyn Observer>,
-        trial: F,
-    ) -> (TrialSummary, TracedMergeStats)
-    where
-        F: Fn(&mut ExecContext, u64, usize) -> TrialOutcome + Sync,
-    {
-        if !observer.enabled() {
-            // A disabled sink records nothing either way; skip the
-            // per-trial shards entirely. Contexts are seeded identically,
-            // and tracing never perturbs the random stream, so outcomes
-            // are unchanged.
-            let summary = self.run_parallel(campaign_seed, jobs, |seed, i| {
-                trial(&mut ExecContext::new(seed), seed, i)
-            });
-            return (
-                summary,
-                TracedMergeStats {
-                    window: 0,
-                    peak_buffered: 0,
-                },
-            );
-        }
-        let (outcomes, stats) =
-            self.traced_parallel_segment(campaign_seed, jobs, observer, 0, 0, None, None, trial);
-        (summarize(&outcomes), stats)
+        let spec = RunSpec {
+            jobs,
+            observer: Some(observer),
+            ..RunSpec::default()
+        };
+        self.execute(campaign_seed, &spec, trial)
+            .expect("a campaign without a checkpoint does no checkpoint I/O")
     }
 
     /// Runs the campaign like [`run_parallel`](Self::run_parallel),
     /// checkpointing completed trials to `spec`'s file so a killed run
-    /// can be restarted with the same arguments and **skip the committed
-    /// prefix**: trials are independently seeded by index, so the
-    /// resumed summary is bit-identical to an uninterrupted run's.
-    ///
-    /// Outcomes commit in contiguous batches of
-    /// [`CheckpointSpec::interval`] trials; work completed but not yet
-    /// flushed when the process dies is re-run on resume (the trade-off
-    /// experiment E19 measures). Restarting with a different seed, trial
-    /// count, or tracedness is refused
-    /// ([`checkpoint::Error::Mismatch`]).
+    /// restarted with the same arguments skips the committed prefix:
+    /// [`execute`](Self::execute) with `jobs` and `checkpoint` set.
     ///
     /// # Errors
     ///
-    /// Returns [`checkpoint::Error`] when the checkpoint file cannot be
-    /// read or written, records a committed-trial gap
-    /// ([`checkpoint::Error::Corrupt`]), or pins different campaign
-    /// parameters.
+    /// As [`execute`](Self::execute).
     pub fn run_parallel_resumable<F>(
         &self,
         campaign_seed: u64,
@@ -436,180 +419,74 @@ impl Campaign {
     where
         F: Fn(u64, usize) -> TrialOutcome + Sync,
     {
-        self.run_parallel_resumable_chaos(campaign_seed, jobs, spec, None, trial)
+        let spec = RunSpec {
+            jobs,
+            checkpoint: Some(spec),
+            ..RunSpec::default()
+        };
+        self.execute(campaign_seed, &spec, |_, seed, i| trial(seed, i))
     }
 
-    /// [`run_parallel_resumable`](Self::run_parallel_resumable) with an
-    /// optional [`ChaosPlan`] injecting harness faults: worker kills at
-    /// trial boundaries and scheduling delays on chunks. (Charge-point
-    /// cancellation needs an [`ExecContext`] and therefore only applies
-    /// to the traced runner.) A killed trial's outcome is never
-    /// recorded, so resuming after a chaos panic converges on the clean
-    /// run's summary.
-    ///
-    /// # Errors
-    ///
-    /// As [`run_parallel_resumable`](Self::run_parallel_resumable).
-    pub fn run_parallel_resumable_chaos<F>(
+    /// The untraced per-trial loop of [`execute`](Self::execute): runs
+    /// trials `start..trials` on up to `jobs` workers, committing each
+    /// outcome to `log`.
+    fn untraced_segment<F>(
         &self,
         campaign_seed: u64,
         jobs: usize,
-        spec: &CheckpointSpec,
+        start: usize,
+        log: Option<&CheckpointLog>,
         chaos: Option<&ChaosPlan>,
-        trial: F,
-    ) -> Result<TrialSummary, checkpoint::Error>
+        trial: &F,
+    ) -> Vec<TrialOutcome>
     where
-        F: Fn(u64, usize) -> TrialOutcome + Sync,
+        F: Fn(&mut ExecContext, u64, usize) -> TrialOutcome + Sync,
     {
-        let (log, resumed) = CheckpointLog::open(spec, campaign_seed, self.trials, false)?;
-        let start = resumed.outcomes.len();
-        let mut outcomes = resumed.outcomes;
-        if start < self.trials {
-            let remaining = self.trials - start;
-            telemetry::add(Counter::TrialsScheduled, remaining as u64);
-            let jobs = jobs.clamp(1, remaining);
-            let chunk = chunk_size(remaining, jobs);
-            let fresh = parallel_indexed_chunked_hooked(
-                jobs,
-                remaining,
-                chunk,
-                |c| {
-                    if let Some(delay) = chaos.and_then(|plan| plan.chunk_delay(c)) {
-                        telemetry::add(Counter::ChaosDelays, 1);
-                        std::thread::sleep(delay);
-                    }
-                },
-                |k| {
-                    let i = start + k;
-                    if let Some(plan) = chaos {
-                        plan.before_trial(i);
-                    }
-                    let timed = trial_timer(i);
-                    let outcome = trial(Self::trial_seed(campaign_seed, i), i);
-                    if let Some(plan) = chaos {
-                        plan.after_trial(i);
-                    }
-                    // Recorded only once the outcome survives the chaos
-                    // hooks: a killed trial is re-run on resume, and
-                    // neither its count nor its duration sample may land
-                    // twice.
-                    record_trial(timed, &outcome);
+        let remaining = self.trials - start;
+        telemetry::add(Counter::TrialsScheduled, remaining as u64);
+        let jobs = jobs.clamp(1, remaining);
+        let chunk = chunk_size(remaining, jobs);
+        parallel_indexed_chunked_hooked(
+            jobs,
+            remaining,
+            chunk,
+            |c| delay_chunk(chaos, c),
+            |k| {
+                let i = start + k;
+                if let Some(plan) = chaos {
+                    plan.before_trial(i);
+                }
+                let timed = trial_timer(i);
+                let seed = Self::trial_seed(campaign_seed, i);
+                // Armed in place: a helper returning the context would move
+                // it on every trial.
+                let mut ctx = ExecContext::new(seed);
+                if let Some(checks) = chaos.and_then(|plan| plan.charge_fuse(i)) {
+                    ctx = ctx.with_cancel_token(CancelToken::cancel_after(checks));
+                }
+                let outcome = trial(&mut ctx, seed, i);
+                if ctx.was_cancelled() {
+                    // Scripted cancellation: discard the partial outcome
+                    // so the resumed re-run (clean, no fuse) is the one
+                    // that counts.
+                    ChaosPlan::cancelled_trial(i);
+                }
+                if let Some(plan) = chaos {
+                    plan.after_trial(i);
+                }
+                // Recorded only once the outcome survives the chaos
+                // hooks: a killed trial is re-run on resume, and neither
+                // its count nor its duration sample may land twice.
+                record_trial(timed, &outcome);
+                if let Some(log) = log {
                     log.record_outcome(i, &outcome);
-                    outcome
-                },
-            );
-            outcomes.extend(fresh);
-        }
-        log.finish()?;
-        Ok(summarize(&outcomes))
+                }
+                outcome
+            },
+        )
     }
 
-    /// Runs a traced campaign like
-    /// [`run_traced_parallel`](Self::run_traced_parallel), checkpointing
-    /// both completed-trial outcomes **and the committed prefix of the
-    /// merged event stream** to `spec`'s file. On restart the committed
-    /// prefix is replayed into `observer` (which re-assigns global
-    /// sequence numbers) and the merge resumes where it stopped, so both
-    /// the final [`TrialSummary`] and the stream `observer` sees are
-    /// identical to an uninterrupted run's — byte-for-byte once
-    /// exported.
-    ///
-    /// A disabled `observer` falls back to the untraced resumable path;
-    /// note the checkpoint file then pins `traced = false` and cannot be
-    /// shared with an enabled run ([`checkpoint::Error::Mismatch`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`run_parallel_resumable`](Self::run_parallel_resumable).
-    pub fn run_traced_parallel_resumable<F>(
-        &self,
-        campaign_seed: u64,
-        jobs: usize,
-        observer: Arc<dyn Observer>,
-        spec: &CheckpointSpec,
-        trial: F,
-    ) -> Result<TrialSummary, checkpoint::Error>
-    where
-        F: Fn(&mut ExecContext, u64, usize) -> TrialOutcome + Sync,
-    {
-        self.run_traced_parallel_resumable_chaos(campaign_seed, jobs, observer, spec, None, trial)
-    }
-
-    /// [`run_traced_parallel_resumable`](Self::run_traced_parallel_resumable)
-    /// with an optional [`ChaosPlan`]: worker kills at trial boundaries,
-    /// cooperative cancellation on a scripted fuel-charge check
-    /// ([`CancelToken::cancel_after`]), and chunk scheduling delays. A
-    /// chaos-cancelled trial panics (payload `"chaos: ..."`) instead of
-    /// recording its partial outcome, so the resumed campaign re-runs it
-    /// cleanly and still matches the clean run bit-for-bit.
-    ///
-    /// # Errors
-    ///
-    /// As [`run_parallel_resumable`](Self::run_parallel_resumable).
-    pub fn run_traced_parallel_resumable_chaos<F>(
-        &self,
-        campaign_seed: u64,
-        jobs: usize,
-        observer: Arc<dyn Observer>,
-        spec: &CheckpointSpec,
-        chaos: Option<&ChaosPlan>,
-        trial: F,
-    ) -> Result<TrialSummary, checkpoint::Error>
-    where
-        F: Fn(&mut ExecContext, u64, usize) -> TrialOutcome + Sync,
-    {
-        if !observer.enabled() {
-            // Nothing to trace: run the untraced resumable path, but
-            // keep the chaos cancel fuse working by arming each trial's
-            // context exactly as the traced path would.
-            return self.run_parallel_resumable_chaos(
-                campaign_seed,
-                jobs,
-                spec,
-                chaos,
-                |seed, i| {
-                    let mut ctx = ExecContext::new(seed);
-                    if let Some(checks) = chaos.and_then(|plan| plan.charge_fuse(i)) {
-                        ctx = ctx.with_cancel_token(CancelToken::cancel_after(checks));
-                    }
-                    let outcome = trial(&mut ctx, seed, i);
-                    if ctx.was_cancelled() {
-                        ChaosPlan::cancelled_trial(i);
-                    }
-                    outcome
-                },
-            );
-        }
-        let (log, resumed) = CheckpointLog::open(spec, campaign_seed, self.trials, true)?;
-        let log = Arc::new(log);
-        let start = resumed.outcomes.len();
-        // Replay the committed stream prefix: the sink assigns global
-        // sequence numbers at record time, so replay continues the
-        // numbering exactly where the interrupted run left off.
-        for event in resumed.events {
-            observer.record(event);
-        }
-        let mut outcomes = resumed.outcomes;
-        if start < self.trials {
-            let (fresh, _stats) = self.traced_parallel_segment(
-                campaign_seed,
-                jobs,
-                observer,
-                start,
-                resumed.span_offset,
-                Some(&log),
-                chaos,
-                trial,
-            );
-            outcomes.extend(fresh);
-        }
-        log.finish()?;
-        Ok(summarize(&outcomes))
-    }
-
-    /// The traced-parallel engine shared by
-    /// [`run_traced_parallel_stats`](Self::run_traced_parallel_stats)
-    /// (`start = 0`, no log, no chaos) and the resumable runners: runs
+    /// The traced per-trial loop of [`execute`](Self::execute): runs
     /// trials `start..trials`, streaming their merged shards into
     /// `observer` with span ids continuing from `span_offset`.
     ///
@@ -619,7 +496,7 @@ impl Campaign {
     /// will never submit, so they would otherwise wait forever), then
     /// the panic resumes and surfaces from the worker pool as usual.
     #[allow(clippy::too_many_arguments)]
-    fn traced_parallel_segment<F>(
+    fn traced_segment<F>(
         &self,
         campaign_seed: u64,
         jobs: usize,
@@ -628,8 +505,8 @@ impl Campaign {
         span_offset: u64,
         log: Option<&Arc<CheckpointLog>>,
         chaos: Option<&ChaosPlan>,
-        trial: F,
-    ) -> (Vec<TrialOutcome>, TracedMergeStats)
+        trial: &F,
+    ) -> Vec<TrialOutcome>
     where
         F: Fn(&mut ExecContext, u64, usize) -> TrialOutcome + Sync,
     {
@@ -637,13 +514,7 @@ impl Campaign {
         telemetry::add(Counter::TrialsScheduled, remaining as u64);
         let jobs = jobs.clamp(1, remaining);
         let chunk = chunk_size(remaining, jobs);
-        // Big enough that a full complement of workers each holding one
-        // in-flight chunk never stalls; small enough that peak buffering
-        // stays O(jobs · chunk), not O(trials). Blocking on the window is
-        // deadlock-free: chunks are claimed in ascending index order, so
-        // the worker that owns the merge frontier's trial is never the
-        // one waiting (see [`StreamingMerger::with_window`]).
-        let window = (2 * jobs * chunk).max(16).min(remaining.max(1));
+        let window = merge_window(remaining, jobs, chunk);
         let shard_pool = Arc::new(ShardPool::new());
         let mut merger = StreamingMerger::new(observer)
             .with_pool(Arc::clone(&shard_pool))
@@ -659,12 +530,7 @@ impl Campaign {
             jobs,
             remaining,
             chunk,
-            |c| {
-                if let Some(delay) = chaos.and_then(|plan| plan.chunk_delay(c)) {
-                    telemetry::add(Counter::ChaosDelays, 1);
-                    std::thread::sleep(delay);
-                }
-            },
+            |c| delay_chunk(chaos, c),
             |k| {
                 let i = start + k;
                 let result = catch_unwind(AssertUnwindSafe(|| {
@@ -676,8 +542,7 @@ impl Campaign {
                     let (outcome, events) = with_worker_arena(|arena| {
                         let shard = arena.collector();
                         shard.install_buffer(shard_pool.check_out());
-                        let handle = arena.handle();
-                        let mut ctx = ExecContext::new(seed).with_obs_handle(handle);
+                        let mut ctx = ExecContext::new(seed).with_obs_handle(arena.handle());
                         if let Some(checks) = chaos.and_then(|plan| plan.charge_fuse(i)) {
                             ctx = ctx.with_cancel_token(CancelToken::cancel_after(checks));
                         }
@@ -687,9 +552,6 @@ impl Campaign {
                         });
                         let outcome = trial(&mut ctx, seed, i);
                         if ctx.was_cancelled() {
-                            // Scripted cancellation: discard the partial
-                            // outcome so the resumed re-run (clean, no
-                            // fuse) is the one that counts.
                             ChaosPlan::cancelled_trial(i);
                         }
                         ctx.obs_end(
@@ -704,10 +566,9 @@ impl Campaign {
                     if let Some(plan) = chaos {
                         plan.after_trial(i);
                     }
-                    // Recorded after the chaos hooks so a killed trial's
-                    // count and duration sample never land twice across
-                    // its resume re-run; before `submit` so the count
-                    // never includes merge stalls.
+                    // After the chaos hooks (as in the untraced loop);
+                    // before `submit` so the count never includes merge
+                    // stalls.
                     record_trial(timed, &outcome);
                     merger.submit(i, events);
                     if let Some(log) = log {
@@ -724,23 +585,48 @@ impl Campaign {
                 }
             },
         );
-        let stats = TracedMergeStats {
-            window,
-            peak_buffered: merger.peak_buffered(),
-        };
-        (outcomes, stats)
+        debug_assert!(
+            merger.peak_buffered() <= window,
+            "the merge window bounds buffered shards"
+        );
+        outcomes
     }
 }
 
-/// How the streaming merge of a traced parallel campaign behaved; see
-/// [`Campaign::run_traced_parallel_stats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TracedMergeStats {
-    /// The buffering window the merge enforced (0 when tracing was
-    /// disabled and no merge ran).
-    pub window: usize,
-    /// High-water mark of simultaneously buffered trial shards.
-    pub peak_buffered: usize,
+/// How [`Campaign::execute`] runs a campaign. The default runs untraced,
+/// without a checkpoint or injected faults, on the calling thread.
+#[derive(Clone, Default)]
+pub struct RunSpec<'a> {
+    /// Worker threads to shard trials across (0 and 1 both run inline on
+    /// the calling thread).
+    pub jobs: usize,
+    /// Trace sink; `None` or a disabled observer runs untraced.
+    pub observer: Option<Arc<dyn Observer>>,
+    /// Checkpoint file that makes the campaign resumable.
+    pub checkpoint: Option<&'a CheckpointSpec>,
+    /// Harness faults to inject.
+    pub chaos: Option<&'a ChaosPlan>,
+}
+
+/// The streaming merge's buffering window for `remaining` trials on
+/// `jobs` workers claiming `chunk`-trial chunks: big enough that a full
+/// complement of workers each holding one in-flight chunk never stalls,
+/// small enough that peak buffering stays O(jobs · chunk), not
+/// O(trials). Blocking on the window is deadlock-free: chunks are
+/// claimed in ascending index order, so the worker that owns the merge
+/// frontier's trial is never the one waiting (see
+/// [`StreamingMerger::with_window`]).
+fn merge_window(remaining: usize, jobs: usize, chunk: usize) -> usize {
+    (2 * jobs * chunk).max(16).min(remaining.max(1))
+}
+
+/// The chunk hook of both per-trial loops: sleeps through `chaos`'s
+/// scripted delay for chunk `c`, if any.
+fn delay_chunk(chaos: Option<&ChaosPlan>, c: usize) {
+    if let Some(delay) = chaos.and_then(|plan| plan.chunk_delay(c)) {
+        telemetry::add(Counter::ChaosDelays, 1);
+        std::thread::sleep(delay);
+    }
 }
 
 /// Summarizes a slice of trial outcomes.
@@ -918,29 +804,24 @@ mod tests {
     }
 
     #[test]
-    fn streaming_merge_bounds_peak_buffered_shards() {
+    fn streaming_merge_window_is_a_real_bound() {
         use redundancy_core::obs::CollectorObserver;
+        // The traced loop debug-asserts that peak buffering stayed within
+        // this window (and `obs::shard`'s tests pin the merger's
+        // enforcement); the window itself must sit far below n.
         let campaign = Campaign::new(500);
-        let sink = Arc::new(CollectorObserver::new());
-        let (summary, stats) =
-            campaign.run_traced_parallel_stats(13, 8, sink.clone(), traced_trial);
-        assert_eq!(summary.reliability.trials, 500);
-        assert!(stats.window > 0);
+        let window = merge_window(500, 8, chunk_size(500, 8));
         assert!(
-            stats.window < campaign.trials(),
-            "window {} must be a real bound below n={}",
-            stats.window,
+            window > 0 && window < campaign.trials(),
+            "window {window} must be a real bound below n={}",
             campaign.trials()
         );
-        assert!(
-            stats.peak_buffered <= stats.window,
-            "peak {} exceeded window {}",
-            stats.peak_buffered,
-            stats.window
-        );
+        let sink = Arc::new(CollectorObserver::new());
+        let summary = campaign.run_traced_parallel(13, 8, sink.clone(), traced_trial);
         // And the stream still matches the serial recording.
         let serial_sink = Arc::new(CollectorObserver::new());
-        let _ = campaign.run_traced(13, serial_sink.clone(), traced_trial);
+        let serial = campaign.run_traced(13, serial_sink.clone(), traced_trial);
+        assert_eq!(serial, summary);
         assert_eq!(serial_sink.take(), sink.take());
     }
 
@@ -991,189 +872,145 @@ mod tests {
         assert_eq!(serial_sink.take(), retry_sink.take());
     }
 
-    #[test]
-    fn killed_untraced_campaign_resumes_to_identical_summary() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let campaign = Campaign::new(120);
-        let clean = campaign.run_parallel(5, 4, synthetic_trial);
-        for jobs in [1usize, 2, 8] {
-            let path = temp_path(&format!("untraced_{jobs}"));
-            let _ = std::fs::remove_file(&path);
-            let spec = CheckpointSpec::new(&path, 8);
-            let chaos = ChaosPlan::new(1).kill_before_trial(60);
-            let killed = catch_unwind(AssertUnwindSafe(|| {
-                campaign.run_parallel_resumable_chaos(5, jobs, &spec, Some(&chaos), synthetic_trial)
-            }));
-            let payload = killed.expect_err("the chaos kill must fire");
-            assert!(ChaosPlan::is_chaos_panic(&*payload));
-            // The resumed run (same plan: kill sites are one-shot) skips
-            // the committed prefix and still matches the clean summary.
-            let reruns = AtomicUsize::new(0);
-            let resumed = campaign
-                .run_parallel_resumable_chaos(5, jobs, &spec, Some(&chaos), |seed, i| {
-                    reruns.fetch_add(1, Ordering::Relaxed);
-                    synthetic_trial(seed, i)
-                })
-                .expect("resume succeeds");
-            assert_eq!(clean, resumed, "jobs={jobs}");
-            assert!(
-                reruns.load(Ordering::Relaxed) < campaign.trials(),
-                "jobs={jobs}: resume re-ran every trial"
-            );
-            let _ = std::fs::remove_file(&path);
-        }
-    }
-
     /// A traced trial that charges fuel (so chaos cancellation has a
-    /// charge point to fire on) and consumes randomness.
+    /// charge point to fire on) and consumes randomness. A failed charge
+    /// makes it fail detectably, so a cancelled trial whose partial
+    /// outcome were recorded would change the summary.
     fn charging_trial(ctx: &mut ExecContext, _seed: u64, i: usize) -> TrialOutcome {
         let span = ctx.obs_begin(|| SpanKind::Scope { name: "work" });
+        let mut interrupted = false;
         for _ in 0..4 {
-            let _ = ctx.charge(1);
+            interrupted |= ctx.charge(1).is_err();
         }
         let draw = ctx.rng().next_u64();
         ctx.obs_end(span, SpanStatus::Ok, Cost::ZERO.snapshot());
+        if interrupted {
+            return TrialOutcome::Detected { cost: Cost::ZERO };
+        }
         synthetic_trial(draw, i)
     }
 
-    #[test]
-    fn killed_traced_campaign_resumes_to_identical_stream() {
-        use redundancy_core::obs::CollectorObserver;
-        let campaign = Campaign::new(97);
-        let clean_sink = Arc::new(CollectorObserver::new());
-        let clean = campaign.run_traced(11, clean_sink.clone(), charging_trial);
-        let clean_events = clean_sink.take();
-        for jobs in [1usize, 2, 8] {
-            let path = temp_path(&format!("traced_{jobs}"));
-            let _ = std::fs::remove_file(&path);
-            let spec = CheckpointSpec::new(&path, 4);
-            let chaos = ChaosPlan::new(2)
-                .cancel_at_charge(20, 3)
-                .kill_after_trial(48);
-            // Depending on run-ahead, both faults may fire in one
-            // attempt or across two; each kill gets a fresh sink, as a
-            // process restart would.
-            let mut attempts = 0;
-            let (resumed, final_events) = loop {
-                attempts += 1;
-                assert!(attempts <= 5, "jobs={jobs}: chaos never converged");
-                let sink = Arc::new(CollectorObserver::new());
-                let run = catch_unwind(AssertUnwindSafe(|| {
-                    campaign.run_traced_parallel_resumable_chaos(
-                        11,
-                        jobs,
-                        sink.clone(),
-                        &spec,
-                        Some(&chaos),
-                        charging_trial,
-                    )
-                }));
-                match run {
-                    Ok(summary) => break (summary.expect("checkpoint io"), sink.take()),
-                    Err(payload) => assert!(ChaosPlan::is_chaos_panic(&*payload)),
-                }
-            };
-            assert!(attempts >= 2, "jobs={jobs}: no attempt was killed");
-            assert_eq!(clean, resumed, "summary for jobs={jobs}");
-            assert_eq!(clean_events, final_events, "stream for jobs={jobs}");
-            let _ = std::fs::remove_file(&path);
-        }
+    /// The observer axis of the `execute` table.
+    #[derive(Debug, Clone, Copy)]
+    enum Observe {
+        None,
+        Disabled,
+        Enabled,
     }
 
-    #[test]
-    fn completed_resumable_campaign_reruns_nothing() {
-        use redundancy_core::obs::CollectorObserver;
-        let campaign = Campaign::new(30);
-        let path = temp_path("complete");
-        let _ = std::fs::remove_file(&path);
-        let spec = CheckpointSpec::new(&path, 4);
+    /// The checkpoint axis of the `execute` table.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Resume {
+        None,
+        Fresh,
+        AfterChaosKill,
+    }
+
+    const EXECUTE_SEED: u64 = 11;
+
+    /// One `execute` attempt with a fresh sink, as a restarted process
+    /// would have; returns the summary and the exported stream.
+    fn attempt<F>(
+        campaign: &Campaign,
+        observe: Observe,
+        spec: RunSpec<'_>,
+        trial: F,
+    ) -> std::thread::Result<(TrialSummary, String)>
+    where
+        F: Fn(&mut ExecContext, u64, usize) -> TrialOutcome + Sync,
+    {
+        use redundancy_core::obs::{to_jsonl, CollectorObserver, NoopObserver};
         let sink = Arc::new(CollectorObserver::new());
-        let first = campaign
-            .run_traced_parallel_resumable(3, 4, sink.clone(), &spec, charging_trial)
-            .expect("first run");
-        let first_events = sink.take();
-        // Re-running replays everything from the checkpoint: identical
-        // summary and stream without executing a single trial.
-        let sink = Arc::new(CollectorObserver::new());
-        let replayed = campaign
-            .run_traced_parallel_resumable(3, 4, sink.clone(), &spec, |_, _, _| {
-                unreachable!("all trials are committed")
-            })
-            .expect("replay run");
-        assert_eq!(first, replayed);
-        assert_eq!(first_events, sink.take());
-        let _ = std::fs::remove_file(&path);
-    }
-
-    /// Seed-driven 3-wide outcome row over a small value domain with
-    /// failures mixed in — the same shape the scalar reference below
-    /// rebuilds as `VariantOutcome`s.
-    fn synthetic_row(seed: u64, row: &mut Vec<Option<u64>>) {
-        for slot in 0..3u64 {
-            let draw = seed
-                .wrapping_mul(0x2545_f491_4f6c_dd1d)
-                .rotate_left(u32::try_from(slot * 21).expect("small"));
-            row.push(if draw % 7 == 0 {
-                None // detectable failure
-            } else {
-                Some(draw % 4)
-            });
-        }
-    }
-
-    #[test]
-    fn batch_adjudicated_campaign_matches_scalar_voting() {
-        use redundancy_core::adjudicator::voting::MajorityVoter;
-        use redundancy_core::adjudicator::Adjudicator;
-        use redundancy_core::outcome::{VariantFailure, VariantOutcome};
-
-        let campaign = Campaign::new(2500); // spans multiple segments
-        let expected = 1u64; // "correct" reference output
-        let classify = |accepted: Option<&u64>, cost: Cost| match accepted {
-            Some(out) if *out == expected => TrialOutcome::Correct { cost },
-            Some(_) => TrialOutcome::Undetected { cost },
-            None => TrialOutcome::Detected { cost },
+        let observer: Option<Arc<dyn Observer>> = match observe {
+            Observe::None => None,
+            Observe::Disabled => Some(Arc::new(NoopObserver)),
+            Observe::Enabled => Some(sink.clone()),
         };
+        let spec = RunSpec { observer, ..spec };
+        catch_unwind(AssertUnwindSafe(|| {
+            campaign.execute(EXECUTE_SEED, &spec, trial)
+        }))
+        .map(|summary| (summary.expect("checkpoint I/O"), to_jsonl(&sink.take())))
+    }
 
-        let batch = campaign.run_batch_adjudicated(
-            99,
-            VoteRule::Majority,
-            3,
-            |seed, i, row| {
-                synthetic_row(seed, row);
-                Cost::of_invocation((seed % 13) + i as u64, 3)
-            },
-            |verdict, columns, cost| {
-                let accepted = match verdict.decision {
-                    redundancy_core::adjudicator::RowDecision::Accepted { class, .. } => {
-                        Some(columns.value(class))
-                    }
-                    redundancy_core::adjudicator::RowDecision::Rejected(_) => None,
-                };
-                classify(accepted, cost)
-            },
-        );
-
-        let voter = MajorityVoter::new();
-        let scalar = campaign.run(99, |seed, i| {
-            let mut row = Vec::new();
-            synthetic_row(seed, &mut row);
-            let outcomes: Vec<VariantOutcome<u64>> = row
-                .iter()
-                .enumerate()
-                .map(|(s, v)| match v {
-                    Some(v) => VariantOutcome::ok(format!("v{s}"), *v),
-                    None => VariantOutcome::failed(format!("v{s}"), VariantFailure::Timeout),
-                })
-                .collect();
-            let verdict = voter.adjudicate(&outcomes);
-            classify(
-                verdict.output(),
-                Cost::of_invocation((seed % 13) + i as u64, 3),
-            )
+    #[test]
+    fn execute_matches_serial_references_for_every_spec() {
+        use redundancy_core::obs::{to_jsonl, CollectorObserver};
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let campaign = Campaign::new(97);
+        let untraced = campaign.run(EXECUTE_SEED, |seed, i| {
+            charging_trial(&mut ExecContext::new(seed), seed, i)
         });
-
-        assert_eq!(batch, scalar);
+        let sink = Arc::new(CollectorObserver::new());
+        let traced = campaign.run_traced(EXECUTE_SEED, sink.clone(), charging_trial);
+        let traced_stream = to_jsonl(&sink.take());
+        assert!(!traced_stream.is_empty());
+        for observe in [Observe::None, Observe::Disabled, Observe::Enabled] {
+            for resume in [Resume::None, Resume::Fresh, Resume::AfterChaosKill] {
+                for jobs in [1usize, 2, 8] {
+                    let cell = format!("{observe:?}/{resume:?}/jobs={jobs}");
+                    let path = temp_path(&format!("execute_{observe:?}_{resume:?}_{jobs}"));
+                    let _ = std::fs::remove_file(&path);
+                    let checkpoint = CheckpointSpec::new(&path, 4);
+                    // One-shot faults: cancel trial 20 on its third charge
+                    // and kill the worker after trial 48.
+                    let chaos = ChaosPlan::new(2)
+                        .cancel_at_charge(20, 3)
+                        .kill_after_trial(48);
+                    let spec = RunSpec {
+                        jobs,
+                        observer: None,
+                        checkpoint: (resume != Resume::None).then_some(&checkpoint),
+                        chaos: (resume == Resume::AfterChaosKill).then_some(&chaos),
+                    };
+                    let ran = AtomicUsize::new(0);
+                    let counted = |ctx: &mut ExecContext, seed: u64, i: usize| {
+                        ran.fetch_add(1, Ordering::Relaxed);
+                        charging_trial(ctx, seed, i)
+                    };
+                    let mut kills = 0;
+                    let (summary, stream) = loop {
+                        ran.store(0, Ordering::Relaxed);
+                        match attempt(&campaign, observe, spec.clone(), counted) {
+                            Ok(done) => break done,
+                            Err(payload) => assert!(ChaosPlan::is_chaos_panic(&*payload), "{cell}"),
+                        }
+                        kills += 1;
+                        assert!(kills <= 4, "{cell}: chaos never converged");
+                    };
+                    let (expected, expected_stream) = match observe {
+                        Observe::Enabled => (&traced, traced_stream.as_str()),
+                        Observe::None | Observe::Disabled => (&untraced, ""),
+                    };
+                    assert_eq!(expected, &summary, "summary of {cell}");
+                    assert_eq!(expected_stream, stream, "stream of {cell}");
+                    if resume == Resume::AfterChaosKill {
+                        assert!(kills >= 1, "{cell}: no attempt was killed");
+                        assert_eq!(chaos.charge_fuse(20), None, "{cell}: fuse never armed");
+                        // Untraced runs keep committing around a killed
+                        // trial and a serial traced run reaches it in
+                        // order; a parallel traced run aborts its merge at
+                        // the first kill and may have committed nothing.
+                        if !matches!(observe, Observe::Enabled) || jobs == 1 {
+                            assert!(
+                                ran.load(Ordering::Relaxed) < campaign.trials(),
+                                "{cell}: resume re-ran every trial"
+                            );
+                        }
+                    }
+                    if resume != Resume::None {
+                        // A completed checkpoint replays summary and
+                        // stream without executing a single trial.
+                        let replayed = attempt(&campaign, observe, spec, |_, _, _| {
+                            unreachable!("all trials are committed")
+                        })
+                        .expect("replay runs no trial");
+                        assert_eq!((summary, stream), replayed, "replay of {cell}");
+                    }
+                    let _ = std::fs::remove_file(&path);
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,21 +1,12 @@
-//! Batch-adjudication invariance: the branchless back-end is an
-//! implementation detail, never an observable.
-//!
-//! One test, alone in its own integration binary: it flips the
-//! process-global batch toggle
-//! ([`redundancy_core::adjudicator::batch::set_enabled`]), and sharing
-//! that with other tests in the same process would race their routing.
-//!
-//! The contract under test: an Exhaustive N-version campaign — pattern
-//! engines adjudicating through `adjudicate_batch_row`, traced, at any
-//! `--jobs` — produces a bit-identical [`TrialSummary`] and a
-//! byte-identical merged event stream whether the batch kernels are
-//! engaged or the scalar voters run. The batch path may only change how
-//! fast verdicts are computed, never what they are.
+//! Batch-adjudication invariance: an Exhaustive N-version campaign —
+//! pattern engines adjudicating through the exact voters' row kernel
+//! (`batch::vote_row`, pinned to a scalar reference voter by core's
+//! `batch_equivalence` suite), traced, at any `--jobs` — reproduces the
+//! serial [`Campaign::run_traced`] reference bit for bit: the same
+//! [`TrialSummary`] and the same merged event stream.
 
 use std::sync::Arc;
 
-use redundancy_core::adjudicator::batch;
 use redundancy_core::adjudicator::voting::MajorityVoter;
 use redundancy_core::context::ExecContext;
 use redundancy_core::obs::CollectorObserver;
@@ -64,7 +55,7 @@ fn nvp_trial(ctx: &mut ExecContext, _seed: u64, _i: usize) -> TrialOutcome {
 
 /// Runs the traced campaign at one worker count, returning the summary
 /// and the full merged event stream.
-fn run_traced(jobs: usize) -> (TrialSummary, Vec<redundancy_core::obs::Event>) {
+fn run_traced_parallel(jobs: usize) -> (TrialSummary, Vec<redundancy_core::obs::Event>) {
     let campaign = Campaign::new(TRIALS);
     let sink = Arc::new(CollectorObserver::new());
     let summary = campaign.run_traced_parallel(SEED, jobs, sink.clone(), nvp_trial);
@@ -72,27 +63,15 @@ fn run_traced(jobs: usize) -> (TrialSummary, Vec<redundancy_core::obs::Event>) {
 }
 
 #[test]
-fn batch_toggle_never_changes_summaries_or_streams() {
-    let mut reference: Option<(TrialSummary, Vec<redundancy_core::obs::Event>)> = None;
-    for enabled in [true, false] {
-        batch::set_enabled(enabled);
-        for jobs in [1usize, 2, 8] {
-            let (summary, events) = run_traced(jobs);
-            assert!(!events.is_empty(), "campaign must trace");
-            match &reference {
-                None => reference = Some((summary, events)),
-                Some((ref_summary, ref_events)) => {
-                    assert_eq!(
-                        ref_summary, &summary,
-                        "summary diverged: batch={enabled}, jobs={jobs}"
-                    );
-                    assert_eq!(
-                        ref_events, &events,
-                        "event stream diverged: batch={enabled}, jobs={jobs}"
-                    );
-                }
-            }
-        }
+fn parallel_nvp_campaign_matches_serial_run_traced() {
+    let campaign = Campaign::new(TRIALS);
+    let sink = Arc::new(CollectorObserver::new());
+    let serial = campaign.run_traced(SEED, sink.clone(), nvp_trial);
+    let serial_events = sink.take();
+    assert!(!serial_events.is_empty(), "campaign must trace");
+    for jobs in [1usize, 2, 8] {
+        let (summary, events) = run_traced_parallel(jobs);
+        assert_eq!(serial, summary, "summary diverged: jobs={jobs}");
+        assert_eq!(serial_events, events, "event stream diverged: jobs={jobs}");
     }
-    batch::set_enabled(true);
 }
