@@ -4,7 +4,7 @@
 
 CARGO ?= cargo
 
-.PHONY: verify fmt clippy test build bench bench-campaign bench-adjudicate bench-trace bench-services bench-smoke chaos-smoke monitor-smoke services-smoke services-shard-smoke examples experiments-check perfbench-check
+.PHONY: verify fmt clippy test build bench bench-campaign bench-adjudicate bench-trace bench-services bench-smoke chaos-smoke monitor-smoke services-smoke services-shard-smoke examples experiments-check perfbench-check perfbench-smoke
 
 verify: fmt clippy test
 
@@ -115,3 +115,18 @@ experiments-check:
 # unnoticed.
 perfbench-check:
 	$(CARGO) test --offline --manifest-path perfbench/Cargo.toml
+
+# Benchmark smoke: runs every workload BENCHMARK.json lists for 2 s on
+# seed 1 and fails unless each result line reports every call correct
+# and none failed. Seed 1 is pinned in perfbench/references.tsv, so this
+# checks the 10 000-trial summaries, ledger digests and the resumable
+# reopen that perfbench-check's 256-trial self-consistency tests do not.
+PERFBENCH_WORKLOADS = $(shell python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
+
+perfbench-smoke:
+	@set -e; for w in $(PERFBENCH_WORKLOADS); do \
+		echo "perfbench-smoke: $$w"; \
+		last=$$(python3 perfbench/run.py --workload $$w --seed 1 --seconds 2 --trace 0 | tail -n 1); \
+		echo "$$last"; \
+		echo "$$last" | python3 -c 'import json, sys; r = json.load(sys.stdin); sys.exit(r["correct"] is not True or r["failed"] != 0)'; \
+	done

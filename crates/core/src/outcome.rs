@@ -9,6 +9,8 @@
 
 use std::fmt;
 
+use redundancy_obs::Symbol;
+
 use crate::cost::Cost;
 
 /// A detectable failure of a single variant execution.
@@ -94,8 +96,9 @@ impl std::error::Error for VariantFailure {}
 /// The result of executing one variant, with its identity and cost.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VariantOutcome<O> {
-    /// Name of the variant that produced this outcome.
-    pub variant: String,
+    /// Interned name of the variant that produced this outcome (a
+    /// 4-byte copy of [`Variant::symbol`](crate::variant::Variant::symbol)).
+    pub variant: Symbol,
     /// The produced value, or a detectable failure.
     pub result: Result<O, VariantFailure>,
     /// Cost of this execution.
@@ -105,7 +108,7 @@ pub struct VariantOutcome<O> {
 impl<O> VariantOutcome<O> {
     /// Creates a successful outcome.
     #[must_use]
-    pub fn ok(variant: impl Into<String>, output: O) -> Self {
+    pub fn ok(variant: impl Into<Symbol>, output: O) -> Self {
         Self {
             variant: variant.into(),
             result: Ok(output),
@@ -115,7 +118,7 @@ impl<O> VariantOutcome<O> {
 
     /// Creates a failed outcome.
     #[must_use]
-    pub fn failed(variant: impl Into<String>, failure: VariantFailure) -> Self {
+    pub fn failed(variant: impl Into<Symbol>, failure: VariantFailure) -> Self {
         Self {
             variant: variant.into(),
             result: Err(failure),

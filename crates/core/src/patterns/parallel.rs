@@ -412,7 +412,7 @@ impl<I, O> ParallelSelection<I, O> {
         PatternReport {
             verdict,
             cost: ctx.cost().delta_since(before),
-            selected: selected.map(|idx| outcomes[idx].variant.clone()),
+            selected: selected.map(|idx| outcomes[idx].variant.to_string()),
             outcomes,
         }
         .recorded()

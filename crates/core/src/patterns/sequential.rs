@@ -175,7 +175,7 @@ impl<I, O> SequentialAlternatives<I, O> {
                 Some(true) => {
                     let last = outcomes.last().expect("just pushed");
                     let output = last.output().expect("accepted outcome").clone();
-                    let selected = Some(last.variant.clone());
+                    let selected = Some(last.variant.to_string());
                     let verdict = Verdict::accepted(output, 1, outcomes.len() - 1);
                     emit_verdict(ctx, &verdict);
                     ctx.obs_end(

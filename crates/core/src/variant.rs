@@ -24,13 +24,15 @@ pub trait Variant<I, O>: Send + Sync {
     /// Identifies the variant in outcomes, logs and tables.
     fn name(&self) -> &str;
 
-    /// The name as an interned [`Symbol`](redundancy_obs::Symbol), used
-    /// for trace events.
+    /// The name as an interned [`Symbol`](redundancy_obs::Symbol): the
+    /// identity [`run_contained`] stamps on every [`VariantOutcome`] and
+    /// trace span, so it is read once per execution, traced or not.
     ///
-    /// The default interns [`name`](Self::name) on every call — a lock
-    /// plus a hash lookup; variants that execute hot (campaign
-    /// workloads) should store their symbol and override this with a
-    /// field copy so traced runs don't touch the interner per span.
+    /// The default is a per-call interner lookup of [`name`](Self::name)
+    /// — the global interner lock plus a hash probe on every execution.
+    /// It is kept only for out-of-tree implementors: every variant in
+    /// this workspace stores its symbol when built and overrides this
+    /// with a field copy, and new implementations should do the same.
     fn symbol(&self) -> redundancy_obs::Symbol {
         redundancy_obs::Symbol::intern(self.name())
     }
@@ -166,7 +168,7 @@ where
     ctx.obs_end(span, status, ctx.cost().delta_since(before).snapshot());
     let cost = ctx.take_cost();
     VariantOutcome {
-        variant: name.resolve().to_owned(),
+        variant: name,
         result,
         cost,
     }

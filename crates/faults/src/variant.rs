@@ -5,6 +5,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use redundancy_core::context::ExecContext;
+use redundancy_core::obs::Symbol;
 use redundancy_core::outcome::VariantFailure;
 use redundancy_core::rng::SplitMix64;
 use redundancy_core::variant::Variant;
@@ -185,7 +186,8 @@ type ProbeFn<I> = Box<dyn Fn(&I) -> (u64, bool) + Send + Sync>;
 /// Build with [`FaultyVariant::builder`]. See the crate docs for the fault
 /// semantics.
 pub struct FaultyVariant<I, O> {
-    name: String,
+    /// Interned once at build time: executions copy it.
+    name: Symbol,
     design_cost: f64,
     work: u64,
     compute: Compute<I, O>,
@@ -240,7 +242,11 @@ where
     O: Send + Sync,
 {
     fn name(&self) -> &str {
-        &self.name
+        self.name.resolve()
+    }
+
+    fn symbol(&self) -> Symbol {
+        self.name
     }
 
     fn execute(&self, input: &I, ctx: &mut ExecContext) -> Result<O, VariantFailure> {
@@ -299,7 +305,7 @@ impl<I, O> FaultyVariantBuilder<I, O> {
     {
         FaultyVariantBuilder {
             inner: FaultyVariant {
-                name: name.into(),
+                name: Symbol::intern(&name.into()),
                 design_cost: 1.0,
                 work,
                 compute: Box::new(move |input, _ctx| Ok(compute(input))),
@@ -568,6 +574,13 @@ mod tests {
         let _ = v1.execute(&1, &mut c);
         let _ = v2.execute(&1, &mut c);
         assert_eq!(age.age(), 2);
+    }
+
+    #[test]
+    fn symbol_is_the_interned_name() {
+        let v = FaultyVariant::builder(String::from("sym-faulty"), 1, |x: &i64| *x).build();
+        assert_eq!(v.symbol(), Symbol::intern(v.name()));
+        assert_eq!(v.name(), "sym-faulty");
     }
 
     #[test]

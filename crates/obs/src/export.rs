@@ -189,7 +189,9 @@ pub fn summary(events: &[Event]) -> String {
 }
 
 #[cfg(feature = "serde")]
-pub use self::jsonl::{event_from_json, event_to_json, from_jsonl, to_jsonl, ParseError};
+pub use self::jsonl::{
+    event_from_json, event_to_json, from_jsonl, to_jsonl, write_event_json, ParseError,
+};
 
 #[cfg(feature = "serde")]
 mod jsonl {
@@ -377,6 +379,13 @@ mod jsonl {
     #[must_use]
     pub fn event_to_json(event: &Event) -> String {
         let mut out = String::with_capacity(128);
+        write_event_json(event, &mut out);
+        out
+    }
+
+    /// Appends [`event_to_json`]'s output to `out`, so a caller
+    /// serializing many events can reuse one buffer.
+    pub fn write_event_json(event: &Event, out: &mut String) {
         let _ = write!(
             out,
             "{{\"seq\":{},\"span\":{},\"parent\":{},\"clock\":{},",
@@ -385,11 +394,11 @@ mod jsonl {
         match &event.kind {
             EventKind::SpanStart { kind } => {
                 out.push_str("\"start\":");
-                span_kind_json(kind, &mut out);
+                span_kind_json(kind, out);
             }
             EventKind::SpanEnd { status, cost } => {
                 out.push_str("\"end\":{\"status\":");
-                status_json(status, &mut out);
+                status_json(status, out);
                 let _ = write!(
                     out,
                     ",\"cost\":{{\"work_units\":{},\"virtual_ns\":{},\"invocations\":{},\"design_cost\":{}}}}}",
@@ -398,11 +407,10 @@ mod jsonl {
             }
             EventKind::Point(point) => {
                 out.push_str("\"point\":");
-                point_json(point, &mut out);
+                point_json(point, out);
             }
         }
         out.push('}');
-        out
     }
 
     /// Serializes a trace as JSON-lines: one event object per line.
@@ -410,7 +418,7 @@ mod jsonl {
     pub fn to_jsonl(events: &[Event]) -> String {
         let mut out = String::new();
         for event in events {
-            out.push_str(&event_to_json(event));
+            write_event_json(event, &mut out);
             out.push('\n');
         }
         out

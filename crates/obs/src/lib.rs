@@ -76,7 +76,9 @@ pub mod telemetry;
 
 pub use event::{CostSnapshot, Event, EventKind, Point, SpanId, SpanKind, SpanStatus, ROOT_SPAN};
 #[cfg(feature = "serde")]
-pub use export::{event_from_json, event_to_json, from_jsonl, to_jsonl, ParseError};
+pub use export::{
+    event_from_json, event_to_json, from_jsonl, to_jsonl, write_event_json, ParseError,
+};
 pub use export::{render_span_tree, summary, TraceSummary};
 pub use intern::Symbol;
 pub use metrics::{

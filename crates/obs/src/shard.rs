@@ -344,6 +344,10 @@ struct MergeState {
     /// Set by [`StreamingMerger::abort`]: a submitter is unwinding, so
     /// blocked submitters must wake and later submissions are discarded.
     aborted: bool,
+    /// Submitters blocked on the window. A forwarding submitter wakes
+    /// the condvar only when this is non-zero: the futex condvar makes
+    /// a wake syscall on every `notify_all`, waiters or not.
+    waiters: usize,
 }
 
 impl StreamingMerger {
@@ -361,6 +365,7 @@ impl StreamingMerger {
                 pending: BTreeMap::new(),
                 peak_buffered: 0,
                 aborted: false,
+                waiters: 0,
             }),
             advanced: Condvar::new(),
         }
@@ -446,10 +451,12 @@ impl StreamingMerger {
                     crate::telemetry::add(crate::telemetry::Counter::MergerStalls, 1);
                     stalled_since = crate::telemetry::timer_start();
                 }
+                state.waiters += 1;
                 state = self
                     .advanced
                     .wait(state)
                     .expect("merger lock never poisoned");
+                state.waiters -= 1;
             }
             crate::telemetry::timer_stop(crate::telemetry::Timer::MergerStallNs, stalled_since);
         }
@@ -485,11 +492,16 @@ impl StreamingMerger {
                 pool.check_in(shard);
             }
         }
+        // Read under the lock: a submitter that starts waiting after
+        // this point re-checks the advanced frontier before it sleeps.
+        let wake = forwarded > 0 && state.waiters > 0;
         drop(state);
         if forwarded > 0 {
             crate::telemetry::add(crate::telemetry::Counter::MergerTrialsForwarded, forwarded);
         }
-        self.advanced.notify_all();
+        if wake {
+            self.advanced.notify_all();
+        }
     }
 
     /// High-water mark of simultaneously buffered shards (including the

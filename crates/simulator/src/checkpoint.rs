@@ -27,21 +27,26 @@
 //!
 //! ## Commit discipline
 //!
-//! Completed trials are buffered in memory and flushed to the file in
-//! contiguous batches of [`CheckpointSpec::interval`] trials, one
-//! `write` per batch. Nothing is flushed on drop: if the process (or an
-//! injected chaos panic, see [`crate::chaos`]) kills the campaign, the
-//! un-flushed tail is deliberately lost — that is exactly the
-//! checkpoint-interval/work-lost trade-off experiment E19 measures. A
-//! crash can also tear the final batch mid-line; the loader keeps the
-//! longest valid prefix ending in an outcome line and truncates the rest
-//! before appending.
+//! Each completed trial is serialized once: straight into a reused
+//! commit buffer when it extends the contiguous frontier, or into a
+//! parked slot when it completes ahead of it (a later chunk at
+//! `jobs > 1`, or a traced trial whose events the merge has not tapped
+//! yet). Parked lines join the buffer when the frontier reaches them,
+//! so the frontier advances in O(1) amortized time per trial. Whole
+//! trials are flushed to the file in contiguous batches of
+//! [`CheckpointSpec::interval`] trials, one `write` per batch. Nothing
+//! is flushed on drop: if the process (or an injected chaos panic, see
+//! [`crate::chaos`]) kills the campaign, the un-flushed tail is
+//! deliberately lost — that is exactly the checkpoint-interval/work-lost
+//! trade-off experiment E19 measures. A crash can also tear the final
+//! batch mid-line; the loader keeps the longest valid prefix ending in
+//! an outcome line and truncates the rest before appending.
 //!
 //! [`Campaign::execute`]: crate::trial::Campaign::execute
 //! [`RunSpec::checkpoint`]: crate::trial::RunSpec::checkpoint
 //! [`TrialSummary`]: crate::trial::TrialSummary
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use std::fmt;
 use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
@@ -51,7 +56,7 @@ use std::sync::Mutex;
 
 use redundancy_core::cost::Cost;
 use redundancy_core::obs::telemetry::{self, Counter, Timer};
-use redundancy_core::obs::{event_from_json, event_to_json, Event, EventKind};
+use redundancy_core::obs::{event_from_json, write_event_json, Event, EventKind};
 
 use crate::trial::TrialOutcome;
 
@@ -150,41 +155,117 @@ pub struct Resumed {
     pub span_offset: u64,
 }
 
-/// One trial's not-yet-flushed contribution.
+/// Lines of one trial that arrived before the commit frontier reached
+/// it, serialized and waiting their turn.
 #[derive(Debug, Default)]
-struct PendingTrial {
-    /// Serialized event lines (traced runs), filled by the merger tap.
+struct Parked {
+    /// Event lines (traced runs), from the merger tap.
     events: Option<String>,
-    /// Serialized outcome line.
+    /// The outcome line.
     outcome: Option<String>,
 }
 
-impl PendingTrial {
-    /// Whether both halves have arrived (events are only required when
-    /// the log is traced).
-    fn ready(&self, traced: bool) -> bool {
-        self.outcome.is_some() && (!traced || self.events.is_some())
-    }
+/// Which half of a trial's lines a record call carries.
+#[derive(Clone, Copy)]
+enum Half {
+    Events,
+    Outcome,
 }
 
 #[derive(Debug)]
 struct LogState {
+    file: File,
     /// Trials durably flushed (a contiguous prefix `0..committed`).
     committed: usize,
-    /// Completed trials waiting for the commit frontier or a full batch.
-    pending: BTreeMap<usize, PendingTrial>,
+    /// The next commit: whole trials `committed..frontier` in file
+    /// order, then (traced runs) the frontier trial's event lines when
+    /// they arrived before its outcome. Reused across commits.
+    buf: String,
+    /// Bytes of `buf` that hold whole trials; only these are flushed.
+    whole: usize,
+    /// First trial whose lines are not all in `buf`.
+    frontier: usize,
+    /// Whether the frontier trial's event lines are already in `buf`.
+    frontier_events: bool,
+    /// Lines that arrived out of turn: slot `k` belongs to trial
+    /// `frontier + k`.
+    parked: VecDeque<Parked>,
     /// First write failure; later records become no-ops and
     /// [`CheckpointLog::finish`] reports it.
     error: Option<std::io::Error>,
 }
 
-/// The committer behind a resumable campaign: buffers completed trials
-/// and flushes contiguous, interval-sized batches to the checkpoint
-/// file. Shared by worker threads (interior mutability); see the module
-/// docs for the commit discipline.
+impl LogState {
+    /// Appends the frontier trial's parked lines that are now in turn,
+    /// returning whether its outcome line went in (the trial is whole).
+    fn take_parked(&mut self, traced: bool) -> bool {
+        let Some(slot) = self.parked.front_mut() else {
+            return false;
+        };
+        if let Some(events) = slot.events.take() {
+            self.buf.push_str(&events);
+            self.frontier_events = true;
+        }
+        if traced && !self.frontier_events {
+            return false;
+        }
+        match slot.outcome.take() {
+            Some(outcome) => {
+                self.buf.push_str(&outcome);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Called once the frontier trial's outcome line is in `buf`: moves
+    /// the frontier past it and past every parked trial that is now
+    /// whole. Each trial is visited once, so this is O(1) amortized.
+    fn advance(&mut self, traced: bool) {
+        loop {
+            self.frontier += 1;
+            self.whole = self.buf.len();
+            self.frontier_events = false;
+            self.parked.pop_front();
+            if !self.take_parked(traced) {
+                return;
+            }
+        }
+    }
+
+    /// Commits the whole trials in `buf` with one `write`, keeping the
+    /// partial tail (early event lines of the frontier trial) for the
+    /// next commit.
+    fn flush(&mut self) {
+        let commit_timer = telemetry::timer_start();
+        let result = self
+            .file
+            .write_all(&self.buf.as_bytes()[..self.whole])
+            .and_then(|()| self.file.flush());
+        telemetry::timer_stop(Timer::CheckpointCommitNs, commit_timer);
+        match result {
+            Ok(()) => {
+                telemetry::add(Counter::CheckpointCommits, 1);
+                telemetry::add(
+                    Counter::CheckpointTrialsCommitted,
+                    (self.frontier - self.committed) as u64,
+                );
+                self.committed = self.frontier;
+                self.buf.drain(..self.whole);
+                self.whole = 0;
+            }
+            Err(err) => self.error = Some(err),
+        }
+    }
+}
+
+/// The committer behind a resumable campaign: serializes completed
+/// trials into one reused commit buffer and flushes contiguous,
+/// interval-sized batches to the checkpoint file. Shared by worker
+/// threads (interior mutability); see the module docs for the commit
+/// discipline.
 #[derive(Debug)]
 pub struct CheckpointLog {
-    file: Mutex<File>,
     traced: bool,
     interval: usize,
     state: Mutex<LogState>,
@@ -234,12 +315,16 @@ impl CheckpointLog {
         let committed = resumed.outcomes.len();
         Ok((
             CheckpointLog {
-                file: Mutex::new(file),
                 traced,
                 interval: spec.interval(),
                 state: Mutex::new(LogState {
+                    file,
                     committed,
-                    pending: BTreeMap::new(),
+                    buf: String::new(),
+                    whole: 0,
+                    frontier: committed,
+                    frontier_events: false,
+                    parked: VecDeque::new(),
                     error: None,
                 }),
             },
@@ -258,79 +343,73 @@ impl CheckpointLog {
     ///
     /// [`StreamingMerger`]: redundancy_obs::StreamingMerger
     pub fn record_events(&self, index: usize, events: &[Event]) {
-        let mut lines = String::new();
-        for event in events {
-            lines.push_str(&event_to_json(event));
-            lines.push('\n');
-        }
-        let mut state = self.state.lock().expect("checkpoint lock");
-        if index < state.committed {
-            return; // replayed trial, already durable
-        }
-        state.pending.entry(index).or_default().events = Some(lines);
-        self.flush_ready(&mut state, self.interval);
+        self.record(index, Half::Events, |out| {
+            for event in events {
+                write_event_json(event, out);
+                out.push('\n');
+            }
+        });
     }
 
     /// Records trial `index`'s outcome; flushes a batch when `interval`
     /// contiguous trials beyond the committed frontier are complete.
     pub fn record_outcome(&self, index: usize, outcome: &TrialOutcome) {
         let cost = outcome.cost();
-        let mut line = String::with_capacity(96);
-        let _ = writeln!(
-            line,
-            "{{\"kind\":\"trial\",\"index\":{index},\"disposition\":\"{}\",\
-             \"work_units\":{},\"virtual_ns\":{},\"invocations\":{},\"design_cost_bits\":{}}}",
-            outcome.disposition(),
-            cost.work_units,
-            cost.virtual_ns,
-            cost.invocations,
-            cost.design_cost.to_bits()
-        );
-        let mut state = self.state.lock().expect("checkpoint lock");
-        if index < state.committed {
-            return;
-        }
-        state.pending.entry(index).or_default().outcome = Some(line);
-        self.flush_ready(&mut state, self.interval);
+        self.record(index, Half::Outcome, |out| {
+            let _ = writeln!(
+                out,
+                "{{\"kind\":\"trial\",\"index\":{index},\"disposition\":\"{}\",\
+                 \"work_units\":{},\"virtual_ns\":{},\"invocations\":{},\"design_cost_bits\":{}}}",
+                outcome.disposition(),
+                cost.work_units,
+                cost.virtual_ns,
+                cost.invocations,
+                cost.design_cost.to_bits()
+            );
+        });
     }
 
-    /// Flushes every batch of at least `batch` ready trials contiguous
-    /// with the committed frontier. One write per call — tearing only
-    /// ever hits the file's tail.
-    fn flush_ready(&self, state: &mut LogState, batch: usize) {
-        if state.error.is_some() {
+    /// Serializes one half of trial `index` with `write`: straight into
+    /// the commit buffer when it is the frontier trial's next line,
+    /// parked otherwise. Then flushes once `interval` whole trials wait.
+    /// Lines of trials already whole (a replayed prefix) are ignored.
+    fn record(&self, index: usize, half: Half, write: impl FnOnce(&mut String)) {
+        let mut state = self.state.lock().expect("checkpoint lock");
+        if state.error.is_some() || index < state.frontier {
             return;
         }
-        let mut ready = 0;
-        while state
-            .pending
-            .get(&(state.committed + ready))
-            .is_some_and(|t| t.ready(self.traced))
-        {
-            ready += 1;
-        }
-        if ready < batch.max(1) {
-            return;
-        }
-        let mut out = String::new();
-        for i in state.committed..state.committed + ready {
-            let trial = state.pending.remove(&i).expect("counted above");
-            if let Some(events) = trial.events {
-                out.push_str(&events);
+        let in_turn = index == state.frontier
+            && match half {
+                Half::Events => true,
+                Half::Outcome => !self.traced || state.frontier_events,
+            };
+        if in_turn {
+            write(&mut state.buf);
+            let whole = match half {
+                Half::Outcome => true,
+                Half::Events => {
+                    state.frontier_events = true;
+                    state.take_parked(self.traced)
+                }
+            };
+            if whole {
+                state.advance(self.traced);
             }
-            out.push_str(&trial.outcome.expect("ready trials have outcomes"));
-        }
-        let mut file = self.file.lock().expect("checkpoint file lock");
-        let commit_timer = telemetry::timer_start();
-        let result = file.write_all(out.as_bytes()).and_then(|()| file.flush());
-        telemetry::timer_stop(Timer::CheckpointCommitNs, commit_timer);
-        match result {
-            Ok(()) => {
-                state.committed += ready;
-                telemetry::add(Counter::CheckpointCommits, 1);
-                telemetry::add(Counter::CheckpointTrialsCommitted, ready as u64);
+        } else {
+            let slot = index - state.frontier;
+            if state.parked.len() <= slot {
+                state.parked.resize_with(slot + 1, Parked::default);
             }
-            Err(err) => state.error = Some(err),
+            let mut lines = String::new();
+            write(&mut lines);
+            let parked = &mut state.parked[slot];
+            match half {
+                Half::Events => parked.events = Some(lines),
+                Half::Outcome => parked.outcome = Some(lines),
+            }
+        }
+        if state.frontier - state.committed >= self.interval {
+            state.flush();
         }
     }
 
@@ -339,7 +418,9 @@ impl CheckpointLog {
     /// committed.
     pub fn finish(&self) -> Result<usize, Error> {
         let mut state = self.state.lock().expect("checkpoint lock");
-        self.flush_ready(&mut state, 1);
+        if state.error.is_none() && state.frontier > state.committed {
+            state.flush();
+        }
         match state.error.take() {
             Some(err) => Err(err.into()),
             None => Ok(state.committed),

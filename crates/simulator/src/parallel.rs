@@ -207,10 +207,17 @@ where
     T: Send,
     F: FnOnce() -> T + Send,
 {
-    let mut order: Vec<usize> = (0..tasks.len()).collect();
-    order.sort_by(|&a, &b| tasks[b].0.cmp(&tasks[a].0).then(a.cmp(&b)));
+    let order = lpt_order(&tasks);
     let tasks: Vec<F> = tasks.into_iter().map(|(_, task)| task).collect();
     run_tasks_in_order(jobs, tasks, &order)
+}
+
+/// The order [`parallel_tasks_lpt`] claims tasks in: by descending cost
+/// hint, ties in task order.
+fn lpt_order<F>(tasks: &[(u64, F)]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..tasks.len()).collect();
+    order.sort_by(|&a, &b| tasks[b].0.cmp(&tasks[a].0).then(a.cmp(&b)));
+    order
 }
 
 /// Claims positions of `order` from a shared cursor (chunk = 1: task
@@ -384,33 +391,53 @@ mod tests {
         }
     }
 
-    #[test]
-    fn lpt_claims_heaviest_first() {
-        use std::sync::Mutex as StdMutex;
-        let claimed: StdMutex<Vec<usize>> = StdMutex::new(Vec::new());
-        let tasks: Vec<(u64, Box<dyn FnOnce() -> usize + Send>)> = [3u64, 50, 7, 50, 1]
+    /// Tasks with cost hints `costs` that log their index to `ran` and
+    /// return it.
+    fn logging_tasks<'a>(
+        costs: &[u64],
+        ran: &'a Mutex<Vec<usize>>,
+    ) -> Vec<(u64, Box<dyn FnOnce() -> usize + Send + 'a>)> {
+        costs
             .iter()
             .enumerate()
             .map(|(i, &cost)| {
-                let claimed = &claimed;
-                (
-                    cost,
-                    Box::new(move || {
-                        claimed.lock().unwrap().push(i);
-                        i
-                    }) as Box<dyn FnOnce() -> usize + Send>,
-                )
+                let task = move || {
+                    ran.lock().unwrap().push(i);
+                    i
+                };
+                (cost, Box::new(task) as Box<dyn FnOnce() -> usize + Send>)
             })
-            .collect();
-        // jobs=2 so the claim order is observable but racy in *timing*
-        // only; the claim sequence itself is fixed by the order array.
-        let out = parallel_tasks_lpt(2, tasks);
-        assert_eq!(out, vec![0, 1, 2, 3, 4]);
-        let mut first_two = claimed.lock().unwrap()[..2].to_vec();
-        first_two.sort_unstable();
-        // The two 50-cost tasks (indices 1 and 3) must be claimed before
-        // any light task.
-        assert_eq!(first_two, vec![1, 3]);
+            .collect()
+    }
+
+    #[test]
+    fn lpt_claims_heaviest_first() {
+        let costs = [3u64, 50, 7, 50, 1];
+        // Heaviest first; the two 50s tie and keep task order.
+        let claim_order = vec![1, 3, 2, 0, 4];
+        assert_eq!(
+            lpt_order(&logging_tasks(&costs, &Mutex::new(Vec::new()))),
+            claim_order
+        );
+
+        // Inline (jobs = 1), tasks run exactly in claim order.
+        let ran = Mutex::new(Vec::new());
+        assert_eq!(
+            parallel_tasks_lpt(1, logging_tasks(&costs, &ran)),
+            vec![0, 1, 2, 3, 4]
+        );
+        assert_eq!(ran.into_inner().unwrap(), claim_order);
+
+        // On workers, the order tasks *run* in is up to the scheduler:
+        // only task-order results and exactly-once execution are fixed.
+        let ran = Mutex::new(Vec::new());
+        assert_eq!(
+            parallel_tasks_lpt(2, logging_tasks(&costs, &ran)),
+            vec![0, 1, 2, 3, 4]
+        );
+        let mut ran = ran.into_inner().unwrap();
+        ran.sort_unstable();
+        assert_eq!(ran, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]

@@ -13,6 +13,7 @@
 
 use redundancy_core::adjudicator::acceptance::{AcceptanceTest, BoxedAcceptance, FnAcceptance};
 use redundancy_core::context::ExecContext;
+use redundancy_core::obs::Symbol;
 use redundancy_core::outcome::VariantFailure;
 use redundancy_core::patterns::{DecisionPolicy, ExecutionMode, ParallelSelection, PatternReport};
 use redundancy_core::taxonomy::{
@@ -38,7 +39,7 @@ pub const ENTRY: TechniqueEntry = TechniqueEntry {
 /// whose results are compared — the implicit-adjudicator flavor of a
 /// self-checking component. Divergence is reported as a detectable error.
 pub struct ComparedPair<I, O> {
-    name: String,
+    name: Symbol,
     left: BoxedVariant<I, O>,
     right: BoxedVariant<I, O>,
 }
@@ -52,7 +53,7 @@ impl<I, O> ComparedPair<I, O> {
         right: BoxedVariant<I, O>,
     ) -> Self {
         Self {
-            name: name.into(),
+            name: Symbol::intern(&name.into()),
             left,
             right,
         }
@@ -65,7 +66,11 @@ where
     O: PartialEq + Send + Sync,
 {
     fn name(&self) -> &str {
-        &self.name
+        self.name.resolve()
+    }
+
+    fn symbol(&self) -> Symbol {
+        self.name
     }
 
     fn execute(&self, input: &I, ctx: &mut ExecContext) -> Result<O, VariantFailure> {
@@ -307,6 +312,18 @@ mod tests {
             pure_variant("b", 5, |x: &i64| *x),
         );
         assert!((Variant::<i64, i64>::design_cost(&pair) - 2.0).abs() < f64::EPSILON);
+    }
+
+    #[test]
+    fn pair_symbol_is_the_interned_name() {
+        let pair: ComparedPair<i64, i64> = ComparedPair::new(
+            "sym-pair",
+            pure_variant("a", 5, |x: &i64| *x),
+            pure_variant("b", 5, |x: &i64| *x),
+        );
+        let name = Variant::<i64, i64>::name(&pair);
+        assert_eq!(name, "sym-pair");
+        assert_eq!(Variant::<i64, i64>::symbol(&pair), Symbol::intern(name));
     }
 
     #[test]

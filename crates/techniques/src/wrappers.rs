@@ -26,6 +26,7 @@
 //! `wrapped_variants_cooperate_with_eager_cancellation` test).
 
 use redundancy_core::context::ExecContext;
+use redundancy_core::obs::Symbol;
 use redundancy_core::outcome::VariantFailure;
 use redundancy_core::taxonomy::{
     Adjudication, ArchitecturalPattern, Classification, FaultClass, FaultSet, Intention,
@@ -119,6 +120,10 @@ where
 {
     fn name(&self) -> &str {
         self.inner.name()
+    }
+
+    fn symbol(&self) -> Symbol {
+        self.inner.symbol()
     }
 
     fn execute(&self, input: &I, ctx: &mut ExecContext) -> Result<O, VariantFailure> {
@@ -260,6 +265,16 @@ impl Technique for HeapWrapper {
 mod tests {
     use super::*;
     use redundancy_core::variant::pure_variant;
+
+    #[test]
+    fn wrapper_symbol_is_the_inner_interned_name() {
+        let wrapper =
+            SanitizingWrapper::new(pure_variant("sym-inner", 5, |x: &i64| *x), |x: &i64| {
+                *x >= 0
+            });
+        assert_eq!(wrapper.name(), "sym-inner");
+        assert_eq!(wrapper.symbol(), Symbol::intern(wrapper.name()));
+    }
 
     #[test]
     fn wrapped_variants_cooperate_with_eager_cancellation() {
