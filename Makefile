@@ -4,7 +4,7 @@
 
 CARGO ?= cargo
 
-.PHONY: verify fmt clippy test build bench bench-campaign bench-adjudicate bench-trace bench-services bench-smoke chaos-smoke monitor-smoke services-smoke services-shard-smoke examples experiments-check perfbench-check perfbench-smoke
+.PHONY: verify fmt clippy test build bench bench-campaign bench-services bench-smoke chaos-smoke monitor-smoke services-smoke services-shard-smoke examples experiments-check perfbench-check perfbench-smoke
 
 verify: fmt clippy test
 
@@ -23,10 +23,10 @@ build:
 bench:
 	$(CARGO) bench --workspace
 
-# Serial-vs-parallel campaign throughput plus adjudication kernel
-# throughput, both mirrored into BENCH_campaign.json — the recorder
-# merges by label, so the two binaries share one file. (Absolute path:
-# cargo runs each bench with the package dir as cwd.)
+# Serial-vs-parallel campaign throughput, voter-kernel throughput and
+# traced-vs-untraced overhead, all mirrored into BENCH_campaign.json —
+# the recorder merges by label, so the three binaries share one file.
+# (Absolute path: cargo runs each bench with the package dir as cwd.)
 bench-campaign:
 	CRITERION_JSON_OUT=$(CURDIR)/BENCH_campaign.json $(CARGO) bench -p redundancy-bench --bench campaign_throughput
 	CRITERION_JSON_OUT=$(CURDIR)/BENCH_campaign.json $(CARGO) bench -p redundancy-bench --bench adjudicate_throughput
@@ -37,20 +37,6 @@ bench-campaign:
 # req/sec and p99/p999 families, mirrored into BENCH_campaign.json.
 bench-services:
 	CRITERION_JSON_OUT=$(CURDIR)/BENCH_campaign.json $(CARGO) bench -p redundancy-bench --bench services_throughput
-
-# Batch-adjudication bench with tiny sampling budgets: a CI smoke test
-# that proves the kernel benches build, run, and keep their
-# verdict-equivalence guards green — not a measurement.
-bench-adjudicate:
-	CRITERION_SAMPLES=2 CRITERION_MEASURE_MS=20 CRITERION_WARMUP_MS=5 $(CARGO) bench -p redundancy-bench --bench adjudicate_throughput
-
-# Traced-vs-untraced overhead bench with tiny sampling budgets: a CI
-# smoke test that proves the trace bench builds, runs, and keeps its
-# traced-equals-untraced determinism guard green — not a measurement.
-# For real numbers run it via bench-campaign's JSON recorder:
-#   CRITERION_JSON_OUT=$(CURDIR)/BENCH_campaign.json cargo bench -p redundancy-bench --bench trace_throughput
-bench-trace:
-	CRITERION_SAMPLES=2 CRITERION_MEASURE_MS=20 CRITERION_WARMUP_MS=5 $(CARGO) bench -p redundancy-bench --bench trace_throughput
 
 # Compile and run every bench with tiny sampling budgets. This is a CI
 # smoke test — it proves the benches build, run, and keep their

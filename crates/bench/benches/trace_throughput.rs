@@ -14,8 +14,8 @@
 //! in-order fast path. The `trace_alloc` integration test pins the
 //! zero-allocations-per-event claim; this bench records what that buys
 //! in wall-clock terms. Run with
-//! `CRITERION_JSON_OUT=BENCH_campaign.json` (see `make bench-trace`) to
-//! mirror the numbers into JSON.
+//! `CRITERION_JSON_OUT=BENCH_campaign.json` (see `make bench-campaign`)
+//! to mirror the numbers into JSON.
 //!
 //! [`Symbol`]: redundancy_core::obs::Symbol
 //! [`ShardPool`]: redundancy_core::obs::ShardPool

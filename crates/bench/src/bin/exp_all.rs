@@ -8,6 +8,7 @@ use redundancy_bench::experiments as exp;
 use redundancy_bench::{default_seed, default_trials, jobs_arg};
 
 fn main() {
+    redundancy_bench::warn_unknown_knobs();
     let _monitor = redundancy_bench::monitor_from_args();
     // E19 scripts worker kills and catches them; keep the default
     // hook's backtraces for real panics only.

@@ -39,6 +39,7 @@ fn run_campaign(jobs: usize) -> TrialSummary {
 }
 
 fn main() {
+    redundancy_bench::warn_unknown_knobs();
     let jobs = redundancy_bench::jobs_arg();
     println!("monitor smoke — flight recorder on a {TRIALS}-trial campaign ({jobs} jobs)");
 

@@ -3,6 +3,7 @@
 use redundancy_bench::{default_seed, default_trials, jobs_arg};
 
 fn main() {
+    redundancy_bench::warn_unknown_knobs();
     let _monitor = redundancy_bench::monitor_from_args();
     let seed = default_seed();
     let jobs = jobs_arg();

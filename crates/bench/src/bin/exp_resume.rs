@@ -10,6 +10,7 @@ use redundancy_core::obs::telemetry::{Counter, Telemetry};
 use redundancy_sim::ChaosPlan;
 
 fn main() {
+    redundancy_bench::warn_unknown_knobs();
     let monitor = redundancy_bench::monitor_from_args();
     // The chaos experiment reports its injected faults from the flight
     // recorder, so keep telemetry on even without --monitor.

@@ -3,6 +3,7 @@
 use redundancy_bench::{default_seed, default_trials, jobs_arg};
 
 fn main() {
+    redundancy_bench::warn_unknown_knobs();
     let _monitor = redundancy_bench::monitor_from_args();
     println!("E10 — recovery by fault type (density 0.35, 6 attempts)\n");
     print!(

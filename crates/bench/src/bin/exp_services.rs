@@ -9,6 +9,7 @@ use redundancy_bench::experiments::services_rt;
 use redundancy_bench::{default_seed, default_trials, jobs_arg};
 
 fn main() {
+    redundancy_bench::warn_unknown_knobs();
     let _monitor = redundancy_bench::monitor_from_args();
     let smoke = std::env::args().any(|arg| arg == "--smoke");
     let trials = if smoke { 300 } else { default_trials() };

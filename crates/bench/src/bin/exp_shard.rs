@@ -31,6 +31,7 @@ fn service_totals() -> Vec<(Counter, u64)> {
 }
 
 fn main() {
+    redundancy_bench::warn_unknown_knobs();
     let _monitor = redundancy_bench::monitor_from_args();
     let smoke = std::env::args().any(|arg| arg == "--smoke");
     // Time is virtual, so the smoke run can afford the full default
@@ -38,11 +39,9 @@ fn main() {
     // own slice, so tiny workloads never fill the profile windows.
     let trials = if smoke { 2_000 } else { default_trials() };
     let seed = default_seed();
-    let shards = redundancy_services::config::shards_from_env(8);
     println!(
         "E21 — sharded service runtime with circuit breakers ({trials} requests/cell, \
-         3 providers with one sick, bursty on/off arrivals, hedged policy; \
-         REDUNDANCY_SHARDS resolved to {shards} for ad-hoc runs)\n"
+         3 providers with one sick, bursty on/off arrivals, hedged policy)\n"
     );
     print!("{}", shard_rt::run_jobs(trials, seed, jobs_arg()));
     if !smoke {

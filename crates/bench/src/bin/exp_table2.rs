@@ -11,6 +11,7 @@ use redundancy_bench::{default_seed, default_trials, jobs_arg};
 use redundancy_core::obs::{summary, Observer, RingBufferObserver};
 
 fn main() {
+    redundancy_bench::warn_unknown_knobs();
     let _monitor = redundancy_bench::monitor_from_args();
     let trials = default_trials();
     let seed = default_seed();

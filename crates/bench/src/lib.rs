@@ -16,6 +16,15 @@
 
 pub mod experiments;
 
+/// Every `REDUNDANCY_*` environment variable a knob reads. Any other
+/// `REDUNDANCY_*` name is ignored, with a warning from
+/// [`warn_unknown_knobs`].
+const KNOBS: [&str; 4] = [TRIALS_ENV, SEED_ENV, JOBS_ENV, MONITOR_ENV];
+const TRIALS_ENV: &str = "REDUNDANCY_TRIALS";
+const SEED_ENV: &str = "REDUNDANCY_SEED";
+const JOBS_ENV: &str = "REDUNDANCY_JOBS";
+const MONITOR_ENV: &str = "REDUNDANCY_MONITOR_MS";
+
 /// Trials per campaign unless `REDUNDANCY_TRIALS` says otherwise.
 const DEFAULT_TRIALS: usize = 2_000;
 
@@ -28,7 +37,7 @@ const DEFAULT_SEED: u64 = 0x5eed_2008;
 /// other value warns and runs the default).
 #[must_use]
 pub fn default_trials() -> usize {
-    env_or("REDUNDANCY_TRIALS", parse_trials_env, || DEFAULT_TRIALS)
+    env_or(TRIALS_ENV, parse_trials_env, || DEFAULT_TRIALS)
 }
 
 /// The fixed seed experiments run under (reproducibility); override with
@@ -36,7 +45,7 @@ pub fn default_trials() -> usize {
 /// the default).
 #[must_use]
 pub fn default_seed() -> u64 {
-    env_or("REDUNDANCY_SEED", parse_seed_env, || DEFAULT_SEED)
+    env_or(SEED_ENV, parse_seed_env, || DEFAULT_SEED)
 }
 
 /// The worker-thread count for experiment campaigns: `--jobs N` on the
@@ -55,11 +64,31 @@ pub fn jobs_arg() -> usize {
         Ok(None) => {}
         Err(warning) => eprintln!("{warning}"),
     }
-    env_or(
-        "REDUNDANCY_JOBS",
-        parse_jobs_env,
-        redundancy_sim::available_jobs,
-    )
+    env_or(JOBS_ENV, parse_jobs_env, redundancy_sim::available_jobs)
+}
+
+/// Warns on stderr, once per name, about each `REDUNDANCY_*` environment
+/// variable that no knob reads, so a typo or a removed knob is not
+/// silently ignored. The `exp_*` binaries call this first in `main`.
+pub fn warn_unknown_knobs() {
+    let names = std::env::vars_os().map(|(name, _)| name.to_string_lossy().into_owned());
+    for warning in unknown_knob_warnings(names) {
+        eprintln!("{warning}");
+    }
+}
+
+/// One warning for each `REDUNDANCY_*` name in `names` that is not in
+/// [`KNOBS`].
+fn unknown_knob_warnings<I: Iterator<Item = String>>(names: I) -> Vec<String> {
+    names
+        .filter(|name| name.starts_with("REDUNDANCY_") && !KNOBS.contains(&name.as_str()))
+        .map(|name| {
+            format!(
+                "warning: ignoring {name}: no knob reads it (known: {})",
+                KNOBS.join(", ")
+            )
+        })
+        .collect()
 }
 
 /// Reads the environment variable `name` through `parse`: a valid value
@@ -106,7 +135,7 @@ fn parse_env<T: std::str::FromStr>(
 /// default).
 fn parse_jobs_env(value: &str) -> Result<usize, Option<String>> {
     parse_env(
-        "REDUNDANCY_JOBS",
+        JOBS_ENV,
         value,
         |&jobs| jobs > 0,
         "a positive integer",
@@ -118,7 +147,7 @@ fn parse_jobs_env(value: &str) -> Result<usize, Option<String>> {
 /// of zero trials has nothing to summarize).
 fn parse_trials_env(value: &str) -> Result<usize, Option<String>> {
     parse_env(
-        "REDUNDANCY_TRIALS",
+        TRIALS_ENV,
         value,
         |&trials| trials > 0,
         "a positive integer",
@@ -129,7 +158,7 @@ fn parse_trials_env(value: &str) -> Result<usize, Option<String>> {
 /// Parses a `REDUNDANCY_SEED` value (a decimal `u64`).
 fn parse_seed_env(value: &str) -> Result<u64, Option<String>> {
     parse_env(
-        "REDUNDANCY_SEED",
+        SEED_ENV,
         value,
         |_| true,
         "a decimal integer",
@@ -183,28 +212,38 @@ pub struct MonitorArgs {
 /// `--monitor` turns the recorder on; `--monitor-interval-ms N` (or
 /// `=N`), `--monitor-prom=PATH` and `--monitor-jsonl=PATH` each imply
 /// it. A valid `REDUNDANCY_MONITOR_MS` turns it on at that interval
-/// (explicit flags win); an invalid one still turns it on but returns a
-/// warning naming the variable and value — same warn-once contract as
-/// `REDUNDANCY_JOBS` — and falls back to the default interval.
+/// (explicit flags win). An interval flag or variable whose value is not
+/// a positive integer still turns the recorder on, and adds a warning
+/// naming the flag or variable and the value — same warn-once contract
+/// as `REDUNDANCY_JOBS` — while the interval falls back to the other
+/// source or the default.
 pub fn monitor_args<I: Iterator<Item = String>>(
-    args: I,
+    mut args: I,
     env_ms: Option<&str>,
-) -> (MonitorArgs, Option<String>) {
+) -> (MonitorArgs, Vec<String>) {
     let mut resolved = MonitorArgs::default();
-    let mut args = args.peekable();
+    let mut warnings = Vec::new();
     while let Some(arg) = args.next() {
-        if arg == "--monitor" {
+        let interval = if arg == "--monitor-interval-ms" {
+            Some(args.next().unwrap_or_default())
+        } else {
+            arg.strip_prefix("--monitor-interval-ms=")
+                .map(str::to_owned)
+        };
+        if let Some(value) = interval {
+            // The user asked for monitoring, however garbled: run it
+            // rather than silently not.
             resolved.enabled = true;
-        } else if arg == "--monitor-interval-ms" {
-            if let Some(ms) = args.next().and_then(|s| s.parse().ok()) {
-                resolved.interval_ms = Some(ms);
-                resolved.enabled = true;
+            match parse_monitor_ms("--monitor-interval-ms", &value, MONITOR_ENV) {
+                Ok(ms) => resolved.interval_ms = Some(ms),
+                Err(warning) => warnings.push(warning.unwrap_or_else(|| {
+                    format!(
+                        "warning: ignoring --monitor-interval-ms without a value, using \
+                         {MONITOR_ENV} or the default {DEFAULT_MONITOR_INTERVAL_MS} ms"
+                    )
+                })),
             }
-        } else if let Some(ms) = arg
-            .strip_prefix("--monitor-interval-ms=")
-            .and_then(|s| s.parse().ok())
-        {
-            resolved.interval_ms = Some(ms);
+        } else if arg == "--monitor" {
             resolved.enabled = true;
         } else if let Some(path) = arg.strip_prefix("--monitor-prom=") {
             resolved.prometheus = Some(path.to_owned());
@@ -214,9 +253,8 @@ pub fn monitor_args<I: Iterator<Item = String>>(
             resolved.enabled = true;
         }
     }
-    let mut warning = None;
     if let Some(value) = env_ms {
-        match parse_monitor_env(value) {
+        match parse_monitor_ms(MONITOR_ENV, value, "--monitor-interval-ms") {
             Ok(ms) => {
                 resolved.enabled = true;
                 if resolved.interval_ms.is_none() {
@@ -224,42 +262,39 @@ pub fn monitor_args<I: Iterator<Item = String>>(
                 }
             }
             Err(None) => {}
-            Err(Some(message)) => {
-                // The user asked for monitoring, however garbled: run it
-                // at the default interval rather than silently not.
+            Err(Some(warning)) => {
                 resolved.enabled = true;
-                warning = Some(message);
+                warnings.push(warning);
             }
         }
     }
-    (resolved, warning)
+    (resolved, warnings)
 }
 
-/// Parses a `REDUNDANCY_MONITOR_MS` value: `Ok(ms)` for a positive
-/// integer, `Err(None)` for an empty value (treated as unset),
-/// `Err(Some(msg))` for a set-but-unusable value.
-fn parse_monitor_env(value: &str) -> Result<u64, Option<String>> {
-    match value.trim().parse::<u64>() {
-        Ok(ms) if ms > 0 => Ok(ms),
-        _ if value.trim().is_empty() => Err(None),
-        _ => Err(Some(format!(
-            "warning: ignoring REDUNDANCY_MONITOR_MS={value:?}: expected a positive integer \
-             of milliseconds, monitoring at the default {DEFAULT_MONITOR_INTERVAL_MS} ms"
-        ))),
-    }
+/// Parses a flight-recorder sampling interval given as `name`'s value: a
+/// positive integer of milliseconds. An invalid value's warning names
+/// `other`, the interval source used instead, ahead of the default.
+fn parse_monitor_ms(name: &str, value: &str, other: &str) -> Result<u64, Option<String>> {
+    parse_env(
+        name,
+        value,
+        |&ms| ms > 0,
+        "a positive integer of milliseconds",
+        &format!("{other} or the default {DEFAULT_MONITOR_INTERVAL_MS} ms"),
+    )
 }
 
 /// Starts the campaign flight recorder if this invocation asked for it
 /// (`--monitor` / `--monitor-interval-ms` / `--monitor-prom=` /
 /// `--monitor-jsonl=` / `REDUNDANCY_MONITOR_MS`); prints the warn-once
-/// message for an invalid environment value. The `exp_*` binaries call
+/// message for each invalid interval. The `exp_*` binaries call
 /// this at the top of `main` and hold the guard for their lifetime —
 /// dropping it writes the final snapshot and switches telemetry off.
 #[must_use]
 pub fn monitor_from_args() -> Option<redundancy_sim::CampaignMonitor> {
-    let env = std::env::var("REDUNDANCY_MONITOR_MS").ok();
-    let (resolved, warning) = monitor_args(std::env::args(), env.as_deref());
-    if let Some(warning) = warning {
+    let env = std::env::var(MONITOR_ENV).ok();
+    let (resolved, warnings) = monitor_args(std::env::args(), env.as_deref());
+    for warning in warnings {
         eprintln!("{warning}");
     }
     if !resolved.enabled {
@@ -408,30 +443,25 @@ mod tests {
 
     #[test]
     fn monitor_env_values_parse_warn_or_stay_silent() {
-        assert_eq!(parse_monitor_env("250"), Ok(250));
-        assert_eq!(parse_monitor_env(" 1000 "), Ok(1000));
-        assert_eq!(parse_monitor_env(""), Err(None));
-        assert_eq!(parse_monitor_env("  "), Err(None));
+        let parse = |value| parse_monitor_ms(MONITOR_ENV, value, "--monitor-interval-ms");
+        assert_eq!(parse("250"), Ok(250));
+        assert_eq!(parse(" 1000 "), Ok(1000));
+        assert_eq!(parse(""), Err(None));
+        assert_eq!(parse("  "), Err(None));
         for bad in ["0", "fast", "-5"] {
-            let warning = parse_monitor_env(bad)
-                .expect_err("bad value falls back")
-                .expect("bad value warns");
-            assert!(
-                warning.contains("REDUNDANCY_MONITOR_MS") && warning.contains(bad),
-                "warning must name the variable and the value: {warning}"
-            );
+            assert_warns(parse(bad), MONITOR_ENV, bad);
         }
     }
 
-    fn resolve(args: &[&str], env: Option<&str>) -> (MonitorArgs, Option<String>) {
+    fn resolve(args: &[&str], env: Option<&str>) -> (MonitorArgs, Vec<String>) {
         monitor_args(args.iter().map(ToString::to_string), env)
     }
 
     #[test]
     fn monitor_flags_resolve_and_imply_enablement() {
-        let (off, warning) = resolve(&["exp", "--jobs", "4"], None);
+        let (off, warnings) = resolve(&["exp", "--jobs", "4"], None);
         assert_eq!(off, MonitorArgs::default());
-        assert!(warning.is_none());
+        assert!(warnings.is_empty());
 
         let (on, _) = resolve(&["exp", "--monitor"], None);
         assert!(on.enabled);
@@ -441,9 +471,34 @@ mod tests {
             &["exp", "--monitor-interval-ms", "50"][..],
             &["exp", "--monitor-interval-ms=50"][..],
         ] {
-            let (resolved, _) = resolve(args, None);
+            let (resolved, warnings) = resolve(args, None);
             assert!(resolved.enabled, "interval flag implies --monitor");
             assert_eq!(resolved.interval_ms, Some(50));
+            assert!(warnings.is_empty());
+        }
+
+        // A garbled, zero or missing interval still turns the recorder
+        // on, at the default interval, and warns naming the flag and the
+        // value — the contract REDUNDANCY_MONITOR_MS keeps.
+        for (args, bad) in [
+            (&["exp", "--monitor-interval-ms", "abc"][..], Some("abc")),
+            (&["exp", "--monitor-interval-ms=abc"][..], Some("abc")),
+            (&["exp", "--monitor-interval-ms=0"][..], Some("0")),
+            (&["exp", "--monitor-interval-ms"][..], None),
+        ] {
+            let (resolved, warnings) = resolve(args, None);
+            assert!(resolved.enabled, "{args:?} must still monitor");
+            assert_eq!(
+                resolved.interval_ms, None,
+                "{args:?} samples at the default"
+            );
+            assert_eq!(warnings.len(), 1, "{args:?} warns once: {warnings:?}");
+            assert!(
+                warnings[0].contains("--monitor-interval-ms")
+                    && bad.is_none_or(|bad| warnings[0].contains(&format!("{bad:?}"))),
+                "warning must name the flag and the value: {}",
+                warnings[0]
+            );
         }
 
         let (paths, _) = resolve(
@@ -461,26 +516,67 @@ mod tests {
 
     #[test]
     fn monitor_env_enables_but_explicit_interval_wins() {
-        let (from_env, warning) = resolve(&["exp"], Some("250"));
+        let (from_env, warnings) = resolve(&["exp"], Some("250"));
         assert!(from_env.enabled);
         assert_eq!(from_env.interval_ms, Some(250));
-        assert!(warning.is_none());
+        assert!(warnings.is_empty());
 
         let (explicit, _) = resolve(&["exp", "--monitor-interval-ms=50"], Some("250"));
         assert_eq!(explicit.interval_ms, Some(50));
 
+        // A garbled flag falls back to a valid variable.
+        let (fallback, warnings) = resolve(&["exp", "--monitor-interval-ms=x"], Some("250"));
+        assert_eq!(fallback.interval_ms, Some(250));
+        assert_eq!(warnings.len(), 1);
+
         // Garbage env still turns monitoring on, at the default interval,
         // and surfaces the warn-once message.
-        let (garbled, warning) = resolve(&["exp"], Some("fast"));
+        let (garbled, warnings) = resolve(&["exp"], Some("fast"));
         assert!(garbled.enabled);
         assert_eq!(garbled.interval_ms, None);
-        assert!(warning
-            .expect("garbage warns")
-            .contains("REDUNDANCY_MONITOR_MS"));
+        assert_eq!(warnings.len(), 1);
+        assert!(warnings[0].contains(MONITOR_ENV));
 
         // Empty env is "unset": silent, stays off.
-        let (unset, warning) = resolve(&["exp"], Some(""));
+        let (unset, warnings) = resolve(&["exp"], Some(""));
         assert!(!unset.enabled);
-        assert!(warning.is_none());
+        assert!(warnings.is_empty());
+    }
+
+    #[test]
+    fn only_unknown_redundancy_names_warn() {
+        let names = [
+            "REDUNDANCY_TRIALS",
+            "REDUNDANCY_SEED",
+            "REDUNDANCY_JOBS",
+            "REDUNDANCY_MONITOR_MS",
+            "REDUNDANCY_TRAILS",
+            "REDUNDANCY_HEDGE_DELAY",
+            "PATH",
+            "CRITERION_SAMPLES",
+        ];
+        let warnings = unknown_knob_warnings(names.iter().map(ToString::to_string));
+        assert_eq!(warnings.len(), 2, "{warnings:?}");
+        assert!(warnings[0].contains("REDUNDANCY_TRAILS") && warnings[0].contains("ignoring"));
+        assert!(warnings[1].contains("REDUNDANCY_HEDGE_DELAY"));
+    }
+
+    /// The user-facing docs advertise only knobs some code reads.
+    #[test]
+    fn docs_name_only_live_knobs() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md"] {
+            let text = std::fs::read_to_string(root.join(doc)).expect("doc is readable");
+            for (at, _) in text.match_indices("REDUNDANCY_") {
+                let len = text[at..]
+                    .find(|c: char| !(c.is_ascii_uppercase() || c == '_'))
+                    .unwrap_or(text.len() - at);
+                let token = &text[at..at + len];
+                assert!(
+                    token == "REDUNDANCY_" || KNOBS.contains(&token),
+                    "{doc} names {token}, which no knob reads"
+                );
+            }
+        }
     }
 }

@@ -13,9 +13,8 @@
 //! - [`incremental`] provides the streaming interface
 //!   ([`IncrementalAdjudicator`]) that lets pattern engines fix a verdict
 //!   before every variant has run;
-//! - [`batch`] provides the exact-equality voting rules ([`VoteRule`]):
-//!   the row kernel every exact voter decides through, and the same
-//!   rules computed branchlessly over SoA outcome columns.
+//! - [`batch`] provides the exact-equality voting rules ([`VoteRule`])
+//!   and the row kernel every exact voter decides through.
 //!
 //! [`AcceptanceTest`]: acceptance::AcceptanceTest
 
@@ -27,7 +26,7 @@ pub mod voting;
 use crate::outcome::{RejectionReason, VariantOutcome, Verdict};
 use crate::taxonomy::Adjudication;
 
-pub use batch::{OutcomeColumns, RowDecision, RowVerdict, VoteRule};
+pub use batch::VoteRule;
 pub use incremental::{BatchIncremental, Decision, IncrementalAdjudicator};
 
 /// Decides a single output from the outcomes of several variants.
@@ -64,11 +63,10 @@ pub trait Adjudicator<O>: Send + Sync {
     /// Returning `Some(rule)` is a promise that
     /// [`adjudicate`](Self::adjudicate) is observably identical to
     /// [`batch::vote_row`] under `rule` (the four exact voters decide
-    /// through it), so a caller may pack whole batches of outcome rows
-    /// into [`OutcomeColumns`] and adjudicate them through the
-    /// branchless SoA kernels instead. Adjudicators whose agreement
-    /// relation is not plain equality (acceptance tests, median,
-    /// tolerance, trimmed mean) keep the default `None`.
+    /// through it). Adjudicators whose agreement relation is not plain
+    /// equality (acceptance tests, median, tolerance, trimmed mean) keep
+    /// the default `None`. No engine calls this: it stays on the trait
+    /// only because perfbench's `TimedAdjudicator` wrapper implements it.
     fn vote_rule(&self) -> Option<VoteRule> {
         None
     }

@@ -18,7 +18,6 @@ use std::ops::{Add, AddAssign};
 /// time is tracked separately so that latency-style measurements (e.g.
 /// pattern comparisons in experiment F1) do not depend on host scheduling.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Cost {
     /// Number of variant invocations performed.
     pub invocations: u64,

@@ -15,7 +15,6 @@ use crate::cost::Cost;
 
 /// A detectable failure of a single variant execution.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum VariantFailure {
     /// The variant crashed (panicked or aborted).
     Crash {
@@ -169,7 +168,6 @@ pub enum Verdict<O> {
 
 /// Why an adjudicator rejected all candidate outputs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum RejectionReason {
     /// No candidate reached the required agreement threshold.
     NoQuorum,

@@ -24,7 +24,6 @@ use std::fmt;
 /// assert_eq!(Intention::Deliberate.to_string(), "deliberate");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Intention {
     /// Redundancy added on purpose at design time (e.g. N-version
     /// programming, recovery blocks).
@@ -50,7 +49,6 @@ impl fmt::Display for Intention {
 
 /// The element of the execution that is replicated (paper §3, "Type").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum RedundancyType {
     /// Multiple implementations of the same logical functionality.
     Code,
@@ -82,7 +80,6 @@ impl fmt::Display for RedundancyType {
 /// How the redundant mechanism is triggered and how its result is judged
 /// (paper §3, "Triggers and adjudicators").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Adjudication {
     /// Acts before any failure is observed (implicit adjudicator), e.g.
     /// rejuvenation, preventive wrappers.
@@ -139,7 +136,6 @@ impl fmt::Display for Adjudication {
 ///
 /// Physical (hardware) faults are out of scope, exactly as in the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum FaultClass {
     /// Development fault that manifests deterministically under well-defined
     /// conditions.
@@ -189,7 +185,6 @@ impl fmt::Display for FaultClass {
 /// assert_eq!(dev.to_string(), "development");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultSet {
     bits: u8,
 }
@@ -313,7 +308,6 @@ impl FromIterator<FaultClass> for FaultSet {
 /// The inter-component architectural patterns of the paper's Figure 1, plus
 /// the intra-component case discussed in §2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ArchitecturalPattern {
     /// Figure 1(a): all alternatives run, an adjudicator merges the results.
     ParallelEvaluation,
@@ -352,7 +346,6 @@ impl fmt::Display for ArchitecturalPattern {
 /// A complete Table 2 row: the classification of one technique along all
 /// four taxonomy dimensions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Classification {
     /// Deliberate or opportunistic redundancy.
     pub intention: Intention,

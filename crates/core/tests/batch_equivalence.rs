@@ -2,20 +2,18 @@
 //!
 //! `batch::vote_row` is the one implementation behind the four exact
 //! voters' `adjudicate` (and so behind the trait's
-//! `adjudicate_batch_row` default); the SoA column kernels
-//! (`OutcomeColumns::adjudicate`) compute the same rules over packed
-//! chunks, and the voters' streaming front-ends decide early. This suite
-//! pins all of them to the scalar reference voter kept here as the
-//! oracle — the textbook "general voting algorithm": greedy agreement
-//! classes in first-appearance order, the largest class wins — on fixed
-//! rows and on arbitrary outcome streams: same winner, same
+//! `adjudicate_batch_row` default), and the voters' streaming front-ends
+//! decide early. This suite pins both to the scalar reference voter kept
+//! here as the oracle — the textbook "general voting algorithm": greedy
+//! agreement classes in first-appearance order, the largest class wins —
+//! on fixed rows and on arbitrary outcome streams: same winner, same
 //! support/dissent counts, same rejection reason, for every rule.
 
 use proptest::prelude::*;
 use redundancy_core::adjudicator::voting::{
     MajorityVoter, PluralityVoter, QuorumVoter, UnanimityVoter,
 };
-use redundancy_core::adjudicator::{batch, Adjudicator, Decision, OutcomeColumns, VoteRule};
+use redundancy_core::adjudicator::{batch, Adjudicator, Decision, VoteRule};
 use redundancy_core::outcome::{RejectionReason, VariantFailure, VariantOutcome, Verdict};
 
 /// Groups successful outputs into agreement classes by `==`, returning
@@ -113,8 +111,7 @@ fn oracle<O: Clone + PartialEq>(rule: VoteRule, outcomes: &[VariantOutcome<O>]) 
 
 /// An arbitrary outcome stream: `Some(v)` succeeds with output `v`,
 /// `None` fails detectably. Values are drawn from a small range so
-/// agreement classes actually form, and rows are capped at the column
-/// arity limit.
+/// agreement classes actually form.
 fn outcomes_strategy() -> impl Strategy<Value = Vec<VariantOutcome<i64>>> {
     proptest::collection::vec(proptest::option::of(0i64..4), 0..10).prop_map(row_to_outcomes)
 }
@@ -218,33 +215,6 @@ fn vote_row_handles_rows_wider_than_the_bitset() {
     }
 }
 
-#[test]
-fn columns_match_the_oracle_row_by_row() {
-    // Mixed successes, failures, duplicates, all-failed rows.
-    let rows: Vec<Vec<Option<i64>>> = vec![
-        vec![Some(1), Some(1), Some(2)],
-        vec![Some(1), Some(2), Some(3)],
-        vec![None, None, None],
-        vec![Some(5), None, Some(5)],
-        vec![None, Some(7), None],
-        vec![Some(2), Some(2), Some(2)],
-    ];
-    let mut columns: OutcomeColumns<i64> = OutcomeColumns::new(3);
-    for row in &rows {
-        columns.push_row(row);
-    }
-    for (rule, _) in &voters() {
-        let verdicts = columns.adjudicate(*rule);
-        for (row, verdict) in rows.iter().zip(&verdicts) {
-            assert_eq!(
-                verdict.to_verdict(&columns),
-                oracle(*rule, &row_to_outcomes(row.clone())),
-                "rule {rule:?}, row {row:?}"
-            );
-        }
-    }
-}
-
 proptest! {
     /// Every voter entry point and the streaming front-end agree with
     /// the oracle on arbitrary streams.
@@ -252,58 +222,6 @@ proptest! {
     fn all_representations_agree(outcomes in outcomes_strategy()) {
         for (rule, voter) in &voters() {
             check_row(*rule, voter.as_ref(), &outcomes)?;
-        }
-    }
-
-    /// The SoA column kernels reproduce the oracle's verdict row by row
-    /// on arbitrary packed chunks.
-    #[test]
-    fn columns_agree_with_the_oracle(
-        rows in proptest::collection::vec(
-            proptest::collection::vec(proptest::option::of(0i64..4), 1..8),
-            1..12,
-        ),
-        arity_pick in 1usize..8,
-    ) {
-        // Normalize every row to one arity (columns are rectangular).
-        let arity = arity_pick.min(rows[0].len()).max(1);
-        let rows: Vec<Vec<Option<i64>>> = rows
-            .into_iter()
-            .map(|mut r| {
-                r.resize(arity, None);
-                r
-            })
-            .collect();
-        let mut columns: OutcomeColumns<i64> = OutcomeColumns::new(arity);
-        for row in &rows {
-            columns.push_row(row);
-        }
-        for (rule, _) in &voters() {
-            let verdicts = columns.adjudicate(*rule);
-            prop_assert_eq!(verdicts.len(), rows.len());
-            for (row, verdict) in rows.iter().zip(&verdicts) {
-                let outcomes = row_to_outcomes(row.clone());
-                prop_assert_eq!(
-                    verdict.to_verdict(&columns),
-                    oracle(*rule, &outcomes),
-                    "rule {:?}, row {:?}",
-                    rule,
-                    row
-                );
-            }
-        }
-    }
-
-    /// `push_outcomes` packs exactly like `push_row` on the same data.
-    #[test]
-    fn push_outcomes_matches_push_row(row in proptest::collection::vec(proptest::option::of(0i64..4), 1..8)) {
-        let outcomes = row_to_outcomes(row.clone());
-        let mut by_row: OutcomeColumns<i64> = OutcomeColumns::new(row.len());
-        by_row.push_row(&row);
-        let mut by_outcomes: OutcomeColumns<i64> = OutcomeColumns::new(row.len());
-        by_outcomes.push_outcomes(&outcomes);
-        for (rule, _) in &voters() {
-            prop_assert_eq!(by_row.adjudicate(*rule), by_outcomes.adjudicate(*rule));
         }
     }
 }

@@ -188,12 +188,10 @@ pub fn summary(events: &[Event]) -> String {
     TraceSummary::from_events(events).to_string()
 }
 
-#[cfg(feature = "serde")]
 pub use self::jsonl::{
     event_from_json, event_to_json, from_jsonl, to_jsonl, write_event_json, ParseError,
 };
 
-#[cfg(feature = "serde")]
 mod jsonl {
     //! Hand-rolled JSON-lines serialization (the workspace builds offline,
     //! with no real serde available; the output is plain JSON regardless).
@@ -1087,7 +1085,6 @@ mod tests {
         assert_eq!(tree.lines().count(), 3);
     }
 
-    #[cfg(feature = "serde")]
     #[test]
     fn jsonl_round_trip_shape() {
         let lines = to_jsonl(&sample_trace());
@@ -1100,7 +1097,6 @@ mod tests {
         assert!(end.contains("\"virtual_ns\":12"));
     }
 
-    #[cfg(feature = "serde")]
     #[test]
     fn json_escapes_strings() {
         let event = Event {
@@ -1119,7 +1115,6 @@ mod tests {
     /// One event per `SpanKind`, `SpanStatus` and `Point` variant, with
     /// values chosen to stress the parser: seeds above 2^53, escaped
     /// strings, non-trivial floats.
-    #[cfg(feature = "serde")]
     fn exhaustive_trace() -> Vec<Event> {
         let kinds = vec![
             EventKind::SpanStart {
@@ -1253,7 +1248,6 @@ mod tests {
             .collect()
     }
 
-    #[cfg(feature = "serde")]
     #[test]
     fn jsonl_parses_back_every_variant() {
         let trace = exhaustive_trace();
@@ -1264,7 +1258,6 @@ mod tests {
         assert_eq!(to_jsonl(&parsed), text);
     }
 
-    #[cfg(feature = "serde")]
     #[test]
     fn parsed_static_labels_are_interned_per_distinct_value() {
         let trace = exhaustive_trace();
@@ -1286,7 +1279,6 @@ mod tests {
         assert!(std::ptr::eq(tech(&a), tech(&b)));
     }
 
-    #[cfg(feature = "serde")]
     #[test]
     fn parse_errors_name_the_line_and_field() {
         let err = from_jsonl("{\"seq\":0}\n").expect_err("missing fields");
@@ -1301,7 +1293,6 @@ mod tests {
         assert!(event_from_json("{\"seq\":0,\"span\":1,\"par").is_err());
     }
 
-    #[cfg(feature = "serde")]
     #[test]
     fn u64_values_above_2p53_round_trip_exactly() {
         let seed = u64::MAX - 1; // not representable in f64
@@ -1318,7 +1309,6 @@ mod tests {
         assert_eq!(parsed, event);
     }
 
-    #[cfg(feature = "serde")]
     #[test]
     fn interned_symbols_round_trip_through_event_json() {
         use crate::intern::Symbol;

@@ -75,11 +75,10 @@ mod shard;
 pub mod telemetry;
 
 pub use event::{CostSnapshot, Event, EventKind, Point, SpanId, SpanKind, SpanStatus, ROOT_SPAN};
-#[cfg(feature = "serde")]
 pub use export::{
-    event_from_json, event_to_json, from_jsonl, to_jsonl, write_event_json, ParseError,
+    event_from_json, event_to_json, from_jsonl, render_span_tree, summary, to_jsonl,
+    write_event_json, ParseError, TraceSummary,
 };
-pub use export::{render_span_tree, summary, TraceSummary};
 pub use intern::Symbol;
 pub use metrics::{
     Histogram, MetricKey, MetricsObserver, MetricsRegistry, FUEL_BUCKETS, TICK_BUCKETS,

@@ -12,7 +12,6 @@
 
 /// The configurable execution environment of a simulated process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EnvConfig {
     /// Bytes of padding inserted after each heap allocation.
     pub alloc_padding: u64,

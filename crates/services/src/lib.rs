@@ -41,16 +41,13 @@
 //! - [`shard`] — the scale-out layer: one workload split across N
 //!   per-shard event loops on the campaign worker pool, merged back
 //!   into a single canonical ledger whose digest is bit-identical at
-//!   any shard or job count;
-//! - [`config`] — `REDUNDANCY_*` environment knobs for the runtime's
-//!   operational parameters, with the warn-once contract.
+//!   any shard or job count.
 
 #![warn(missing_docs)]
 
 pub mod arrival;
 pub mod breaker;
 pub mod clock;
-pub mod config;
 pub mod process;
 pub mod provider;
 pub mod recovery;

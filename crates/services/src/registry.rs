@@ -9,7 +9,6 @@ use crate::value::Value;
 
 /// Identifies a service interface (a port type, in WSDL terms).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct InterfaceId(String);
 
 impl InterfaceId {

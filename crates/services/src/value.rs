@@ -5,7 +5,6 @@ use std::fmt;
 /// A dynamically typed service payload (a miniature of the XML/JSON values
 /// real service platforms exchange).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Value {
     /// Absence of a value.
     Null,
