@@ -12,7 +12,7 @@ fmt:
 	$(CARGO) fmt --check
 
 clippy:
-	$(CARGO) clippy --workspace -- -D warnings
+	$(CARGO) clippy --workspace --all-targets -- -D warnings
 
 test:
 	$(CARGO) test -q --workspace

@@ -745,8 +745,8 @@ mod tests {
         merger.submit(0, shards[0].clone());
         merger.submit(1, shards[1].clone());
         blocked.join().unwrap();
-        for i in 4..6 {
-            merger.submit(i, shards[i].clone());
+        for (i, shard) in shards.iter().enumerate().take(6).skip(4) {
+            merger.submit(i, shard.clone());
         }
         assert_eq!(merger.forwarded(), 6);
         assert!(merger.peak_buffered() <= window);
@@ -861,7 +861,7 @@ mod tests {
         let mut offset = 0;
         for (i, shard) in shards.iter().take(3).cloned().enumerate() {
             first.submit(i, shard);
-            offset = spans_allocated(&first_sink.lock()) as u64;
+            offset = spans_allocated(&first_sink.lock());
         }
         let replayed: Vec<Event> = first_sink.take();
 
@@ -884,7 +884,7 @@ mod tests {
         let shards = recorded_shards(4);
         let expected = merge_shards(shards.clone());
 
-        let tapped: Arc<Mutex<Vec<(usize, Vec<Event>)>>> = Arc::new(Mutex::new(Vec::new()));
+        let tapped = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::new(CollectorObserver::new());
         let merger = {
             let tapped = Arc::clone(&tapped);
@@ -919,7 +919,7 @@ mod tests {
             assert!(shard.is_empty());
             Arc::as_ptr(shard)
         });
-        let second = with_worker_shard(|shard| Arc::as_ptr(shard));
+        let second = with_worker_shard(Arc::as_ptr);
         assert_eq!(first, second, "same thread must reuse its collector");
 
         // Re-entrant use falls back to a distinct collector.

@@ -5,18 +5,27 @@
 //! plain `u64` nanosecond counter that jumps from one scheduled event to
 //! the next, so a run over millions of in-flight requests is exactly as
 //! reproducible as a single seeded RNG stream — and runs as fast as the
-//! host can drain the heap, not as slow as the latencies it models.
+//! host can drain the queue, not as slow as the latencies it models.
 //!
-//! [`EventQueue`] is the scheduler's core: a binary min-heap ordered by
-//! `(time, sequence)`. The sequence number is assigned at scheduling
-//! time, which gives **FIFO tie-breaking for simultaneous events** —
-//! without it, heap order among equal timestamps would depend on
-//! insertion history in ways that are easy to perturb and hard to debug.
-//! Determinism here is load-bearing: the per-request ledger the runtime
-//! emits is asserted bit-identical across runs.
+//! [`EventQueue`] is the scheduler's core, ordered by `(time,
+//! sequence)`. The sequence number is assigned at scheduling time,
+//! which gives **FIFO tie-breaking for simultaneous events** — without
+//! it, order among equal timestamps would depend on insertion history
+//! in ways that are easy to perturb and hard to debug. Determinism here
+//! is load-bearing: the per-request ledger the runtime emits is
+//! asserted bit-identical across runs.
+//!
+//! Entries live in two places. An event scheduled at or after the
+//! latest entry of a **sorted tail** is appended to it in O(1); any
+//! other goes to a binary min-heap. Pop takes whichever head has the
+//! smaller `(time, sequence)`, so the pop order is exactly a single
+//! heap's. The tail pays off for timers armed at a fixed offset from
+//! *now* — the runtime's per-request deadlines arrive in time order and
+//! mostly pop stale, and as a heap they would sit under every other
+//! push and pop.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// One scheduled entry: fires at `at`, FIFO among equals via `seq`.
 #[derive(Debug)]
@@ -26,9 +35,15 @@ struct Scheduled<E> {
     event: E,
 }
 
+impl<E> Scheduled<E> {
+    fn key(&self) -> (u64, u64) {
+        (self.at, self.seq)
+    }
+}
+
 impl<E> PartialEq for Scheduled<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.key() == other.key()
     }
 }
 
@@ -44,11 +59,11 @@ impl<E> Ord for Scheduled<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap, we want the earliest
         // (time, seq) out first.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
+        other.key().cmp(&self.key())
     }
 }
 
-/// A deterministic min-heap of timed events.
+/// A deterministic priority queue of timed events.
 ///
 /// Events pop in nondecreasing time order; events scheduled for the
 /// same instant pop in the order they were scheduled. The queue also
@@ -57,7 +72,11 @@ impl<E> Ord for Scheduled<E> {
 /// bugs into loud panics.
 #[derive(Debug)]
 pub struct EventQueue<E> {
+    /// Entries scheduled before the tail's last entry.
     heap: BinaryHeap<Scheduled<E>>,
+    /// Entries in `(at, seq)` order: each was scheduled no earlier than
+    /// the one before it, and `seq` grows with every schedule.
+    tail: VecDeque<Scheduled<E>>,
     next_seq: u64,
     now: u64,
 }
@@ -74,6 +93,7 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
+            tail: VecDeque::new(),
             next_seq: 0,
             now: 0,
         }
@@ -99,13 +119,30 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Scheduled { at, seq, event });
+        let entry = Scheduled { at, seq, event };
+        if self.tail.back().is_none_or(|last| at >= last.at) {
+            self.tail.push_back(entry);
+        } else {
+            self.heap.push(entry);
+        }
+    }
+
+    /// Whether the tail holds the earliest pending entry.
+    fn tail_is_next(&self) -> bool {
+        match (self.tail.front(), self.heap.peek()) {
+            (Some(tail), Some(heap)) => tail.key() < heap.key(),
+            (tail, _) => tail.is_some(),
+        }
     }
 
     /// Pops the earliest event, advancing virtual time to its timestamp.
     pub fn pop(&mut self) -> Option<(u64, E)> {
-        let entry = self.heap.pop()?;
-        debug_assert!(entry.at >= self.now, "heap yielded an event in the past");
+        let entry = if self.tail_is_next() {
+            self.tail.pop_front()
+        } else {
+            self.heap.pop()
+        }?;
+        debug_assert!(entry.at >= self.now, "queue yielded an event in the past");
         self.now = entry.at;
         Some((entry.at, entry.event))
     }
@@ -113,19 +150,23 @@ impl<E> EventQueue<E> {
     /// The timestamp of the next event without popping it.
     #[must_use]
     pub fn peek_time(&self) -> Option<u64> {
-        self.heap.peek().map(|entry| entry.at)
+        if self.tail_is_next() {
+            self.tail.front().map(|entry| entry.at)
+        } else {
+            self.heap.peek().map(|entry| entry.at)
+        }
     }
 
     /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.tail.len()
     }
 
     /// Whether no events are pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.heap.is_empty() && self.tail.is_empty()
     }
 }
 

@@ -1,7 +1,6 @@
 //! Service providers: independently operated implementations of an
 //! interface, with reliability and latency profiles.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -106,7 +105,9 @@ pub struct PlannedInvoke {
 pub struct SimProvider {
     id: String,
     interface: InterfaceId,
-    operations: HashMap<String, OpHandler>,
+    /// Named handlers, scanned on every plan: pools register one to a
+    /// few operations, where a scan beats hashing the name.
+    operations: Vec<(String, OpHandler)>,
     fail_prob: f64,
     latency_work: u64,
     latency_jitter: u64,
@@ -128,7 +129,7 @@ impl SimProvider {
             inner: SimProvider {
                 id: id.into(),
                 interface,
-                operations: HashMap::new(),
+                operations: Vec::new(),
                 fail_prob: 0.0,
                 latency_work: 10,
                 latency_jitter: 0,
@@ -167,7 +168,7 @@ impl SimProvider {
         args: &[Value],
         rng: &mut SplitMix64,
     ) -> PlannedInvoke {
-        let Some(handler) = self.operations.get(operation) else {
+        let Some((_, handler)) = self.operations.iter().find(|(name, _)| name == operation) else {
             // Unknown operations are rejected before any time passes,
             // any draw happens, or the call counter moves.
             return PlannedInvoke {
@@ -230,13 +231,19 @@ pub struct SimProviderBuilder {
 }
 
 impl SimProviderBuilder {
-    /// Adds an operation.
+    /// Adds an operation; registering a name again replaces its
+    /// handler.
     #[must_use]
     pub fn operation<F>(mut self, name: impl Into<String>, handler: F) -> Self
     where
         F: Fn(&[Value], &mut SplitMix64) -> Result<Value, ServiceError> + Send + Sync + 'static,
     {
-        self.inner.operations.insert(name.into(), Box::new(handler));
+        let name = name.into();
+        let handler: OpHandler = Box::new(handler);
+        match self.inner.operations.iter_mut().find(|(n, _)| *n == name) {
+            Some(entry) => entry.1 = handler,
+            None => self.inner.operations.push((name, handler)),
+        }
         self
     }
 
@@ -320,6 +327,21 @@ mod tests {
         assert_eq!(
             p.invoke("mul", &[], &mut ctx),
             Err(ServiceError::NoSuchOperation("mul".into()))
+        );
+    }
+
+    #[test]
+    fn registering_an_operation_again_replaces_its_handler() {
+        let p = SimProvider::builder("v", InterfaceId::new("x"))
+            .operation("op", |_, _| Ok(Value::Int(1)))
+            .operation("other", |_, _| Ok(Value::Int(2)))
+            .operation("op", |_, _| Ok(Value::Int(3)))
+            .build();
+        let mut rng = SplitMix64::new(1);
+        assert_eq!(p.plan_invoke("op", &[], &mut rng).result, Ok(Value::Int(3)));
+        assert_eq!(
+            p.plan_invoke("other", &[], &mut rng).result,
+            Ok(Value::Int(2))
         );
     }
 

@@ -45,8 +45,17 @@
 //! ([`RuntimeConfig::breaker`]): Open providers are skipped by hedges
 //! and failover rotations, and a request arriving while *every*
 //! provider is Open is shed at the front door.
+//!
+//! Live requests (admitted or queued) sit in a slab: a `Vec` of slots
+//! plus a free list, so finding a request's state is an index, not a
+//! hash, and the slab grows with the most requests ever live at once,
+//! not with the run. Every event and queue entry carries its request's
+//! `(id, slot)` and matches only while the slot still holds that id.
+//! That is how cancellation stays lazy: a timer or completion for a
+//! request that already resolved pops, finds its slot free or reused,
+//! and is dropped.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use redundancy_core::obs::telemetry::{self, Counter, Timer};
@@ -306,12 +315,12 @@ impl RuntimeReport {
         if latencies.is_empty() {
             return None;
         }
-        latencies.sort_unstable();
         #[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation)]
         #[allow(clippy::cast_sign_loss)]
         let rank = ((q.clamp(0.0, 1.0) * latencies.len() as f64).ceil() as usize)
             .clamp(1, latencies.len());
-        Some(latencies[rank - 1])
+        // The rank-th smallest by selection: O(n), no full sort.
+        Some(*latencies.select_nth_unstable(rank - 1).1)
     }
 
     /// FNV-1a hash over every ledger field — the bit-identity fingerprint
@@ -348,9 +357,11 @@ impl RuntimeReport {
     }
 }
 
-/// The events the loop schedules. Stale events (for already-resolved
-/// requests) are cancelled lazily: they pop, find no live state, and
-/// are dropped — cheaper and simpler than heap surgery.
+/// The events the loop schedules. Each names its request by id *and*
+/// by the slab slot holding the request's state. Stale events (for
+/// already-resolved requests) are cancelled lazily: they pop, find
+/// their slot freed or holding a later request, and are dropped —
+/// cheaper and simpler than queue surgery.
 #[derive(Debug)]
 enum Event {
     /// Request `req` arrives at the front door.
@@ -358,24 +369,32 @@ enum Event {
     /// An attempt's planned response lands.
     AttemptDone {
         req: u64,
+        slot: u32,
         attempt: u32,
         provider: u32,
         ok: bool,
         latency_ns: u64,
-        /// The HalfOpen probe slot the dispatch reserved, if any —
-        /// must be released even when the event pops stale.
+        /// The HalfOpen probe the dispatch reserved, if any — must be
+        /// released even when the event pops stale.
         probe: ProbeToken,
     },
     /// The hedge delay elapsed with no response yet.
-    HedgeTimer { req: u64 },
+    HedgeTimer { req: u64, slot: u32 },
     /// A failover backoff pause ended.
-    RetryTimer { req: u64 },
+    RetryTimer { req: u64, slot: u32 },
     /// The request's deadline budget ran out.
-    Deadline { req: u64 },
+    Deadline { req: u64, slot: u32 },
 }
 
-/// Live per-request state (dropped at resolution).
+/// The id of a slab slot that holds no request. Request ids are below
+/// [`Workload::requests`], so no event or queue entry ever matches it.
+const FREE: u64 = u64::MAX;
+
+/// Live per-request state: one slab slot, taken at arrival and freed at
+/// resolution.
 struct ReqState {
+    /// The request this slot holds, or [`FREE`].
+    id: u64,
     arrival_ns: u64,
     start_ns: Option<u64>,
     attempts_started: u32,
@@ -451,6 +470,9 @@ impl ServiceRuntime {
                 .collect(),
             None => Vec::new(),
         };
+        // The slice owns ids `first, first + step, ...` below `requests`,
+        // and each resolves to exactly one ledger record.
+        let owned = workload.requests.saturating_sub(first).div_ceil(step);
         let mut sim = Sim {
             providers: &self.providers,
             config: &self.config,
@@ -459,14 +481,13 @@ impl ServiceRuntime {
             arrivals,
             step,
             events: EventQueue::new(),
-            states: HashMap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
             waiting: VecDeque::new(),
             in_flight: 0,
             breakers,
             report: RuntimeReport {
-                ledger: Vec::with_capacity(
-                    usize::try_from(workload.requests / step.max(1)).unwrap_or(0),
-                ),
+                ledger: Vec::with_capacity(usize::try_from(owned).unwrap_or(0)),
                 ..RuntimeReport::default()
             },
         };
@@ -480,7 +501,11 @@ impl ServiceRuntime {
             sim.handle(now, event);
         }
         sim.report.makespan_ns = sim.events.now();
-        debug_assert!(sim.states.is_empty(), "every request must resolve");
+        debug_assert_eq!(
+            sim.free.len(),
+            sim.slots.len(),
+            "every request must resolve"
+        );
         for breaker in &sim.breakers {
             sim.report.breaker_opens += breaker.opens();
         }
@@ -505,8 +530,12 @@ struct Sim<'a> {
     /// `req + step`.
     step: u64,
     events: EventQueue<Event>,
-    states: HashMap<u64, ReqState>,
-    waiting: VecDeque<u64>,
+    /// The slab of live (admitted or queued) requests; see the module
+    /// docs for how `(req, slot)` pairs match it.
+    slots: Vec<ReqState>,
+    /// Freed slots, reused last-freed first.
+    free: Vec<u32>,
+    waiting: VecDeque<(u64, u32)>,
     in_flight: usize,
     /// One breaker per provider when enabled, empty otherwise.
     breakers: Vec<CircuitBreaker>,
@@ -543,20 +572,37 @@ impl Sim<'_> {
         self.breakers.iter_mut().any(|b| b.admits(now))
     }
 
+    /// Whether `slot` still holds request `req`.
+    fn is_live(&self, req: u64, slot: u32) -> bool {
+        self.slots[slot as usize].id == req
+    }
+
+    /// Stores `state` in a free slot, growing the slab only when none is.
+    fn occupy(&mut self, state: ReqState) -> u32 {
+        if let Some(slot) = self.free.pop() {
+            self.slots[slot as usize] = state;
+            return slot;
+        }
+        let slot = u32::try_from(self.slots.len()).expect("live requests fit a u32 slot index");
+        self.slots.push(state);
+        slot
+    }
+
     fn handle(&mut self, now: u64, event: Event) {
         match event {
             Event::Arrival { req } => self.on_arrival(now, req),
             Event::AttemptDone {
                 req,
+                slot,
                 attempt,
                 provider,
                 ok,
                 latency_ns,
                 probe,
-            } => self.on_attempt_done(now, req, attempt, provider, ok, latency_ns, probe),
-            Event::HedgeTimer { req } => self.on_hedge_timer(now, req),
-            Event::RetryTimer { req } => self.on_retry_timer(now, req),
-            Event::Deadline { req } => self.on_deadline(now, req),
+            } => self.on_attempt_done(now, req, slot, attempt, provider, ok, latency_ns, probe),
+            Event::HedgeTimer { req, slot } => self.on_hedge_timer(now, req, slot),
+            Event::RetryTimer { req, slot } => self.on_retry_timer(now, req, slot),
+            Event::Deadline { req, slot } => self.on_deadline(now, req, slot),
         }
     }
 
@@ -599,46 +645,44 @@ impl Sim<'_> {
             self.shed_at_arrival(now, req);
             return;
         }
-        self.states.insert(
-            req,
-            ReqState {
-                arrival_ns: now,
-                start_ns: None,
-                attempts_started: 0,
-                outstanding: 0,
-                next_provider: self.initial_provider(req),
-                rng: self.request_rng(req),
-            },
-        );
+        let slot = self.occupy(ReqState {
+            id: req,
+            arrival_ns: now,
+            start_ns: None,
+            attempts_started: 0,
+            outstanding: 0,
+            next_provider: self.initial_provider(req),
+            rng: self.request_rng(req),
+        });
         // The deadline budget starts at arrival, so queue time counts
         // against it: a request that waited has less execution runway
         // left once admitted.
         if self.config.deadline_ns > 0 {
             self.events.schedule(
                 now.saturating_add(self.config.deadline_ns),
-                Event::Deadline { req },
+                Event::Deadline { req, slot },
             );
         }
         if self.in_flight < self.config.max_in_flight {
-            self.start_execution(now, req);
+            self.start_execution(now, slot);
         } else {
-            self.waiting.push_back(req);
+            self.waiting.push_back((req, slot));
             telemetry::add(Counter::ServiceEnqueued, 1);
             telemetry::observe_ns(Timer::ServiceQueueDepth, self.waiting.len() as u64);
             self.report.peak_queue_depth = self.report.peak_queue_depth.max(self.waiting.len());
         }
     }
 
-    fn start_execution(&mut self, now: u64, req: u64) {
+    /// Admits the live request in `slot` into execution.
+    fn start_execution(&mut self, now: u64, slot: u32) {
         telemetry::add(Counter::ServiceAdmitted, 1);
         self.in_flight += 1;
         self.report.peak_in_flight = self.report.peak_in_flight.max(self.in_flight);
-        let state = self.states.get_mut(&req).expect("starting a live request");
-        state.start_ns = Some(now);
-        if !self.dispatch_attempt(now, req) {
+        self.slots[slot as usize].start_ns = Some(now);
+        if !self.dispatch_attempt(now, slot) {
             // Breakers closed every door between arrival and admission
             // (possible after a queue wait): fail fast.
-            self.resolve(now, req, RequestOutcome::Failed);
+            self.resolve(now, slot, RequestOutcome::Failed);
             return;
         }
         if let RequestPolicy::Hedged {
@@ -647,24 +691,24 @@ impl Sim<'_> {
         } = self.config.policy
         {
             if max_hedges > 0 {
-                self.events
-                    .schedule(now.saturating_add(delay_ns), Event::HedgeTimer { req });
+                let req = self.slots[slot as usize].id;
+                self.events.schedule(
+                    now.saturating_add(delay_ns),
+                    Event::HedgeTimer { req, slot },
+                );
             }
         }
     }
 
-    /// Dispatches the next attempt of `req` to the first provider in
-    /// its rotation whose breaker admits it, skipping Open ones.
-    /// Returns `false` — dispatching nothing — when every provider's
-    /// circuit refuses; the caller decides what that means for the
-    /// request (fail fast, skip the hedge, charge the failover pause).
-    fn dispatch_attempt(&mut self, now: u64, req: u64) -> bool {
+    /// Dispatches the next attempt of the live request in `slot` to the
+    /// first provider in its rotation whose breaker admits it, skipping
+    /// Open ones. Returns `false` — dispatching nothing — when every
+    /// provider's circuit refuses; the caller decides what that means
+    /// for the request (fail fast, skip the hedge, charge the failover
+    /// pause).
+    fn dispatch_attempt(&mut self, now: u64, slot: u32) -> bool {
         let provider_count = self.providers.len();
-        let state = self
-            .states
-            .get_mut(&req)
-            .expect("dispatch on a live request");
-        let rotation = state.next_provider;
+        let rotation = self.slots[slot as usize].next_provider;
         let mut chosen = None;
         if self.breakers.is_empty() {
             chosen = Some(rotation % provider_count);
@@ -686,10 +730,8 @@ impl Sim<'_> {
         let Some(provider_idx) = chosen else {
             return false;
         };
-        let state = self
-            .states
-            .get_mut(&req)
-            .expect("dispatch on a live request");
+        let state = &mut self.slots[slot as usize];
+        let req = state.id;
         let attempt = state.attempts_started;
         state.attempts_started += 1;
         state.outstanding += 1;
@@ -710,6 +752,7 @@ impl Sim<'_> {
             now.saturating_add(latency_ns),
             Event::AttemptDone {
                 req,
+                slot,
                 attempt,
                 provider: u32::try_from(provider_idx).unwrap_or(u32::MAX),
                 ok: result.is_ok(),
@@ -725,6 +768,7 @@ impl Sim<'_> {
         &mut self,
         now: u64,
         req: u64,
+        slot: u32,
         attempt: u32,
         provider: u32,
         ok: bool,
@@ -732,7 +776,7 @@ impl Sim<'_> {
         probe: ProbeToken,
     ) {
         let breaker_idx = usize::try_from(provider).unwrap_or(usize::MAX);
-        if !self.states.contains_key(&req) {
+        if !self.is_live(req, slot) {
             // Stale: the request resolved (hedge win, deadline) while
             // this attempt flew. A cancelled call produces no response
             // to profile — but it must still release any HalfOpen probe
@@ -752,34 +796,34 @@ impl Sim<'_> {
             telemetry::add(Counter::ServiceAttemptsFailed, 1);
             self.report.attempts_failed += 1;
         }
-        let state = self.states.get_mut(&req).expect("live request");
+        let state = &mut self.slots[slot as usize];
         state.outstanding -= 1;
+        let (outstanding, attempts_started) = (state.outstanding, state.attempts_started);
         if ok {
             let hedged = matches!(self.config.policy, RequestPolicy::Hedged { .. });
             if hedged && attempt > 0 {
                 telemetry::add(Counter::ServiceHedgesWon, 1);
                 self.report.hedges_won += 1;
             }
-            let cancelled = u64::from(state.outstanding);
+            let cancelled = u64::from(outstanding);
             if hedged && cancelled > 0 {
                 telemetry::add(Counter::ServiceHedgesCancelled, cancelled);
                 self.report.hedges_cancelled += cancelled;
             }
-            self.resolve(now, req, RequestOutcome::Ok { attempt, provider });
+            self.resolve(now, slot, RequestOutcome::Ok { attempt, provider });
             return;
         }
         match self.config.policy {
             RequestPolicy::Single => {
-                if self.states[&req].outstanding == 0 {
-                    self.resolve(now, req, RequestOutcome::Failed);
+                if outstanding == 0 {
+                    self.resolve(now, slot, RequestOutcome::Failed);
                 }
             }
             RequestPolicy::Hedged { max_hedges, .. } => {
-                let state = &self.states[&req];
-                if state.outstanding > 0 {
+                if outstanding > 0 {
                     return; // A sibling is still flying; let it race.
                 }
-                if state.attempts_started < 1 + max_hedges && self.dispatch_attempt(now, req) {
+                if attempts_started < 1 + max_hedges && self.dispatch_attempt(now, slot) {
                     // Fail-fast hedge: no point waiting for the timer
                     // when we already know the attempt died.
                     telemetry::add(Counter::ServiceHedgesFired, 1);
@@ -787,27 +831,26 @@ impl Sim<'_> {
                 } else {
                     // Attempt budget spent — or nothing left flying and
                     // every breaker refused a replacement.
-                    self.resolve(now, req, RequestOutcome::Failed);
+                    self.resolve(now, slot, RequestOutcome::Failed);
                 }
             }
             RequestPolicy::Failover {
                 max_attempts,
                 backoff,
             } => {
-                let state = &self.states[&req];
-                if state.attempts_started < max_attempts.max(1) {
-                    let pause = backoff.delay_ns(state.attempts_started);
+                if attempts_started < max_attempts.max(1) {
+                    let pause = backoff.delay_ns(attempts_started);
                     self.events
-                        .schedule(now.saturating_add(pause), Event::RetryTimer { req });
-                } else if state.outstanding == 0 {
-                    self.resolve(now, req, RequestOutcome::Failed);
+                        .schedule(now.saturating_add(pause), Event::RetryTimer { req, slot });
+                } else if outstanding == 0 {
+                    self.resolve(now, slot, RequestOutcome::Failed);
                 }
             }
         }
     }
 
-    fn on_hedge_timer(&mut self, now: u64, req: u64) {
-        if !self.states.contains_key(&req) {
+    fn on_hedge_timer(&mut self, now: u64, req: u64, slot: u32) {
+        if !self.is_live(req, slot) {
             return; // Resolved before the hedge delay elapsed: no hedge needed.
         }
         let RequestPolicy::Hedged {
@@ -817,30 +860,34 @@ impl Sim<'_> {
         else {
             return;
         };
-        if self.states[&req].attempts_started > max_hedges {
+        if self.slots[slot as usize].attempts_started > max_hedges {
             return;
         }
         // A hedge never targets an Open provider: when every circuit
         // refuses, skip this tick (the primary is still flying) and let
         // a later tick retry once a cooldown elapses.
-        let dispatched = self.dispatch_attempt(now, req);
+        let dispatched = self.dispatch_attempt(now, slot);
         if dispatched {
             telemetry::add(Counter::ServiceHedgesFired, 1);
             self.report.hedges_fired += 1;
         }
         // Re-arm while budget remains; a skipped tick re-arms only with
         // a positive delay (a zero-delay timer would spin in place).
-        if self.states[&req].attempts_started < 1 + max_hedges && (dispatched || delay_ns > 0) {
-            self.events
-                .schedule(now.saturating_add(delay_ns), Event::HedgeTimer { req });
+        if self.slots[slot as usize].attempts_started < 1 + max_hedges
+            && (dispatched || delay_ns > 0)
+        {
+            self.events.schedule(
+                now.saturating_add(delay_ns),
+                Event::HedgeTimer { req, slot },
+            );
         }
     }
 
-    fn on_retry_timer(&mut self, now: u64, req: u64) {
-        if !self.states.contains_key(&req) {
+    fn on_retry_timer(&mut self, now: u64, req: u64, slot: u32) {
+        if !self.is_live(req, slot) {
             return; // Deadline beat the backoff pause.
         }
-        if self.dispatch_attempt(now, req) {
+        if self.dispatch_attempt(now, slot) {
             telemetry::add(Counter::ServiceFailovers, 1);
             self.report.failovers += 1;
             return;
@@ -856,32 +903,38 @@ impl Sim<'_> {
         else {
             return;
         };
-        let state = self.states.get_mut(&req).expect("live request");
+        let state = &mut self.slots[slot as usize];
         state.attempts_started += 1;
         if state.attempts_started < max_attempts.max(1) {
             let pause = backoff.delay_ns(state.attempts_started);
             self.events
-                .schedule(now.saturating_add(pause), Event::RetryTimer { req });
+                .schedule(now.saturating_add(pause), Event::RetryTimer { req, slot });
         } else if state.outstanding == 0 {
-            self.resolve(now, req, RequestOutcome::Failed);
+            self.resolve(now, slot, RequestOutcome::Failed);
         }
     }
 
-    fn on_deadline(&mut self, now: u64, req: u64) {
-        let Some(state) = self.states.get(&req) else {
+    fn on_deadline(&mut self, now: u64, req: u64, slot: u32) {
+        if !self.is_live(req, slot) {
             return; // Resolved in time; the deadline is moot.
-        };
-        if matches!(self.config.policy, RequestPolicy::Hedged { .. }) && state.outstanding > 0 {
-            let cancelled = u64::from(state.outstanding);
+        }
+        let outstanding = self.slots[slot as usize].outstanding;
+        if matches!(self.config.policy, RequestPolicy::Hedged { .. }) && outstanding > 0 {
+            let cancelled = u64::from(outstanding);
             telemetry::add(Counter::ServiceHedgesCancelled, cancelled);
             self.report.hedges_cancelled += cancelled;
         }
-        self.resolve(now, req, RequestOutcome::DeadlineExceeded);
+        self.resolve(now, slot, RequestOutcome::DeadlineExceeded);
     }
 
-    /// Terminal bookkeeping: ledger, telemetry, slot release, dequeue.
-    fn resolve(&mut self, now: u64, req: u64, outcome: RequestOutcome) {
-        let state = self.states.remove(&req).expect("resolving a live request");
+    /// Terminal bookkeeping for the live request in `slot`: ledger,
+    /// telemetry, slot and admission release, dequeue.
+    fn resolve(&mut self, now: u64, slot: u32, outcome: RequestOutcome) {
+        let state = &mut self.slots[slot as usize];
+        let req = std::mem::replace(&mut state.id, FREE);
+        let (arrival_ns, start_ns, attempts) =
+            (state.arrival_ns, state.start_ns, state.attempts_started);
+        self.free.push(slot);
         let (counter, tally) = match outcome {
             RequestOutcome::Ok { .. } => (Counter::ServiceOk, &mut self.report.ok),
             RequestOutcome::Failed => (Counter::ServiceFailed, &mut self.report.failed),
@@ -893,32 +946,32 @@ impl Sim<'_> {
         };
         telemetry::add(counter, 1);
         *tally += 1;
-        telemetry::observe_ns(Timer::ServiceLatencyNs, now - state.arrival_ns);
-        if let Some(start) = state.start_ns {
-            telemetry::observe_ns(Timer::ServiceQueueWaitNs, start - state.arrival_ns);
+        telemetry::observe_ns(Timer::ServiceLatencyNs, now - arrival_ns);
+        if let Some(start) = start_ns {
+            telemetry::observe_ns(Timer::ServiceQueueWaitNs, start - arrival_ns);
         }
         self.report.ledger.push(RequestRecord {
             id: req,
-            arrival_ns: state.arrival_ns,
-            start_ns: state.start_ns,
+            arrival_ns,
+            start_ns,
             end_ns: now,
-            attempts: state.attempts_started,
+            attempts,
             outcome,
         });
-        if state.start_ns.is_some() {
+        if start_ns.is_some() {
             // An executing request frees its admission slot; pull the
             // next waiter (skipping any that died of deadline in line —
             // their queue entries are cancelled lazily, like events).
             self.in_flight -= 1;
             while self.in_flight < self.config.max_in_flight {
-                let Some(next) = self.waiting.pop_front() else {
+                let Some((next, next_slot)) = self.waiting.pop_front() else {
                     break;
                 };
-                if !self.states.contains_key(&next) {
+                if !self.is_live(next, next_slot) {
                     continue;
                 }
                 telemetry::add(Counter::ServiceDequeued, 1);
-                self.start_execution(now, next);
+                self.start_execution(now, next_slot);
             }
         } else {
             // Died while queued: it logically left the queue now.
@@ -1228,6 +1281,27 @@ mod tests {
         let report = rt.run(&load, 6);
         assert_eq!(report.ok, 200_000);
         assert!(report.peak_in_flight > 1_000, "true concurrency reached");
+    }
+
+    #[test]
+    fn slice_ledgers_reserve_exactly_the_ids_they_own() {
+        // Slice `first` of `step` owns ⌈(requests − first) / step⌉ ids,
+        // not requests / step: 2 000 over 3 gives slice 0 667 of them.
+        let rt = runtime(RequestPolicy::Single, vec![provider("p", 0.0, 500)]);
+        for (requests, step) in [(2_000, 3), (10, 4), (7, 8), (1, 2)] {
+            let load = workload(requests);
+            let arrivals = load.arrival.arrival_times(requests, 5);
+            for first in 0..step {
+                let report = rt.run_slice(&load, 5, &arrivals, first, step);
+                let owned = (first..requests).step_by(step as usize).count();
+                assert_eq!(report.ledger.len(), owned);
+                assert_eq!(
+                    report.ledger.capacity(),
+                    owned,
+                    "slice {first} of {step} over {requests} requests"
+                );
+            }
+        }
     }
 
     #[test]

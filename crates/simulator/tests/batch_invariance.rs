@@ -35,7 +35,7 @@ fn nvp_trial(ctx: &mut ExecContext, _seed: u64, _i: usize) -> TrialOutcome {
                     return Err(VariantFailure::crash("injected"));
                 }
                 // Mostly agreeing outputs with occasional silent deviation.
-                Ok(x * 10 + u64::from(draw % 17 == 0))
+                Ok(x * 10 + u64::from(draw.is_multiple_of(17)))
             },
         ))
     };
