@@ -4,7 +4,7 @@
 
 CARGO ?= cargo
 
-.PHONY: verify fmt clippy test build bench bench-campaign bench-services bench-smoke chaos-smoke monitor-smoke services-smoke services-shard-smoke examples experiments-check perfbench-check perfbench-smoke
+.PHONY: verify fmt clippy test test-release build bench bench-campaign bench-services bench-smoke chaos-smoke monitor-smoke services-smoke services-shard-smoke examples experiments-check perfbench-check perfbench-smoke
 
 verify: fmt clippy test
 
@@ -16,6 +16,13 @@ clippy:
 
 test:
 	$(CARGO) test -q --workspace
+
+# The concurrency-sensitive suites again, optimized: the worker arena's
+# cross-thread splice, the streaming merger's window and the worker
+# pool's help-drain interleave differently at release speed than in a
+# debug build.
+test-release:
+	$(CARGO) test --release -q -p redundancy-obs -p redundancy-sim
 
 build:
 	$(CARGO) build --release

@@ -338,9 +338,9 @@ impl ExecContext {
             // The child shares the observer and span-id allocator and
             // inherits the parent's current span, so spans it opens nest
             // correctly. A *disabled* handle is dropped instead of cloned:
-            // it could never record anything, and the two Arc refcount
-            // bumps per fork would be the only observability cost left on
-            // the untraced hot path. The fork counter and rng above are
+            // it could never record anything, and the Arc refcount bump
+            // per fork would be the only observability cost left on the
+            // untraced hot path. The fork counter and rng above are
             // computed identically whether or not an observer is attached.
             obs: self.obs.as_ref().filter(|h| h.enabled()).cloned(),
             // Children inherit the token so nested patterns stop too; the

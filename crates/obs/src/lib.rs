@@ -23,9 +23,11 @@
 //! - **Bounded capture.** [`RingBufferObserver`] keeps the most recent N
 //!   events and counts what it dropped; exporters tolerate truncation.
 //! - **Sharded capture.** Parallel campaigns record each trial into its
-//!   own [`CollectorObserver`] shard; [`merge_shards`] stitches the
-//!   shards back together in trial order, renumbering span ids so the
-//!   merged stream is bit-for-bit identical to a serial recording.
+//!   worker thread's arena ([`with_worker_arena`]), without a lock on
+//!   that thread; [`StreamingMerger`] stitches the trials back together
+//!   in trial order, renumbering span ids so the merged stream is
+//!   bit-for-bit identical to a serial recording ([`merge_shards`] is
+//!   the batch form).
 //! - **Lock-free telemetry.** The [`telemetry`] module keeps per-thread
 //!   shards of relaxed atomic counters and latency histograms, gated on
 //!   one process-wide flag and aggregated only on demand — the data
@@ -87,8 +89,7 @@ pub use observer::{
     FanoutObserver, NoopObserver, ObsHandle, Observer, RingBufferObserver, SpanToken,
 };
 pub use shard::{
-    forward_renumbered, forward_renumbered_drain, merge_shards, renumber_in_place,
-    with_worker_arena, with_worker_shard, CollectorObserver, ShardPool, StreamingMerger,
-    WorkerArena,
+    forward_renumbered, merge_shards, renumber_in_place, with_worker_arena, CollectorObserver,
+    StreamingMerger, WorkerArena,
 };
 pub use telemetry::{Telemetry, TelemetryShard, TelemetrySnapshot};

@@ -30,6 +30,18 @@ pub trait Observer: Send + Sync {
 
     /// Records one event. The observer assigns the event's global `seq`.
     fn record(&self, event: Event);
+
+    /// Records `events` in order, with exactly the effect of calling
+    /// [`record`](Self::record) on each of them in turn: the same `seq`
+    /// values, the same retained events, the same drop counts. The
+    /// default does just that; sinks override it to pay their locking
+    /// once per batch instead of once per event. The campaign engine's
+    /// merge hands every sink one batch per trial.
+    fn record_batch(&self, events: &[Event]) {
+        for &event in events {
+            self.record(event);
+        }
+    }
 }
 
 /// The default observer: discards everything and reports itself disabled,
@@ -72,7 +84,6 @@ impl Observer for NoopObserver {
 /// assert_eq!(events[0].seq, 1); // seq 0 was evicted
 /// ```
 pub struct RingBufferObserver {
-    seq: AtomicU64,
     capacity: usize,
     inner: Mutex<Ring>,
 }
@@ -80,6 +91,9 @@ pub struct RingBufferObserver {
 struct Ring {
     buf: VecDeque<Event>,
     dropped: u64,
+    /// The `seq` of the next recorded event. Assigned under the lock, so
+    /// concurrent recorders store their events in `seq` order.
+    seq: u64,
 }
 
 impl RingBufferObserver {
@@ -92,11 +106,11 @@ impl RingBufferObserver {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "ring buffer capacity must be positive");
         RingBufferObserver {
-            seq: AtomicU64::new(0),
             capacity,
             inner: Mutex::new(Ring {
                 buf: VecDeque::with_capacity(capacity),
                 dropped: 0,
+                seq: 0,
             }),
         }
     }
@@ -170,13 +184,34 @@ impl RingBufferObserver {
 
 impl Observer for RingBufferObserver {
     fn record(&self, mut event: Event) {
-        event.seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let mut inner = self.lock();
+        event.seq = inner.seq;
+        inner.seq += 1;
         if inner.buf.len() == self.capacity {
             inner.buf.pop_front();
             inner.dropped += 1;
         }
         inner.buf.push_back(event);
+    }
+
+    /// One lock and one `seq` range for the whole batch. Only the newest
+    /// `capacity` events of a batch can survive it: the ones before them
+    /// are numbered and counted as dropped without being stored, and the
+    /// oldest retained events are evicted in one bulk drain.
+    fn record_batch(&self, events: &[Event]) {
+        let mut inner = self.lock();
+        let skipped = events.len().saturating_sub(self.capacity);
+        let kept = &events[skipped..];
+        let evicted = (inner.buf.len() + kept.len()).saturating_sub(self.capacity);
+        inner.buf.drain(..evicted);
+        inner.dropped += (skipped + evicted) as u64;
+        let first = inner.seq + skipped as u64;
+        inner.seq += events.len() as u64;
+        inner.buf.extend(
+            kept.iter()
+                .zip(first..)
+                .map(|(&event, seq)| Event { seq, ..event }),
+        );
     }
 }
 
@@ -216,6 +251,13 @@ impl Observer for FanoutObserver {
         }
         current.record(event);
     }
+
+    /// Every enabled sink gets the same borrowed batch: nothing is copied.
+    fn record_batch(&self, events: &[Event]) {
+        for sink in self.sinks.iter().filter(|s| s.enabled()) {
+            sink.record_batch(events);
+        }
+    }
 }
 
 /// The instrumentation handle carried by execution contexts: an observer,
@@ -223,13 +265,29 @@ impl Observer for FanoutObserver {
 ///
 /// Cloning (for forked contexts) shares the allocator and observer; the
 /// clone inherits the current span, so spans opened by a child are
-/// parented under the span the parent was in at fork time.
+/// parented under the span the parent was in at fork time. Observer and
+/// allocator sit behind one `Arc`, so a clone costs one refcount bump.
 #[derive(Clone)]
 pub struct ObsHandle {
-    observer: Arc<dyn Observer>,
-    ids: Arc<AtomicU64>,
+    shared: Arc<HandleShared>,
     current: SpanId,
     enabled: bool,
+}
+
+/// What every clone of one [`ObsHandle`] shares.
+struct HandleShared {
+    observer: Arc<dyn Observer>,
+    /// The next span id to hand out.
+    ids: AtomicU64,
+}
+
+impl HandleShared {
+    fn new(observer: Arc<dyn Observer>) -> Arc<Self> {
+        Arc::new(HandleShared {
+            observer,
+            ids: AtomicU64::new(1),
+        })
+    }
 }
 
 /// Token returned by [`ObsHandle::begin_span`]; hand it back to
@@ -247,29 +305,27 @@ impl ObsHandle {
     pub fn new(observer: Arc<dyn Observer>) -> Self {
         let enabled = observer.enabled();
         ObsHandle {
-            observer,
-            ids: Arc::new(AtomicU64::new(1)),
+            shared: HandleShared::new(observer),
             current: ROOT_SPAN,
             enabled,
         }
     }
 
-    /// Wraps an observer reusing a caller-pooled span-id allocator. The
-    /// counter is reset to 1, so span numbering matches a fresh handle,
-    /// but the `Arc` itself is recycled — per-trial handle construction
-    /// on the traced campaign path stays allocation-free.
-    ///
-    /// The caller must not share `ids` with a handle that is still live:
-    /// the reset would make span ids collide.
-    #[must_use]
-    pub fn with_id_allocator(observer: Arc<dyn Observer>, ids: Arc<AtomicU64>) -> Self {
-        let enabled = observer.enabled();
-        ids.store(1, Ordering::Relaxed);
+    /// A handle numbered like a fresh [`new`](Self::new) one — span ids
+    /// from 1, the root span current — on this handle's observer. When no
+    /// clone of this handle is alive, its allocation is reused and its
+    /// allocator reset in place, so a pooled handle restarts per trial
+    /// without allocating; otherwise a new allocator is made, and a live
+    /// clone never sees its ids reused.
+    pub(crate) fn restart(&mut self) -> ObsHandle {
+        match Arc::get_mut(&mut self.shared) {
+            Some(shared) => *shared.ids.get_mut() = 1,
+            None => self.shared = HandleShared::new(Arc::clone(&self.shared.observer)),
+        }
         ObsHandle {
-            observer,
-            ids,
+            shared: Arc::clone(&self.shared),
             current: ROOT_SPAN,
-            enabled,
+            enabled: self.enabled,
         }
     }
 
@@ -282,7 +338,7 @@ impl ObsHandle {
     /// The observer this handle feeds.
     #[must_use]
     pub fn observer(&self) -> &Arc<dyn Observer> {
-        &self.observer
+        &self.shared.observer
     }
 
     /// The span new events are attributed to.
@@ -299,12 +355,12 @@ impl ObsHandle {
                 previous: ROOT_SPAN,
             };
         }
-        let span = self.ids.fetch_add(1, Ordering::Relaxed);
+        let span = self.shared.ids.fetch_add(1, Ordering::Relaxed);
         let token = SpanToken {
             span,
             previous: self.current,
         };
-        self.observer.record(Event {
+        self.shared.observer.record(Event {
             seq: 0,
             span,
             parent: self.current,
@@ -327,7 +383,7 @@ impl ObsHandle {
         if !self.enabled {
             return;
         }
-        self.observer.record(Event {
+        self.shared.observer.record(Event {
             seq: 0,
             span: token.span,
             parent: token.previous,
@@ -343,7 +399,7 @@ impl ObsHandle {
         if !self.enabled {
             return;
         }
-        self.observer.record(Event {
+        self.shared.observer.record(Event {
             seq: 0,
             span: self.current,
             parent: self.current,
@@ -519,16 +575,139 @@ mod tests {
     }
 
     #[test]
-    fn pooled_id_allocator_matches_fresh_handle_numbering() {
+    fn restarted_handles_number_spans_from_one() {
         let ring = RingBufferObserver::shared(64);
-        let ids = Arc::new(AtomicU64::new(77));
-        let mut handle = ObsHandle::with_id_allocator(ring.clone(), Arc::clone(&ids));
-        let span = handle.begin_span(0, || SpanKind::Scope { name: "s" });
-        handle.end_span(span, 1, SpanStatus::Ok, CostSnapshot::ZERO);
-        // The recycled counter was reset, so the first span id is 1 —
-        // exactly what ObsHandle::new would have produced.
-        assert_eq!(ring.events()[0].span, 1);
-        assert_eq!(ids.load(Ordering::Relaxed), 2);
+        let mut pooled = ObsHandle::new(ring.clone());
+        let record_span = |handle: &mut ObsHandle| {
+            let span = handle.begin_span(0, || SpanKind::Scope { name: "s" });
+            handle.end_span(span, 1, SpanStatus::Ok, CostSnapshot::ZERO);
+        };
+        let mut first = pooled.restart();
+        record_span(&mut first);
+        record_span(&mut first);
+        drop(first);
+        // No clone is alive: the pooled allocation is reused, its
+        // allocator reset to 1 — what a fresh handle would number.
+        let before = Arc::as_ptr(&pooled.shared);
+        let mut second = pooled.restart();
+        assert_eq!(Arc::as_ptr(&second.shared), before);
+        record_span(&mut second);
+        // A clone is still alive: restarting must not reset the ids it
+        // is still allocating from.
+        let mut third = pooled.restart();
+        assert_ne!(Arc::as_ptr(&third.shared), before);
+        record_span(&mut third);
+        record_span(&mut second);
+        let spans: Vec<_> = ring.events().iter().step_by(2).map(|e| e.span).collect();
+        assert_eq!(spans, vec![1, 2, 1, 1, 2]);
+    }
+
+    /// Splitmix steps: a deterministic source of batch sizes.
+    fn mix(x: u64) -> u64 {
+        let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Batches of 0–20 events, sized from `seed`.
+    fn batches(seed: u64) -> Vec<Vec<Event>> {
+        let mut clock = 0;
+        (0..12)
+            .map(|b| {
+                let len = mix(seed ^ b) % 21;
+                (0..len)
+                    .map(|_| {
+                        clock += 1;
+                        tick(clock)
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn ring_record_batch_equals_a_record_loop() {
+        for capacity in 1..=8 {
+            for seed in 0..16 {
+                let batched = RingBufferObserver::new(capacity);
+                let looped = RingBufferObserver::new(capacity);
+                for batch in batches(seed) {
+                    batched.record_batch(&batch);
+                    for &event in &batch {
+                        looped.record(event);
+                    }
+                    let cell = format!("capacity {capacity}, seed {seed}");
+                    assert_eq!(batched.events(), looped.events(), "{cell}");
+                    assert_eq!(batched.dropped(), looped.dropped(), "{cell}");
+                }
+                // The next seq continues from the same place.
+                batched.record(tick(0));
+                looped.record(tick(0));
+                assert_eq!(batched.events(), looped.events());
+            }
+        }
+    }
+
+    #[test]
+    fn fanout_record_batch_equals_a_record_loop() {
+        let disabled = || Arc::new(NoopObserver) as Arc<dyn Observer>;
+        for slot in 0..3 {
+            let rings: Vec<_> = (0..4).map(|_| RingBufferObserver::shared(6)).collect();
+            let fanout = |rings: &[Arc<RingBufferObserver>]| {
+                let mut sinks: Vec<Arc<dyn Observer>> = rings
+                    .iter()
+                    .map(|ring| Arc::clone(ring) as Arc<dyn Observer>)
+                    .collect();
+                // The disabled sink goes first, in the middle, or last.
+                sinks.insert(slot, disabled());
+                FanoutObserver::new(sinks)
+            };
+            let (batched, looped) = (fanout(&rings[..2]), fanout(&rings[2..]));
+            for batch in batches(slot as u64) {
+                batched.record_batch(&batch);
+                for &event in &batch {
+                    looped.record(event);
+                }
+            }
+            for ring in &rings[1..] {
+                assert_eq!(ring.events(), rings[0].events(), "disabled sink at {slot}");
+                assert_eq!(
+                    ring.dropped(),
+                    rings[0].dropped(),
+                    "disabled sink at {slot}"
+                );
+            }
+            assert!(!rings[0].is_empty());
+        }
+    }
+
+    #[test]
+    fn concurrent_records_are_stored_in_seq_order() {
+        const THREADS: usize = 4;
+        const RECORDS: usize = 10_000;
+        for capacity in [1 << 16, 64] {
+            let ring = RingBufferObserver::new(capacity);
+            std::thread::scope(|scope| {
+                for _ in 0..THREADS {
+                    scope.spawn(|| {
+                        for i in 0..RECORDS {
+                            ring.record(tick(i as u64));
+                        }
+                    });
+                }
+            });
+            let total = (THREADS * RECORDS) as u64;
+            let seqs: Vec<u64> = ring.events().iter().map(|e| e.seq).collect();
+            assert!(
+                seqs.windows(2).all(|w| w[0] < w[1]),
+                "capacity {capacity}: retained events out of seq order"
+            );
+            assert_eq!(ring.len() as u64 + ring.dropped(), total);
+            // The retained events are exactly the newest seqs.
+            let newest: Vec<u64> = (total - seqs.len() as u64..total).collect();
+            assert_eq!(seqs, newest, "capacity {capacity}");
+        }
     }
 
     #[test]

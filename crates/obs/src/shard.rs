@@ -6,20 +6,29 @@
 //! worker threads without interleaving the streams of concurrent trials
 //! and allocating span ids in scheduling order — both of which destroy
 //! the deterministic-replay guarantee. Instead, every trial records into
-//! its own [`CollectorObserver`] through its own handle (span ids start
-//! at 1 per shard), and [`merge_shards`] stitches the shards together in
-//! trial order, renumbering span ids exactly as one shared allocator
-//! would have assigned them. The merged stream is therefore *bit-for-bit
+//! a shard of its own through its own handle (span ids start at 1 per
+//! shard), and [`merge_shards`] stitches the shards together in trial
+//! order, renumbering span ids exactly as one shared allocator would
+//! have assigned them. The merged stream is therefore *bit-for-bit
 //! identical* to what the serial traced run records, so every downstream
 //! consumer — `split_trials`, `TraceSummary`, exporters — works unchanged
 //! on parallel campaigns.
+//!
+//! The campaign engine's shards are per-thread [`WorkerArena`]s. The
+//! thread running a trial records its events into a thread-local buffer
+//! without a lock or an atomic read-modify-write; events from any other
+//! thread (variants run in `Threaded` mode) go to a locked side buffer,
+//! which the owner splices in before its next record. The
+//! [`StreamingMerger`] then forwards each finished trial to the sink in
+//! one [`Observer::record_batch`] call, straight from that buffer.
+//! [`CollectorObserver`] is the plain, locked shard for everything else.
 //!
 //! [`ObsHandle`]: crate::ObsHandle
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use crate::event::{Event, EventKind, ROOT_SPAN};
 use crate::observer::{ObsHandle, Observer};
@@ -68,16 +77,7 @@ impl CollectorObserver {
             .expect("collector lock is never poisoned")
     }
 
-    /// Installs `buf` (cleared) as the backing storage, dropping the
-    /// current contents. Recycling a drained shard's allocation through
-    /// here (see [`ShardPool`]) makes per-trial collection allocation-free
-    /// once buffers have warmed up.
-    pub fn install_buffer(&self, mut buf: Vec<Event>) {
-        buf.clear();
-        *self.lock() = buf;
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<Event>> {
+    fn lock(&self) -> MutexGuard<'_, Vec<Event>> {
         self.events
             .lock()
             .expect("collector lock is never poisoned")
@@ -85,11 +85,25 @@ impl CollectorObserver {
 }
 
 impl Observer for CollectorObserver {
-    fn record(&self, mut event: Event) {
-        let mut events = self.lock();
-        event.seq = events.len() as u64;
-        events.push(event);
+    fn record(&self, event: Event) {
+        push_numbered(&mut self.lock(), event);
     }
+
+    fn record_batch(&self, events: &[Event]) {
+        append_numbered(&mut self.lock(), events.iter().copied());
+    }
+}
+
+/// Appends `event` with its position as `seq`.
+fn push_numbered(events: &mut Vec<Event>, event: Event) {
+    let seq = events.len() as u64;
+    events.push(Event { seq, ..event });
+}
+
+/// Appends `more`, each event with its position as `seq`.
+fn append_numbered(events: &mut Vec<Event>, more: impl ExactSizeIterator<Item = Event>) {
+    let first = events.len() as u64;
+    events.extend(more.zip(first..).map(|(event, seq)| Event { seq, ..event }));
 }
 
 /// The number of span ids a shard's local allocator consumed: every
@@ -102,7 +116,7 @@ fn spans_allocated(events: &[Event]) -> u64 {
 }
 
 /// Renumbers one shard's span ids into the campaign-wide id space and
-/// forwards its events to `sink` in order.
+/// forwards its events to `sink` in order, as one batch.
 ///
 /// Shard-local handles allocate ids `1..=k` contiguously in span-start
 /// order (see [`ObsHandle::new`](crate::ObsHandle::new)), so the remap is
@@ -110,19 +124,9 @@ fn spans_allocated(events: &[Event]) -> u64 {
 /// exactly the ids a single shared allocator would have handed out had
 /// the shards been recorded one after another. Returns the number of ids
 /// the shard consumed so the caller can advance its allocator cursor.
-pub fn forward_renumbered(events: Vec<Event>, offset: u64, sink: &dyn Observer) -> u64 {
-    let mut events = events;
-    forward_renumbered_drain(&mut events, offset, sink)
-}
-
-/// Like [`forward_renumbered`], but drains `events` in place, leaving an
-/// empty vector whose allocation the caller can recycle (see
-/// [`ShardPool`]).
-pub fn forward_renumbered_drain(events: &mut Vec<Event>, offset: u64, sink: &dyn Observer) -> u64 {
-    let allocated = renumber_in_place(events, offset);
-    for event in events.drain(..) {
-        sink.record(event);
-    }
+pub fn forward_renumbered(mut events: Vec<Event>, offset: u64, sink: &dyn Observer) -> u64 {
+    let allocated = renumber_in_place(&mut events, offset);
+    sink.record_batch(&events);
     allocated
 }
 
@@ -157,154 +161,221 @@ pub fn merge_shards(shards: Vec<Vec<Event>>) -> Vec<Event> {
     merged.into_events()
 }
 
-/// Maximum spare buffers a [`ShardPool`] retains; beyond this, returned
-/// buffers are simply dropped (steady state never needs more spares than
-/// in-flight shards, which the streaming merge bounds).
-const SHARD_POOL_CAP: usize = 1024;
-
-/// Cap on how many events a *fresh* pool checkout pre-reserves capacity
-/// for (fresh checkouts mirror the observed high-water mark, clamped to
-/// this cap). Far above any per-trial event count the simulator
-/// produces, while still bounding a pathological trial's influence on
-/// every later checkout.
-const SHARD_PREWARM_CAP: usize = 4096;
-
-/// A free list of event buffers shared between shard producers and the
-/// merger: producers [`check_out`](ShardPool::check_out) a warmed-up
-/// buffer per trial, the merge drains it into the sink and
-/// [`check_in`](ShardPool::check_in)s the empty allocation.
+/// The observer behind a [`WorkerArena`]'s handles.
 ///
-/// Together with the per-worker collector arena ([`with_worker_shard`])
-/// this removes the per-trial buffer growth that dominated traced
-/// campaigns' allocation profile.
+/// Records made on the thread that owns the shard go to that thread's
+/// owner buffer ([`PRIMARY`]) with no lock. Every other record — from
+/// another thread, into a re-entrant arena, or while the owner buffer is
+/// borrowed — goes to `side` under its lock, and `pending` tells the
+/// owner to splice `side` in before its next record. An owner record
+/// therefore lands after every foreign record that happened before it,
+/// and each event's `seq` is its position in the shard's stream.
 #[derive(Default)]
-pub struct ShardPool {
-    spare: Mutex<Vec<Vec<Event>>>,
-    /// Largest buffer capacity ever checked back in: what "warm" means
-    /// for this pool's workload.
-    high_water: AtomicUsize,
+struct TrialShard {
+    side: Mutex<Vec<Event>>,
+    /// Whether `side` holds events not yet spliced. Written only under
+    /// `side`'s lock; the owner reads it with a plain load per record.
+    pending: AtomicBool,
 }
 
-impl ShardPool {
-    /// Creates an empty pool.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
+impl TrialShard {
+    fn lock_side(&self) -> MutexGuard<'_, Vec<Event>> {
+        self.side.lock().expect("shard side lock is never poisoned")
     }
 
-    /// Takes a spare (empty, capacity-warm) buffer. When the pool is dry
-    /// (the first checkouts of a campaign, or a burst wider than the
-    /// steady-state window) the fresh buffer is pre-reserved to the
-    /// observed high-water capacity — clamped to 4096 events — so it
-    /// does not regrow step by step through its first trial.
-    #[must_use]
-    pub fn check_out(&self) -> Vec<Event> {
-        if let Some(buf) = self
-            .spare
-            .lock()
-            .expect("shard pool lock never poisoned")
-            .pop()
-        {
-            return buf;
-        }
-        let reserve = self
-            .high_water
-            .load(Ordering::Relaxed)
-            .min(SHARD_PREWARM_CAP);
-        Vec::with_capacity(reserve)
+    fn record_locked(&self, event: Event) {
+        let mut side = self.lock_side();
+        push_numbered(&mut side, event);
+        self.pending.store(true, Ordering::Release);
     }
 
-    /// Returns a buffer's allocation to the pool (cleared).
-    pub fn check_in(&self, mut buf: Vec<Event>) {
-        self.high_water.fetch_max(buf.capacity(), Ordering::Relaxed);
-        buf.clear();
-        let mut spare = self.spare.lock().expect("shard pool lock never poisoned");
-        if spare.len() < SHARD_POOL_CAP {
-            spare.push(buf);
+    /// Moves the side buffer's events onto the end of `owned`.
+    fn splice_into(&self, owned: &mut Vec<Event>) {
+        let mut side = self.lock_side();
+        append_numbered(owned, side.drain(..));
+        self.pending.store(false, Ordering::Relaxed);
+    }
+
+    /// Splices the side buffer into `owned` if anything waits there.
+    fn catch_up(&self, owned: &mut Vec<Event>) {
+        if self.pending.load(Ordering::Acquire) {
+            self.splice_into(owned);
         }
     }
 
-    /// Number of spare buffers currently pooled.
-    #[must_use]
-    pub fn spares(&self) -> usize {
-        self.spare
-            .lock()
-            .expect("shard pool lock never poisoned")
-            .len()
+    /// Records on the owner path; `false` when this thread may not.
+    fn record_owned(&self, event: Event) -> bool {
+        PRIMARY
+            .try_with(|primary| {
+                let Ok(mut primary) = primary.try_borrow_mut() else {
+                    return false;
+                };
+                let primary = &mut *primary;
+                if !primary.owns(self) {
+                    return false;
+                }
+                self.catch_up(&mut primary.events);
+                push_numbered(&mut primary.events, event);
+                true
+            })
+            .unwrap_or(false)
     }
 }
 
-/// The per-worker-thread allocation arena for traced trials: a pooled
-/// [`CollectorObserver`] plus a pooled span-id allocator, both reused
-/// across every trial the worker runs (see [`with_worker_arena`]).
-#[derive(Clone)]
-pub struct WorkerArena {
-    collector: Arc<CollectorObserver>,
-    ids: Arc<AtomicU64>,
-}
-
-impl WorkerArena {
-    fn new() -> Self {
-        WorkerArena {
-            collector: Arc::new(CollectorObserver::new()),
-            ids: Arc::new(AtomicU64::new(1)),
+impl Observer for TrialShard {
+    fn record(&self, event: Event) {
+        if !self.record_owned(event) {
+            self.record_locked(event);
         }
     }
+}
 
-    /// The arena's collector shard.
-    #[must_use]
-    pub fn collector(&self) -> &Arc<CollectorObserver> {
-        &self.collector
+/// A thread's primary arena: the shard its trials record into, the
+/// pooled handle on it, and the owner buffer.
+struct Primary {
+    /// Created by the thread's first trial, then kept for its lifetime.
+    shard: Option<(Arc<TrialShard>, ObsHandle)>,
+    /// The running trial's events, in record order.
+    events: Vec<Event>,
+    /// Whether a trial is running on this arena. A trial that starts on
+    /// the thread meanwhile — a traced trial running a traced campaign,
+    /// or an outer trial the pool's help-drain runs while a trial waits
+    /// on a nested region — gets a re-entrant arena instead.
+    busy: bool,
+}
+
+impl Primary {
+    fn owns(&self, shard: &TrialShard) -> bool {
+        self.shard
+            .as_ref()
+            .is_some_and(|(own, _)| std::ptr::eq(&**own, shard))
     }
 
-    /// Builds a trial-local [`ObsHandle`] recording into the arena's
-    /// collector, reusing the arena's pooled id allocator (reset to 1)
-    /// instead of allocating a fresh one — the last heap allocation the
-    /// per-trial traced hot path performed. Only one handle may be live
-    /// per arena at a time; the worker-thread discipline of
-    /// [`with_worker_arena`] guarantees that.
-    #[must_use]
-    pub fn handle(&self) -> ObsHandle {
-        ObsHandle::with_id_allocator(
-            Arc::clone(&self.collector) as Arc<dyn Observer>,
-            Arc::clone(&self.ids),
-        )
+    /// Starts a trial: a handle numbering from 1, or `None` when a trial
+    /// is already running on this arena.
+    fn check_out(&mut self) -> Option<ObsHandle> {
+        if self.busy {
+            return None;
+        }
+        self.busy = true;
+        let (shard, pooled) = self.shard.get_or_insert_with(|| {
+            let shard = Arc::new(TrialShard::default());
+            let handle = ObsHandle::new(Arc::clone(&shard) as Arc<dyn Observer>);
+            (shard, handle)
+        });
+        // A panicked trial leaves its events behind; they are no part of
+        // this one.
+        self.events.clear();
+        if shard.pending.load(Ordering::Acquire) {
+            shard.lock_side().clear();
+            shard.pending.store(false, Ordering::Relaxed);
+        }
+        Some(pooled.restart())
     }
 }
 
 thread_local! {
-    /// Per-worker pooled arena (see [`with_worker_arena`]).
-    static WORKER_ARENA: RefCell<Option<WorkerArena>> = const { RefCell::new(None) };
+    /// This thread's primary arena (see [`with_worker_arena`]).
+    static PRIMARY: RefCell<Primary> = const {
+        RefCell::new(Primary {
+            shard: None,
+            events: Vec::new(),
+            busy: false,
+        })
+    };
 }
 
-/// Runs `f` with this thread's pooled [`WorkerArena`], creating it on
-/// first use and recycling it afterwards.
-///
-/// Traced parallel campaigns record every trial through a collector
-/// shard; allocating one `Arc<CollectorObserver>` (and one span-id
-/// counter) per trial showed up as pure overhead at sub-microsecond
-/// trial costs. Worker threads are persistent (see the simulator's
-/// pool), so one arena per worker amortizes that to zero. Re-entrant
-/// calls (a traced trial that itself runs a traced campaign) fall back
-/// to a fresh arena.
-pub fn with_worker_arena<R>(f: impl FnOnce(&WorkerArena) -> R) -> R {
-    let cached = WORKER_ARENA.with(|slot| slot.borrow_mut().take());
-    let arena = cached.unwrap_or_else(WorkerArena::new);
-    let result = f(&arena);
-    WORKER_ARENA.with(|slot| {
-        let mut cell = slot.borrow_mut();
-        if cell.is_none() {
-            *cell = Some(arena);
+/// One traced trial's recording arena (see [`with_worker_arena`]).
+pub struct WorkerArena {
+    handle: ObsHandle,
+    /// `None` on the thread's primary arena, whose events live in the
+    /// thread-local owner buffer; a re-entrant arena's own shard, which
+    /// every record reaches through its lock, otherwise.
+    reentrant: Option<Arc<TrialShard>>,
+}
+
+impl WorkerArena {
+    fn reentrant() -> Self {
+        let shard = Arc::new(TrialShard::default());
+        WorkerArena {
+            handle: ObsHandle::new(Arc::clone(&shard) as Arc<dyn Observer>),
+            reentrant: Some(shard),
         }
-    });
-    result
+    }
+
+    /// A handle recording into this arena: span ids from 1, the root span
+    /// current, exactly like a fresh [`ObsHandle::new`]. Clones of it
+    /// (forked contexts, `Threaded` variant threads) record here too.
+    #[must_use]
+    pub fn handle(&self) -> ObsHandle {
+        self.handle.clone()
+    }
+
+    /// Hands everything recorded so far to `merger` as trial `index`
+    /// (see [`StreamingMerger::submit`]), leaving the arena empty. On
+    /// the primary arena the merge reads the owner buffer in place, so
+    /// the buffer keeps its capacity for the thread's next trial.
+    pub fn submit(&mut self, merger: &StreamingMerger, index: usize) {
+        match &self.reentrant {
+            None => PRIMARY.with_borrow_mut(|primary| {
+                let (shard, _) = primary
+                    .shard
+                    .as_ref()
+                    .expect("a checked-out primary arena has its shard");
+                shard.catch_up(&mut primary.events);
+                merger.submit(index, &mut primary.events);
+            }),
+            Some(shard) => {
+                let mut events = std::mem::take(&mut *shard.lock_side());
+                merger.submit(index, &mut events);
+            }
+        }
+    }
 }
 
-/// Runs `f` with this thread's pooled [`CollectorObserver`] — the
-/// collector half of [`with_worker_arena`], kept for callers that manage
-/// their own handles.
-pub fn with_worker_shard<R>(f: impl FnOnce(&Arc<CollectorObserver>) -> R) -> R {
-    with_worker_arena(|arena| f(&arena.collector))
+impl Drop for WorkerArena {
+    fn drop(&mut self) {
+        if self.reentrant.is_none() {
+            // Runs on unwind too: a panicked trial frees the arena, and
+            // the next check-out clears what it left behind.
+            let _ = PRIMARY.try_with(|primary| {
+                if let Ok(mut primary) = primary.try_borrow_mut() {
+                    primary.busy = false;
+                }
+            });
+        }
+    }
+}
+
+/// Runs `f` — one traced trial — on this thread's pooled primary
+/// [`WorkerArena`], creating it on first use.
+///
+/// Worker threads are persistent (see the simulator's pool), so one
+/// arena per worker makes per-trial recording allocation-free: the
+/// handle's span-id allocator restarts in place and the owner buffer
+/// keeps its capacity. A trial that starts while another runs on this
+/// thread — a traced trial running a traced campaign, or the pool's
+/// help-drain running an outer trial while a trial waits on a nested
+/// region — gets a fresh re-entrant arena, which records through a lock
+/// and is dropped afterwards rather than replacing the primary.
+pub fn with_worker_arena<R>(f: impl FnOnce(&mut WorkerArena) -> R) -> R {
+    let handle = PRIMARY
+        .try_with(|primary| {
+            primary
+                .try_borrow_mut()
+                .ok()
+                .and_then(|mut primary| primary.check_out())
+        })
+        .ok()
+        .flatten();
+    let mut arena = match handle {
+        Some(handle) => WorkerArena {
+            handle,
+            reentrant: None,
+        },
+        None => WorkerArena::reentrant(),
+    };
+    f(&mut arena)
 }
 
 /// An observer of each trial's renumbered events at forward time
@@ -317,15 +388,15 @@ type TrialTap = Box<dyn Fn(usize, &[Event]) + Send + Sync>;
 ///
 /// The sink sees exactly the stream [`merge_shards`] would produce —
 /// submissions are renumbered and forwarded under one lock, in strict
-/// trial order — but peak memory is bounded by the *out-of-orderness* of
-/// the submitters (a window of in-flight trials), not by the campaign
-/// size. With [`with_window`](Self::with_window), submitters that run
-/// too far ahead block until the gap trial arrives, making the bound a
-/// hard guarantee; the submitter owning the gap trial can never block,
-/// so the window cannot deadlock (chunks are claimed in index order).
+/// trial order, one [`Observer::record_batch`] per trial — but peak
+/// memory is bounded by the *out-of-orderness* of the submitters (a
+/// window of in-flight trials), not by the campaign size. With
+/// [`with_window`](Self::with_window), submitters that run too far ahead
+/// block until the gap trial arrives, making the bound a hard guarantee;
+/// the submitter owning the gap trial can never block, so the window
+/// cannot deadlock (chunks are claimed in index order).
 pub struct StreamingMerger {
     sink: Arc<dyn Observer>,
-    pool: Option<Arc<ShardPool>>,
     window: Option<usize>,
     tap: Option<TrialTap>,
     state: Mutex<MergeState>,
@@ -339,6 +410,9 @@ struct MergeState {
     offset: u64,
     /// Shards submitted out of order, waiting for the gap to fill.
     pending: BTreeMap<usize, Vec<Event>>,
+    /// Emptied buffers of forwarded pending shards, handed to later
+    /// out-of-order submitters in exchange for theirs.
+    spare: Vec<Vec<Event>>,
     /// High-water mark of `pending` (including the shard being merged).
     peak_buffered: usize,
     /// Set by [`StreamingMerger::abort`]: a submitter is unwinding, so
@@ -356,26 +430,19 @@ impl StreamingMerger {
     pub fn new(sink: Arc<dyn Observer>) -> Self {
         StreamingMerger {
             sink,
-            pool: None,
             window: None,
             tap: None,
             state: Mutex::new(MergeState {
                 next: 0,
                 offset: 0,
                 pending: BTreeMap::new(),
+                spare: Vec::new(),
                 peak_buffered: 0,
                 aborted: false,
                 waiters: 0,
             }),
             advanced: Condvar::new(),
         }
-    }
-
-    /// Recycles drained shard allocations into `pool`.
-    #[must_use]
-    pub fn with_pool(mut self, pool: Arc<ShardPool>) -> Self {
-        self.pool = Some(pool);
-        self
     }
 
     /// Enforces a hard bound on buffered shards: a submission more than
@@ -435,9 +502,14 @@ impl StreamingMerger {
     /// Submits trial `index`'s shard, forwarding it (and any unblocked
     /// successors) if the merge frontier has reached it.
     ///
+    /// The frontier trial is renumbered, tapped and forwarded straight
+    /// from `events`, which is left empty with its capacity. Only an
+    /// out-of-order submission moves its events into the merger; `events`
+    /// then comes back as an empty spare buffer.
+    ///
     /// Each index must be submitted exactly once; indices must cover
     /// `0..n` by the time the campaign ends or later shards stay queued.
-    pub fn submit(&self, index: usize, events: Vec<Event>) {
+    pub fn submit(&self, index: usize, events: &mut Vec<Event>) {
         let mut state = self.state.lock().expect("merger lock never poisoned");
         if let Some(window) = self.window {
             // Too far ahead: wait for the frontier. The submitter of the
@@ -461,47 +533,55 @@ impl StreamingMerger {
             crate::telemetry::timer_stop(crate::telemetry::Timer::MergerStallNs, stalled_since);
         }
         if state.aborted {
+            events.clear();
             return;
         }
         state.peak_buffered = state.peak_buffered.max(state.pending.len() + 1);
+        if index != state.next {
+            // Nothing can be forwarded until the frontier trial arrives.
+            let spare = state
+                .spare
+                .pop()
+                .unwrap_or_else(|| Vec::with_capacity(events.len()));
+            state
+                .pending
+                .insert(index, std::mem::replace(events, spare));
+            return;
+        }
         // In-order fast path: the frontier trial's shard never touches the
         // pending map (a BTreeMap insert+remove allocates a node per trial,
         // which at jobs=1 is every trial).
-        let mut incoming = Some(events);
-        if index != state.next {
-            state
-                .pending
-                .insert(index, incoming.take().expect("just set"));
-        }
-        let mut forwarded = 0u64;
-        while let Some(mut shard) = incoming.take().or_else(|| {
+        self.forward(&mut state, events);
+        let mut forwarded = 1u64;
+        loop {
             let next = state.next;
-            state.pending.remove(&next)
-        }) {
-            let trial = state.next;
-            state.offset += renumber_in_place(&mut shard, state.offset);
-            if let Some(tap) = &self.tap {
-                tap(trial, &shard);
-            }
-            for event in shard.drain(..) {
-                self.sink.record(event);
-            }
-            state.next += 1;
+            let Some(mut shard) = state.pending.remove(&next) else {
+                break;
+            };
+            self.forward(&mut state, &mut shard);
+            state.spare.push(shard);
             forwarded += 1;
-            if let Some(pool) = &self.pool {
-                pool.check_in(shard);
-            }
         }
         // Read under the lock: a submitter that starts waiting after
         // this point re-checks the advanced frontier before it sleeps.
-        let wake = forwarded > 0 && state.waiters > 0;
+        let wake = state.waiters > 0;
         drop(state);
-        if forwarded > 0 {
-            crate::telemetry::add(crate::telemetry::Counter::MergerTrialsForwarded, forwarded);
-        }
+        crate::telemetry::add(crate::telemetry::Counter::MergerTrialsForwarded, forwarded);
         if wake {
             self.advanced.notify_all();
         }
+    }
+
+    /// Renumbers, taps and forwards the frontier trial's `events` as one
+    /// batch, leaving the buffer empty.
+    fn forward(&self, state: &mut MergeState, events: &mut Vec<Event>) {
+        state.offset += renumber_in_place(events, state.offset);
+        if let Some(tap) = &self.tap {
+            tap(state.next, events);
+        }
+        self.sink.record_batch(events);
+        events.clear();
+        state.next += 1;
     }
 
     /// High-water mark of simultaneously buffered shards (including the
@@ -524,7 +604,7 @@ impl StreamingMerger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{CostSnapshot, SpanKind, SpanStatus};
+    use crate::event::{CostSnapshot, Point, SpanKind, SpanStatus};
     use crate::observer::{ObsHandle, RingBufferObserver};
     use std::sync::Arc;
 
@@ -620,8 +700,8 @@ mod tests {
         let sink = Arc::new(CollectorObserver::new());
         let merger = StreamingMerger::new(sink.clone());
         // Worst-case order: last first.
-        for (i, shard) in shards.into_iter().enumerate().rev() {
-            merger.submit(i, shard);
+        for (i, mut shard) in shards.into_iter().enumerate().rev() {
+            merger.submit(i, &mut shard);
         }
         assert_eq!(merger.forwarded(), 6);
         assert_eq!(sink.take(), expected);
@@ -636,31 +716,45 @@ mod tests {
 
         // In-order submission: each shard is forwarded immediately, so at
         // most one shard is ever buffered.
-        let (i0, s0) = iter.next().unwrap();
-        merger.submit(i0, s0);
+        let (i0, mut s0) = iter.next().unwrap();
+        merger.submit(i0, &mut s0);
         assert_eq!(merger.forwarded(), 1);
         assert!(!sink.is_empty(), "first shard must stream out immediately");
-        for (i, s) in iter {
-            merger.submit(i, s);
+        for (i, mut s) in iter {
+            merger.submit(i, &mut s);
         }
         assert_eq!(merger.peak_buffered(), 1);
     }
 
     #[test]
-    fn streaming_merge_recycles_buffers_through_the_pool() {
-        let shards = recorded_shards(3);
-        let pool = Arc::new(ShardPool::new());
-        let sink = Arc::new(CollectorObserver::new());
-        let merger = StreamingMerger::new(sink).with_pool(pool.clone());
-        for (i, shard) in shards.into_iter().enumerate() {
-            merger.submit(i, shard);
-        }
-        assert_eq!(pool.spares(), 3);
-        // Checked-out buffers come back empty but capacity-warm.
-        let buf = pool.check_out();
-        assert!(buf.is_empty());
-        assert!(buf.capacity() >= 4);
-        assert_eq!(pool.spares(), 2);
+    fn streaming_merge_recycles_out_of_order_buffers() {
+        let shards = recorded_shards(5);
+        let merger = StreamingMerger::new(Arc::new(CollectorObserver::new()));
+        // In order: forwarded straight from the caller's buffer, which
+        // comes back empty with its allocation.
+        let mut first = shards[0].clone();
+        let allocation = first.as_ptr();
+        merger.submit(0, &mut first);
+        assert!(first.is_empty());
+        assert_eq!(first.as_ptr(), allocation);
+        // Out of order: the events are parked, and the caller gets a dry
+        // spare reserved to the parked shard's length.
+        let mut parked = shards[2].clone();
+        let parked_allocation = parked.as_ptr();
+        merger.submit(2, &mut parked);
+        assert!(parked.is_empty() && parked.capacity() >= 4);
+        assert_ne!(parked.as_ptr(), parked_allocation);
+        // Filling the gap forwards trials 1 and 2; trial 2's emptied
+        // buffer goes to the spares, and the next out-of-order submitter
+        // gets that very allocation back.
+        merger.submit(1, &mut shards[1].clone());
+        assert_eq!(merger.forwarded(), 3);
+        let mut ahead = shards[4].clone();
+        merger.submit(4, &mut ahead);
+        assert!(ahead.is_empty());
+        assert_eq!(ahead.as_ptr(), parked_allocation);
+        merger.submit(3, &mut shards[3].clone());
+        assert_eq!(merger.forwarded(), 5);
     }
 
     #[test]
@@ -677,10 +771,10 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         let runner = {
             let merger = Arc::clone(&merger);
-            let shard = shards[3].clone();
+            let mut shard = shards[3].clone();
             std::thread::spawn(move || {
                 tx.send(()).unwrap();
-                merger.submit(3, shard);
+                merger.submit(3, &mut shard);
             })
         };
         rx.recv().unwrap();
@@ -692,7 +786,7 @@ mod tests {
         );
 
         for i in [0usize, 1, 2, 4] {
-            merger.submit(i, shards[i].clone());
+            merger.submit(i, &mut shards[i].clone());
         }
         runner.join().unwrap();
         assert_eq!(merger.forwarded(), 5);
@@ -716,7 +810,7 @@ mod tests {
         // Frontier is at 0. Index 2 == next + window - 1 must be
         // admitted without blocking (submit on this thread would hang
         // forever if the guard were `index - next >= window - 1`).
-        merger.submit(2, shards[2].clone());
+        merger.submit(2, &mut shards[2].clone());
         assert_eq!(merger.forwarded(), 0, "gap at 0 not filled yet");
 
         // Index 3 == next + window sits exactly on the boundary
@@ -724,10 +818,10 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         let blocked = {
             let merger = Arc::clone(&merger);
-            let shard = shards[3].clone();
+            let mut shard = shards[3].clone();
             std::thread::spawn(move || {
                 tx.send(()).unwrap();
-                merger.submit(3, shard);
+                merger.submit(3, &mut shard);
             })
         };
         rx.recv().unwrap();
@@ -742,11 +836,11 @@ mod tests {
 
         // Filling the gap advances the frontier past the boundary and
         // releases the blocked submitter.
-        merger.submit(0, shards[0].clone());
-        merger.submit(1, shards[1].clone());
+        merger.submit(0, &mut shards[0].clone());
+        merger.submit(1, &mut shards[1].clone());
         blocked.join().unwrap();
         for (i, shard) in shards.iter().enumerate().take(6).skip(4) {
-            merger.submit(i, shard.clone());
+            merger.submit(i, &mut shard.clone());
         }
         assert_eq!(merger.forwarded(), 6);
         assert!(merger.peak_buffered() <= window);
@@ -785,7 +879,7 @@ mod tests {
                     barrier.wait();
                     let mut i = 1 + r;
                     while i < n {
-                        merger.submit(i, shards[i].clone());
+                        merger.submit(i, &mut shards[i].clone());
                         // How far past the frontier did this submission
                         // land? Sampled after the fact, so it can read
                         // low, never high.
@@ -800,7 +894,7 @@ mod tests {
             barrier.wait();
             std::thread::sleep(std::time::Duration::from_millis(30));
             assert_eq!(merger.forwarded(), 0, "nothing may pass the gap");
-            merger.submit(0, shards[0].clone());
+            merger.submit(0, &mut shards[0].clone());
         });
 
         assert_eq!(merger.forwarded(), n);
@@ -833,10 +927,10 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         let blocked = {
             let merger = Arc::clone(&merger);
-            let shard = shards[1].clone();
+            let mut shard = shards[1].clone();
             std::thread::spawn(move || {
                 tx.send(()).unwrap();
-                merger.submit(1, shard);
+                merger.submit(1, &mut shard);
             })
         };
         rx.recv().unwrap();
@@ -845,7 +939,7 @@ mod tests {
         blocked.join().expect("abort must release the submitter");
 
         // Submissions after the abort are discarded, not forwarded.
-        merger.submit(0, shards[0].clone());
+        merger.submit(0, &mut shards[0].clone());
         assert_eq!(merger.forwarded(), 0);
         assert!(sink.is_empty());
     }
@@ -859,8 +953,8 @@ mod tests {
         let first_sink = Arc::new(CollectorObserver::new());
         let first = StreamingMerger::new(first_sink.clone());
         let mut offset = 0;
-        for (i, shard) in shards.iter().take(3).cloned().enumerate() {
-            first.submit(i, shard);
+        for (i, mut shard) in shards.iter().take(3).cloned().enumerate() {
+            first.submit(i, &mut shard);
             offset = spans_allocated(&first_sink.lock());
         }
         let replayed: Vec<Event> = first_sink.take();
@@ -872,8 +966,8 @@ mod tests {
             sink.lock().push(event);
         }
         let resumed = StreamingMerger::new(sink.clone()).with_start(3, offset);
-        for (i, shard) in shards.iter().cloned().enumerate().skip(3) {
-            resumed.submit(i, shard);
+        for (i, mut shard) in shards.iter().cloned().enumerate().skip(3) {
+            resumed.submit(i, &mut shard);
         }
         assert_eq!(resumed.forwarded(), 6);
         assert_eq!(sink.take(), expected);
@@ -892,8 +986,8 @@ mod tests {
                 .with_tap(move |i, events| tapped.lock().unwrap().push((i, events.to_vec())))
         };
         // Reverse order: the tap must still fire 0,1,2,3.
-        for (i, shard) in shards.into_iter().enumerate().rev() {
-            merger.submit(i, shard);
+        for (i, mut shard) in shards.into_iter().enumerate().rev() {
+            merger.submit(i, &mut shard);
         }
         let tapped = tapped.lock().unwrap();
         assert_eq!(
@@ -913,69 +1007,151 @@ mod tests {
         assert_eq!(sink.take(), expected);
     }
 
-    #[test]
-    fn worker_shard_is_reused_per_thread() {
-        let first = with_worker_shard(|shard| {
-            assert!(shard.is_empty());
-            Arc::as_ptr(shard)
-        });
-        let second = with_worker_shard(Arc::as_ptr);
-        assert_eq!(first, second, "same thread must reuse its collector");
+    /// Runs one trial on this thread's arena, submitting it to `merger`
+    /// as trial `index`; returns whether it ran on the primary arena.
+    fn arena_trial(merger: &StreamingMerger, index: u64) -> bool {
+        with_worker_arena(|arena| {
+            let mut handle = arena.handle();
+            record_trial(&mut handle, index);
+            arena.submit(merger, index as usize);
+            arena.reentrant.is_none()
+        })
+    }
 
-        // Re-entrant use falls back to a distinct collector.
-        with_worker_shard(|outer| {
-            let outer_ptr = Arc::as_ptr(outer);
-            with_worker_shard(|inner| {
-                assert_ne!(outer_ptr, Arc::as_ptr(inner));
-            });
-        });
+    /// Each tapped trial's events and the address of the buffer they
+    /// were forwarded from.
+    type Tapped = Arc<Mutex<Vec<(Vec<Event>, usize)>>>;
+
+    /// A merger whose tap keeps each trial's `(events, buffer address)`.
+    fn tapped_merger() -> (StreamingMerger, Tapped) {
+        let tapped = Arc::new(Mutex::new(Vec::new()));
+        let merger = {
+            let tapped = Arc::clone(&tapped);
+            StreamingMerger::new(Arc::new(CollectorObserver::new())).with_tap(move |_, events| {
+                tapped
+                    .lock()
+                    .unwrap()
+                    .push((events.to_vec(), events.as_ptr() as usize));
+            })
+        };
+        (merger, tapped)
     }
 
     #[test]
-    fn install_buffer_recycles_capacity() {
-        let c = Arc::new(CollectorObserver::new());
-        let mut handle = ObsHandle::new(c.clone());
-        record_trial(&mut handle, 0);
-        let events = c.take();
-        let capacity = events.capacity();
-        c.install_buffer(events);
-        assert!(c.is_empty());
-        assert!(c.take().capacity() >= capacity.min(4));
-    }
+    fn worker_arena_is_reused_per_thread_and_fresh_when_reentered() {
+        let (merger, tapped) = tapped_merger();
+        assert!(arena_trial(&merger, 0));
+        assert!(arena_trial(&merger, 1));
+        // A trial started while one runs on this thread gets a re-entrant
+        // arena; its records stay out of the outer trial's stream.
+        let (inner_merger, inner_tapped) = tapped_merger();
+        with_worker_arena(|outer| {
+            assert!(outer.reentrant.is_none());
+            let mut handle = outer.handle();
+            let trial = handle.begin_span(0, || SpanKind::Trial { index: 2, seed: 2 });
+            assert!(!arena_trial(&inner_merger, 0), "nested arena is re-entrant");
+            handle.end_span(
+                trial,
+                1,
+                SpanStatus::Trial {
+                    disposition: "correct",
+                },
+                CostSnapshot::ZERO,
+            );
+            outer.submit(&merger, 2);
+        });
+        // The re-entrant arena was not cached over the primary.
+        assert!(arena_trial(&merger, 3));
 
-    #[test]
-    fn worker_arena_reuses_collector_and_id_allocator() {
-        let (first_collector, first_events) = with_worker_arena(|arena| {
-            let mut handle = arena.handle();
-            record_trial(&mut handle, 0);
-            (Arc::as_ptr(arena.collector()), arena.collector().take())
-        });
-        let (second_collector, second_events) = with_worker_arena(|arena| {
-            let mut handle = arena.handle();
-            record_trial(&mut handle, 1);
-            (Arc::as_ptr(arena.collector()), arena.collector().take())
-        });
+        let tapped = tapped.lock().unwrap();
+        let inner = inner_tapped.lock().unwrap();
+        assert_eq!(tapped.len(), 4);
+        assert_eq!(tapped[2].0.len(), 2, "outer trial kept only its own events");
         assert_eq!(
-            first_collector, second_collector,
-            "same thread must reuse its arena"
+            inner[0].0,
+            recorded_shards(1)[0],
+            "inner trial recorded whole"
         );
-        // The pooled id allocator resets per handle: both trials get the
-        // same shard-local span ids, exactly as two fresh handles would.
-        let ids = |events: &[Event]| events.iter().map(|e| e.span).collect::<Vec<_>>();
-        assert_eq!(ids(&first_events), ids(&second_events));
+        // Span ids restart at 1 for each trial's handle, so trials 0 and 1
+        // renumber into consecutive id ranges exactly as fresh handles
+        // would; and the primary arena merges from the same owner buffer
+        // every time.
+        let ids = |events: &[Event]| {
+            events
+                .iter()
+                .map(|e| (e.span, e.parent))
+                .collect::<Vec<_>>()
+        };
+        let stream: Vec<Event> = tapped[..2]
+            .iter()
+            .flat_map(|(events, _)| events.clone())
+            .collect();
+        assert_eq!(ids(&stream), ids(&merge_shards(recorded_shards(2))));
+        assert_eq!(tapped[0].1, tapped[1].1, "owner buffer reused");
+        assert_eq!(tapped[0].1, tapped[3].1, "owner buffer reused");
     }
 
     #[test]
-    fn dry_pool_checkout_prewarms_to_high_water() {
-        let pool = ShardPool::new();
-        assert_eq!(pool.check_out().capacity(), 0, "no history: no reserve");
-        pool.check_in(Vec::with_capacity(64));
-        let warm = pool.check_out();
-        assert!(warm.capacity() >= 64, "pooled buffer keeps its capacity");
-        // Pool is dry again, but the high-water mark is remembered: a
-        // fresh buffer arrives pre-reserved instead of growing from zero.
-        let fresh = pool.check_out();
-        assert!(fresh.capacity() >= 64, "dry checkout mirrors high water");
+    fn a_panicked_trial_leaves_nothing_for_the_next() {
+        let result = std::panic::catch_unwind(|| {
+            with_worker_arena(|arena| {
+                let mut handle = arena.handle();
+                let _ = handle.begin_span(0, || SpanKind::Scope { name: "lost" });
+                // A record from another thread waits in the side buffer.
+                let foreign = handle.clone();
+                std::thread::scope(|scope| {
+                    scope.spawn(move || {
+                        foreign.emit(1, || Point::Custom {
+                            name: "lost",
+                            detail: "".into(),
+                        })
+                    });
+                });
+                panic!("trial bug");
+            })
+        });
+        assert!(result.is_err());
+        let (merger, tapped) = tapped_merger();
+        assert!(arena_trial(&merger, 0), "the arena is free again");
+        assert_eq!(tapped.lock().unwrap()[0].0, recorded_shards(1)[0]);
+    }
+
+    #[test]
+    fn a_record_while_the_owner_buffer_is_borrowed_takes_the_locked_path() {
+        let tick = |handle: &ObsHandle, clock| {
+            handle.emit(clock, || Point::Custom {
+                name: "tick",
+                detail: "".into(),
+            });
+        };
+        let (merger, tapped) = tapped_merger();
+        with_worker_arena(|arena| {
+            let handle = arena.handle();
+            tick(&handle, 0);
+            PRIMARY.with_borrow_mut(|_| tick(&handle, 1));
+            tick(&handle, 2);
+            arena.submit(&merger, 0);
+        });
+        let tapped = tapped.lock().unwrap();
+        let events = &tapped[0].0;
+        let fields = |f: fn(&Event) -> u64| events.iter().map(f).collect::<Vec<_>>();
+        assert_eq!(fields(|e| e.clock), [0, 1, 2]);
+        assert_eq!(fields(|e| e.seq), [0, 1, 2]);
+    }
+
+    #[test]
+    fn collector_record_batch_equals_a_record_loop() {
+        let shards = recorded_shards(4);
+        let batched = CollectorObserver::new();
+        let looped = CollectorObserver::new();
+        for shard in &shards {
+            batched.record_batch(shard);
+            batched.record_batch(&[]);
+            for &event in shard {
+                looped.record(event);
+            }
+        }
+        assert_eq!(batched.into_events(), looped.into_events());
     }
 
     #[test]
@@ -986,7 +1162,7 @@ mod tests {
             let collector = Arc::new(CollectorObserver::new());
             let mut handle = ObsHandle::new(collector.clone());
             record_trial(&mut handle, i);
-            merger.submit(i as usize, collector.take());
+            merger.submit(i as usize, &mut collector.take());
         }
         assert_eq!(merger.forwarded(), 8);
         assert_eq!(

@@ -104,7 +104,7 @@ proptest! {
                             merger.abort();
                             break 'claim;
                         }
-                        merger.submit(i, shards[i].clone());
+                        merger.submit(i, &mut shards[i].clone());
                     }
                 }
                 let _ = done.send(());

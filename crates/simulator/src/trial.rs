@@ -8,7 +8,7 @@ use redundancy_core::context::{CancelToken, ExecContext};
 use redundancy_core::cost::Cost;
 use redundancy_core::obs::telemetry::{self, Counter, Timer};
 use redundancy_core::obs::{
-    with_worker_arena, ObsHandle, Observer, ShardPool, SpanKind, SpanStatus, StreamingMerger,
+    with_worker_arena, ObsHandle, Observer, SpanKind, SpanStatus, StreamingMerger,
 };
 
 use crate::chaos::ChaosPlan;
@@ -243,24 +243,32 @@ impl Campaign {
     /// Trial `i` gets an [`ExecContext`] seeded with
     /// [`trial_seed`](Self::trial_seed)`(campaign_seed, i)`, exactly as
     /// [`run_traced`](Self::run_traced) seeds it, and outcomes are
-    /// collected in trial-index order. The returned [`TrialSummary`] is
+    /// collected in trial-index order. As long as trials share no
+    /// mutable state (see **`jobs`**), the returned [`TrialSummary`] is
     /// therefore **bit-for-bit identical** to the serial one for every
     /// spec:
     ///
     /// - **`jobs`** shards trials in chunks across the persistent worker
-    ///   pool; parallelism changes wall-clock time, never results.
+    ///   pool; parallelism changes wall-clock time, not results — but
+    ///   only for a `trial` closure whose calls share no mutable state.
+    ///   A closure that reuses one stateful object across trials makes
+    ///   each trial depend on the ones that ran before it, and at
+    ///   `jobs > 1` that order is the schedule's. One such object is a
+    ///   shared `FaultyVariant`: every execution bumps its `AgeHandle`,
+    ///   and aging faults read it. Build such objects per trial, or run
+    ///   the campaign at `jobs = 1`.
     /// - **`observer`**, when enabled, receives exactly the event stream
     ///   [`run_traced`](Self::run_traced) records. Concurrent trials
     ///   cannot share one span-id allocator without interleaving their
-    ///   streams, so every trial records into its worker's pooled
-    ///   [`CollectorObserver`](redundancy_core::obs::CollectorObserver)
-    ///   shard, and as soon as every earlier trial has finished its shard
-    ///   is forwarded with span ids renumbered into one campaign-wide
-    ///   sequence ([`StreamingMerger`]). Workers that run too far ahead
-    ///   of the merge frontier wait for it, so peak buffering is a small
-    ///   window of in-flight trials and a bounded `observer` (e.g. a ring
+    ///   streams, so every trial records into its worker thread's pooled
+    ///   arena ([`with_worker_arena`]) — lock-free on the worker's own
+    ///   thread — and as soon as every earlier trial has finished, the
+    ///   arena's events are forwarded to `observer` as one batch, with
+    ///   span ids renumbered into one campaign-wide sequence
+    ///   ([`StreamingMerger`]). Workers that run too far ahead of the
+    ///   merge frontier wait for it, so peak buffering is a small window
+    ///   of in-flight trials and a bounded `observer` (e.g. a ring
     ///   buffer) bounds peak memory independent of campaign length.
-    ///   Drained shard allocations are recycled through a [`ShardPool`].
     ///   `None` or a disabled observer runs untraced.
     /// - **`checkpoint`** commits completed outcomes (and, traced, the
     ///   committed prefix of the merged stream) to the file in contiguous
@@ -314,9 +322,7 @@ impl Campaign {
             // Replay the committed stream prefix: the sink assigns global
             // sequence numbers at record time, so replay continues the
             // numbering exactly where the interrupted run left off.
-            for event in resumed.events {
-                observer.record(event);
-            }
+            observer.record_batch(&resumed.events);
         }
         let start = resumed.outcomes.len();
         let mut outcomes = resumed.outcomes;
@@ -358,9 +364,10 @@ impl Campaign {
     /// Runs the campaign with trials sharded across up to `jobs` worker
     /// threads: [`execute`](Self::execute) with only `jobs` set, for
     /// closures that need no [`ExecContext`]. The summary is bit-for-bit
-    /// that of [`run`](Self::run); the only difference is the closure
-    /// bound — workers share it, so it must be `Fn + Sync` rather than
-    /// `FnMut`.
+    /// that of [`run`](Self::run) when the closure's calls share no
+    /// mutable state (see [`execute`](Self::execute)'s `jobs`); the
+    /// other difference is the closure bound — workers share it, so it
+    /// must be `Fn + Sync` rather than `FnMut`.
     ///
     /// # Panics
     ///
@@ -515,9 +522,7 @@ impl Campaign {
         let jobs = jobs.clamp(1, remaining);
         let chunk = chunk_size(remaining, jobs);
         let window = merge_window(remaining, jobs, chunk);
-        let shard_pool = Arc::new(ShardPool::new());
         let mut merger = StreamingMerger::new(observer)
-            .with_pool(Arc::clone(&shard_pool))
             .with_window(window)
             .with_start(start, span_offset);
         if let Some(log) = log {
@@ -539,9 +544,7 @@ impl Campaign {
                     }
                     let timed = trial_timer(i);
                     let seed = Self::trial_seed(campaign_seed, i);
-                    let (outcome, events) = with_worker_arena(|arena| {
-                        let shard = arena.collector();
-                        shard.install_buffer(shard_pool.check_out());
+                    let outcome = with_worker_arena(|arena| {
                         let mut ctx = ExecContext::new(seed).with_obs_handle(arena.handle());
                         if let Some(checks) = chaos.and_then(|plan| plan.charge_fuse(i)) {
                             ctx = ctx.with_cancel_token(CancelToken::cancel_after(checks));
@@ -561,16 +564,16 @@ impl Campaign {
                             },
                             outcome.cost().snapshot(),
                         );
-                        (outcome, shard.take())
+                        if let Some(plan) = chaos {
+                            plan.after_trial(i);
+                        }
+                        // After the chaos hooks (as in the untraced loop);
+                        // before `submit` so the count never includes
+                        // merge stalls.
+                        record_trial(timed, &outcome);
+                        arena.submit(&merger, i);
+                        outcome
                     });
-                    if let Some(plan) = chaos {
-                        plan.after_trial(i);
-                    }
-                    // After the chaos hooks (as in the untraced loop);
-                    // before `submit` so the count never includes merge
-                    // stalls.
-                    record_trial(timed, &outcome);
-                    merger.submit(i, events);
                     if let Some(log) = log {
                         log.record_outcome(i, &outcome);
                     }
@@ -598,7 +601,9 @@ impl Campaign {
 #[derive(Clone, Default)]
 pub struct RunSpec<'a> {
     /// Worker threads to shard trials across (0 and 1 both run inline on
-    /// the calling thread).
+    /// the calling thread). Results do not depend on it only while the
+    /// trial closure's calls share no mutable state (see
+    /// [`Campaign::execute`]).
     pub jobs: usize,
     /// Trace sink; `None` or a disabled observer runs untraced.
     pub observer: Option<Arc<dyn Observer>>,

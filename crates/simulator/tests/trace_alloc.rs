@@ -4,14 +4,14 @@
 //! `#[global_allocator]`, and sharing the process with other tests would
 //! let their allocations race the measurement.
 //!
-//! The contract under test: once the per-worker arena, the shard pool,
-//! and the ring sink are warm, recording a traced trial — check out a
-//! pooled buffer, open spans, emit points, close spans, take the shard,
-//! stream it through the merger into the sink, check the buffer back
-//! in — performs **zero** heap allocations. Every dynamic string is an
-//! interned [`Symbol`], every event is `Copy`, the span-id allocator is
-//! pooled with the arena, and the in-order merge path never touches the
-//! pending map.
+//! The contract under test: once the per-worker arena and the ring sink
+//! are warm, recording a traced trial — restart the arena's pooled
+//! handle, open spans, emit points, close spans, and merge the owner
+//! buffer in place into the sink as one batch — performs **zero** heap
+//! allocations. Every dynamic string is an interned [`Symbol`], every
+//! event is `Copy`, the handle's span-id allocator is pooled with the
+//! arena, the owner buffer keeps its capacity across trials, and the
+//! in-order merge path never touches the pending map.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -19,8 +19,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use redundancy_core::obs::{
-    with_worker_arena, CostSnapshot, Observer, Point, RingBufferObserver, ShardPool, SpanKind,
-    SpanStatus, StreamingMerger, Symbol,
+    with_worker_arena, CostSnapshot, Observer, Point, RingBufferObserver, SpanKind, SpanStatus,
+    StreamingMerger, Symbol,
 };
 
 /// Counts every allocation and reallocation made while the *current
@@ -69,18 +69,11 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 const EVENTS_PER_TRIAL: u64 = 5;
 
 /// One steady-state traced trial, exactly as the campaign driver runs
-/// it at jobs=1: pooled buffer in, spans and points recorded through
-/// the arena handle, shard taken and streamed to the sink in order.
-fn traced_trial(
-    i: usize,
-    variant: Symbol,
-    rule: Symbol,
-    pool: &ShardPool,
-    merger: &StreamingMerger,
-) {
-    let events = with_worker_arena(|arena| {
-        let shard = arena.collector();
-        shard.install_buffer(pool.check_out());
+/// it at jobs=1: spans and points recorded through the arena handle,
+/// then the arena submitted to the merger, which streams it to the sink
+/// in order.
+fn traced_trial(i: usize, variant: Symbol, rule: Symbol, merger: &StreamingMerger) {
+    with_worker_arena(|arena| {
         let mut handle = arena.handle();
         let trial = handle.begin_span(0, || SpanKind::Trial {
             index: i as u64,
@@ -100,9 +93,8 @@ fn traced_trial(
             },
             CostSnapshot::ZERO,
         );
-        shard.take()
+        arena.submit(merger, i);
     });
-    merger.submit(i, events);
 }
 
 #[test]
@@ -111,22 +103,21 @@ fn steady_state_traced_path_allocates_zero_per_event() {
     let variant = Symbol::intern("alloc-test-variant");
     let rule = Symbol::intern("alloc-test-rule");
 
-    let pool = Arc::new(ShardPool::new());
     let sink = RingBufferObserver::shared(64);
-    let merger =
-        StreamingMerger::new(sink.clone() as Arc<dyn Observer>).with_pool(Arc::clone(&pool));
+    let merger = StreamingMerger::new(sink.clone() as Arc<dyn Observer>);
 
-    // Warmup: arena creation, first buffer growth, ring fill, telemetry
-    // thread-locals — every one-time cost the steady state amortizes.
+    // Warmup: arena creation, first owner-buffer growth, ring fill,
+    // telemetry thread-locals — every one-time cost the steady state
+    // amortizes.
     const WARMUP: usize = 32;
     const MEASURED: usize = 512;
     for i in 0..WARMUP {
-        traced_trial(i, variant, rule, &pool, &merger);
+        traced_trial(i, variant, rule, &merger);
     }
 
     MEASURING.with(|m| m.set(true));
     for i in WARMUP..WARMUP + MEASURED {
-        traced_trial(i, variant, rule, &pool, &merger);
+        traced_trial(i, variant, rule, &merger);
     }
     MEASURING.with(|m| m.set(false));
     let measured_allocations = ALLOCATIONS.load(Ordering::Relaxed);

@@ -10,19 +10,22 @@
 //!
 //! [`FaultPlan`]: redundancy::faults::FaultPlan
 
+use std::cell::Cell;
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use redundancy::core::adjudicator::voting::MajorityVoter;
 use redundancy::core::context::ExecContext;
-use redundancy::core::patterns::ParallelEvaluation;
+use redundancy::core::patterns::{ExecutionMode, ParallelEvaluation};
 use redundancy::core::variant::BoxedVariant;
 use redundancy::faults::FaultPlan;
 use redundancy::obs::{
     CostSnapshot, Event, EventKind, Observer, Point, RingBufferObserver, SpanKind, SpanStatus,
     TraceSummary,
 };
-use redundancy::sim::split_trials;
 use redundancy::sim::trial::{Campaign, TrialOutcome, TrialSummary};
+use redundancy::sim::{parallel_indexed, split_trials, TrialTrace};
 
 const PLAN_SEED: u64 = 4;
 const DENSITY: f64 = 0.45;
@@ -358,4 +361,144 @@ fn trace_summary_aggregates_the_campaign() {
     assert_eq!(summary.total_cost.work_units, n * TRIAL_COST.work_units);
     assert_eq!(summary.total_cost.virtual_ns, n * TRIAL_COST.virtual_ns);
     assert_eq!(summary.total_cost.invocations, n * TRIAL_COST.invocations);
+}
+
+/// Asserts that a trial's events form a well-formed span tree: the trial
+/// span opens first, under the root, and closes last; every other span
+/// opens under a span that is still open and closes once, after its
+/// children; every point sits in an open span; `seq` has no gaps.
+fn assert_well_formed(trace: &TrialTrace) {
+    let events = &trace.events;
+    let trial_span = events[0].span;
+    assert_eq!(
+        events[0].parent, 0,
+        "trial {} opens under the root",
+        trace.index
+    );
+    let mut open = BTreeSet::new();
+    for (k, event) in events.iter().enumerate() {
+        assert_eq!(
+            event.seq,
+            events[0].seq + k as u64,
+            "trial {}: seq gap",
+            trace.index
+        );
+        match event.kind {
+            EventKind::SpanStart { .. } => {
+                assert!(
+                    k == 0 || open.contains(&event.parent),
+                    "trial {}: span {} opens under closed span {}",
+                    trace.index,
+                    event.span,
+                    event.parent
+                );
+                assert!(open.insert(event.span), "span {} opened twice", event.span);
+            }
+            EventKind::SpanEnd { .. } => {
+                assert!(
+                    open.remove(&event.span),
+                    "span {} closed unopened",
+                    event.span
+                );
+                assert!(
+                    event.span != trial_span || open.is_empty(),
+                    "trial {}: the trial span closed before its children",
+                    trace.index
+                );
+            }
+            EventKind::Point(_) => assert!(open.contains(&event.span), "point outside a span"),
+        }
+    }
+    assert!(open.is_empty(), "trial {}: spans left open", trace.index);
+}
+
+#[test]
+fn threaded_traced_campaign_matches_the_sequential_run() {
+    let sequential_ring = RingBufferObserver::shared(1 << 14);
+    let sequential = run_campaign(sequential_ring.clone());
+    let sequential_traces = split_trials(&sequential_ring.events());
+
+    // Variant spans are recorded from the variants' own threads, so their
+    // order and span ids follow the schedule; everything else may not.
+    let plan = FaultPlan::bohrbugs(PLAN_SEED, 3, DENSITY);
+    let pattern = nvp_from_plan(&plan).with_mode(ExecutionMode::Threaded);
+    for jobs in [1, 2] {
+        let ring = RingBufferObserver::shared(1 << 14);
+        let summary = Campaign::new(TRIALS).run_traced_parallel(
+            CAMPAIGN_SEED,
+            jobs,
+            ring.clone(),
+            |ctx, _seed, i| nvp_trial(&pattern, ctx, i),
+        );
+        assert_eq!(sequential, summary, "summary at jobs={jobs}");
+        let traces = split_trials(&ring.events());
+        assert_eq!(traces.len(), TRIALS, "jobs={jobs}");
+        for (trace, expected) in traces.iter().zip(&sequential_traces) {
+            assert_eq!(
+                trace.events.len(),
+                EVENTS_PER_TRIAL,
+                "trial {}",
+                trace.index
+            );
+            assert_well_formed(trace);
+            assert_eq!(
+                (trace.index, trace.disposition, trace.cost),
+                (expected.index, expected.disposition, expected.cost)
+            );
+            let mut variants = trace.variants();
+            variants.sort_by(|a, b| a.name.cmp(&b.name));
+            assert_eq!(variants, expected.variants(), "trial {}", trace.index);
+            assert_eq!(
+                trace.verdicts(),
+                expected.verdicts(),
+                "trial {}",
+                trace.index
+            );
+        }
+    }
+}
+
+thread_local! {
+    /// Trials running on this thread right now (see below).
+    static TRIALS_ON_THREAD: Cell<usize> = const { Cell::new(0) };
+}
+
+#[test]
+fn traced_campaign_with_nested_regions_reproduces_the_serial_stream() {
+    let plan = FaultPlan::bohrbugs(PLAN_SEED, 3, DENSITY);
+    let pattern = nvp_from_plan(&plan);
+    let reentered = AtomicUsize::new(0);
+    // Each trial opens a nested region first. While its thread waits on
+    // that region, the pool's help-drain may run outer trials of the
+    // same campaign on it: trials inside a trial, each recording into a
+    // re-entrant arena.
+    let trial = |ctx: &mut ExecContext, _seed: u64, i: usize| {
+        let depth = TRIALS_ON_THREAD.replace(TRIALS_ON_THREAD.get() + 1);
+        if depth > 0 {
+            reentered.fetch_add(1, Ordering::Relaxed);
+        }
+        let doubled = parallel_indexed(2, 2, |k| 2 * k);
+        assert_eq!(doubled, [0, 2]);
+        let outcome = nvp_trial(&pattern, ctx, i);
+        TRIALS_ON_THREAD.set(depth);
+        outcome
+    };
+    let serial_ring = RingBufferObserver::shared(1 << 14);
+    let serial = Campaign::new(TRIALS).run_traced(CAMPAIGN_SEED, serial_ring.clone(), trial);
+    let serial_stream = redundancy::obs::to_jsonl(&serial_ring.events());
+    assert_eq!(reentered.load(Ordering::Relaxed), 0);
+
+    // Whether help-drain picks up an outer trial depends on the pool's
+    // timing: run until it has, checking every run.
+    for _ in 0..50 {
+        let ring = RingBufferObserver::shared(1 << 14);
+        let summary =
+            Campaign::new(TRIALS).run_traced_parallel(CAMPAIGN_SEED, 2, ring.clone(), trial);
+        assert_eq!(serial, summary);
+        assert_eq!(serial_stream, redundancy::obs::to_jsonl(&ring.events()));
+        if reentered.load(Ordering::Relaxed) > 0 {
+            return;
+        }
+    }
+    panic!("no outer trial ran inside another in 50 campaigns");
 }
