@@ -17,12 +17,12 @@ clippy:
 test:
 	$(CARGO) test -q --workspace
 
-# The concurrency-sensitive suites again, optimized: the worker arena's
-# cross-thread splice, the streaming merger's window and the worker
-# pool's help-drain interleave differently at release speed than in a
-# debug build.
+# The concurrency-sensitive suites again, optimized: the threaded
+# pattern engine's cancellation, the worker arena's cross-thread splice,
+# the streaming merger's window and the worker pool's help-drain
+# interleave differently at release speed than in a debug build.
 test-release:
-	$(CARGO) test --release -q -p redundancy-obs -p redundancy-sim
+	$(CARGO) test --release -q -p redundancy-core -p redundancy-obs -p redundancy-sim
 
 build:
 	$(CARGO) build --release

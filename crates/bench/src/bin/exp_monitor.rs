@@ -10,8 +10,7 @@
 use std::time::Duration;
 
 use redundancy_core::cost::Cost;
-use redundancy_core::obs::prometheus;
-use redundancy_sim::monitor::validate_json_line;
+use redundancy_core::obs::{prometheus, validate_json};
 use redundancy_sim::{Campaign, CampaignMonitor, MonitorConfig, TrialOutcome, TrialSummary};
 
 const TRIALS: usize = 4_000;
@@ -87,7 +86,7 @@ fn main() {
     let snapshots = jsonl.lines().count();
     assert!(snapshots >= 1, "monitor recorded no JSONL snapshots");
     for (i, line) in jsonl.lines().enumerate() {
-        if let Err(err) = validate_json_line(line) {
+        if let Err(err) = validate_json(line) {
             panic!("malformed JSONL snapshot on line {}: {err}", i + 1);
         }
         assert!(

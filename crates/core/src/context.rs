@@ -50,6 +50,10 @@ pub struct CancelToken {
     /// each [`is_cancelled`](CancelToken::is_cancelled) check consumes
     /// one unit, and the token fires itself when the budget is spent.
     fuse: Option<Arc<AtomicU64>>,
+    /// The token of the enclosing run, if any (see
+    /// [`ExecContext::child_cancel_token`]): this token also reads as
+    /// cancelled once that one does.
+    parent: Option<Arc<CancelToken>>,
 }
 
 impl CancelToken {
@@ -68,8 +72,8 @@ impl CancelToken {
     #[must_use]
     pub fn cancel_after(checks: u64) -> Self {
         CancelToken {
-            flag: Arc::new(AtomicBool::new(false)),
             fuse: Some(Arc::new(AtomicU64::new(checks.max(1)))),
+            ..Self::default()
         }
     }
 
@@ -79,10 +83,10 @@ impl CancelToken {
         self.flag.store(true, Ordering::Release);
     }
 
-    /// Whether the token has fired. With a
-    /// [`cancel_after`](CancelToken::cancel_after) fuse, each call
-    /// consumes one unit of the budget and the last unit fires the
-    /// token.
+    /// Whether the token, or the token of an enclosing run it was linked
+    /// to, has fired. With a [`cancel_after`](CancelToken::cancel_after)
+    /// fuse, each call consumes one unit of the budget and the last unit
+    /// fires the token.
     #[must_use]
     pub fn is_cancelled(&self) -> bool {
         if self.flag.load(Ordering::Acquire) {
@@ -99,7 +103,9 @@ impl CancelToken {
                 Ok(_) => {}
             }
         }
-        false
+        self.parent
+            .as_deref()
+            .is_some_and(CancelToken::is_cancelled)
     }
 }
 
@@ -176,6 +182,17 @@ impl ExecContext {
     pub fn with_cancel_token(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
         self
+    }
+
+    /// A fresh token for the children of a threaded pattern run on this
+    /// context, linked to the token this context carries: firing either
+    /// one stops them, so a verdict fixed by an enclosing pattern (or a
+    /// chaos fuse) still reaches a nested pattern's variants.
+    pub(crate) fn child_cancel_token(&self) -> CancelToken {
+        CancelToken {
+            parent: self.cancel.clone().map(Arc::new),
+            ..CancelToken::default()
+        }
     }
 
     /// Whether a fired cancellation token interrupted this context (as
@@ -343,9 +360,10 @@ impl ExecContext {
             // untraced hot path. The fork counter and rng above are
             // computed identically whether or not an observer is attached.
             obs: self.obs.as_ref().filter(|h| h.enabled()).cloned(),
-            // Children inherit the token so nested patterns stop too; the
-            // clone is one Arc refcount bump and only paid by cancellable
-            // runs (Eager threaded mode).
+            // Children inherit the token so nested patterns stop too. A
+            // threaded pattern engine then swaps in its own token, linked
+            // to this one by `child_cancel_token`. The clone is a few Arc
+            // refcount bumps, paid only by cancellable runs.
             cancel: self.cancel.clone(),
             cancelled: false,
         }

@@ -1,93 +1,72 @@
-//! The shared streaming engine behind the parallel Figure-1 patterns.
+//! The one decision engine behind the parallel Figure-1 patterns.
 //!
-//! Under [`DecisionPolicy::Eager`](crate::patterns::DecisionPolicy), a
-//! pattern does not "run all, then adjudicate": outcomes are fed to a
-//! [`StreamJudge`] strictly in variant order as they become available, and
-//! the moment the verdict is mathematically fixed the engine stops paying
-//! for redundancy it no longer needs:
+//! Every parallel pattern forks its variants, runs them, and feeds their
+//! outcomes to an [`IncrementalAdjudicator`] strictly in variant order;
+//! the judge alone decides when the verdict is fixed. Under
+//! [`DecisionPolicy::Exhaustive`](crate::patterns::DecisionPolicy) the
+//! judge never decides early, so every variant runs and the verdict is
+//! drawn from the full outcome set. Under `Eager`, the moment the judge
+//! fixes the verdict the engine stops paying for redundancy it no longer
+//! needs:
 //!
 //! - in [`ExecutionMode::Sequential`], variants whose turn never came are
 //!   *skipped* — recorded as [`VariantFailure::Skipped`] outcomes with a
 //!   zero-cost variant span, since they were never forked or started;
 //! - in [`ExecutionMode::Threaded`], every variant has already been
 //!   spawned, so stragglers are *cooperatively cancelled* through a
-//!   [`CancelToken`] checked at each `ExecContext::charge`; they surface
-//!   as [`VariantFailure::Cancelled`] outcomes carrying the partial cost
-//!   they accrued before noticing.
+//!   [`CancelToken`](crate::context::CancelToken) checked at each
+//!   `ExecContext::charge`; they surface as [`VariantFailure::Cancelled`]
+//!   outcomes carrying the partial cost they accrued before noticing.
+//!   The token is linked to the one the pattern's own context carries, so
+//!   an enclosing pattern's verdict stops these variants too.
 //!
 //! Determinism: the verdict only ever depends on outcomes fed in variant
 //! order, so it is reproducible across runs and thread schedules. Which
 //! stragglers got cancelled (vs. finished just in time) in threaded mode
 //! is inherently timing-dependent — the *verdict* is not.
 
-use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::sync::mpsc;
 
 use redundancy_obs::{CostSnapshot, Point, SpanKind, SpanStatus};
 
-use crate::adjudicator::incremental::Decision;
-use crate::context::{CancelToken, ExecContext};
+use crate::adjudicator::incremental::{Decision, IncrementalAdjudicator};
+use crate::context::ExecContext;
 use crate::outcome::{VariantFailure, VariantOutcome, Verdict};
 use crate::patterns::ExecutionMode;
 use crate::variant::{run_contained, BoxedVariant};
 
-/// How a streaming pattern turns an ordered outcome stream into a verdict.
-/// Parallel evaluation adapts an
-/// [`IncrementalAdjudicator`](crate::adjudicator::IncrementalAdjudicator);
-/// parallel selection validates each outcome with its per-component
-/// acceptance test.
-pub(crate) trait StreamJudge<O> {
-    /// Feeds the outcome of variant `idx`. Called strictly in variant
-    /// order; never called again after a final decision.
-    fn feed(&mut self, idx: usize, outcome: &VariantOutcome<O>) -> Decision<O>;
-
-    /// Draws the verdict from the executed outcomes when the stream ended
-    /// undecided, or from the fed prefix after
-    /// [`Decision::Unreachable`].
-    fn conclude(&mut self, outcomes: &[VariantOutcome<O>]) -> Verdict<O>;
-}
-
-/// What an eager engine run produced.
-pub(crate) struct StreamRun<O> {
-    /// One outcome per variant, in variant order (including skipped and
-    /// cancelled entries).
-    pub outcomes: Vec<VariantOutcome<O>>,
-    /// The verdict.
-    pub verdict: Verdict<O>,
-}
-
-/// Runs `variants` under the eager policy, feeding `judge` in variant
-/// order and exiting early once the verdict is fixed. Charges the
-/// critical-path (parallel) cost of all executed work to `ctx`.
-pub(crate) fn run_eager<I, O, V, J>(
-    variants: &[V],
+/// Runs `variants`, feeding `judge` in variant order and stopping early
+/// once it fixes the verdict. Charges the critical-path (parallel) cost
+/// of all executed work to `ctx` and returns one outcome per variant, in
+/// variant order (skipped and cancelled entries included), with the
+/// verdict.
+pub(crate) fn run<I, O, J>(
+    variants: &[BoxedVariant<I, O>],
     input: &I,
     ctx: &mut ExecContext,
     mode: ExecutionMode,
     judge: &mut J,
-) -> StreamRun<O>
+) -> (Vec<VariantOutcome<O>>, Verdict<O>)
 where
     I: Sync,
     O: Send,
-    V: Borrow<BoxedVariant<I, O>> + Sync,
-    J: StreamJudge<O>,
+    J: IncrementalAdjudicator<O> + ?Sized,
 {
     match mode {
-        ExecutionMode::Sequential => run_eager_sequential(variants, input, ctx, judge),
-        ExecutionMode::Threaded => run_eager_threaded(variants, input, ctx, judge),
+        ExecutionMode::Sequential => run_sequential(variants, input, ctx, judge),
+        ExecutionMode::Threaded => run_threaded(variants, input, ctx, judge),
     }
 }
 
-fn run_eager_sequential<I, O, V, J>(
-    variants: &[V],
+fn run_sequential<I, O, J>(
+    variants: &[BoxedVariant<I, O>],
     input: &I,
     ctx: &mut ExecContext,
     judge: &mut J,
-) -> StreamRun<O>
+) -> (Vec<VariantOutcome<O>>, Verdict<O>)
 where
-    V: Borrow<BoxedVariant<I, O>>,
-    J: StreamJudge<O>,
+    J: IncrementalAdjudicator<O> + ?Sized,
 {
     let total = variants.len();
     let mut outcomes: Vec<VariantOutcome<O>> = Vec::with_capacity(total);
@@ -98,7 +77,7 @@ where
             // not forked (keeping the executed prefix's random streams
             // identical to the exhaustive policy's) and costs nothing, but
             // it is first-class in the report and the trace.
-            let name = variant.borrow().symbol();
+            let name = variant.symbol();
             let span = ctx.obs_begin(|| SpanKind::Variant { name });
             ctx.obs_end(
                 span,
@@ -112,45 +91,34 @@ where
             continue;
         }
         let mut child = ctx.fork(i as u64);
-        let outcome = run_contained(variant.borrow().as_ref(), input, &mut child);
-        let decision = judge.feed(i, &outcome);
+        let outcome = run_contained(variant.as_ref(), input, &mut child);
+        let decision = judge.feed(&outcome);
         outcomes.push(outcome);
         if decision.is_final() {
-            ctx.obs_emit(|| Point::EarlyDecision {
-                executed: i + 1,
-                total,
-            });
-            verdict = Some(match decision {
-                Decision::Decided(v) => v,
-                // Acceptance is off the table: the rejection follows from
-                // the prefix fed so far.
-                _ => judge.conclude(&outcomes),
-            });
+            verdict = Some(conclude(ctx, judge, decision, &outcomes, total));
         }
     }
     ctx.add_parallel_costs(outcomes.iter().map(|o| o.cost));
-    let verdict = verdict.unwrap_or_else(|| judge.conclude(&outcomes));
-    StreamRun { outcomes, verdict }
+    let verdict = verdict.unwrap_or_else(|| judge.finish(&outcomes));
+    (outcomes, verdict)
 }
 
-fn run_eager_threaded<I, O, V, J>(
-    variants: &[V],
+fn run_threaded<I, O, J>(
+    variants: &[BoxedVariant<I, O>],
     input: &I,
     ctx: &mut ExecContext,
     judge: &mut J,
-) -> StreamRun<O>
+) -> (Vec<VariantOutcome<O>>, Verdict<O>)
 where
     I: Sync,
     O: Send,
-    V: Borrow<BoxedVariant<I, O>> + Sync,
-    J: StreamJudge<O>,
+    J: IncrementalAdjudicator<O> + ?Sized,
 {
     let total = variants.len();
-    let token = CancelToken::new();
-    // Fork every child up front, in variant order, exactly as the
-    // exhaustive threaded engine does — the random streams (and thus each
-    // variant's behavior up to cancellation) are identical across
-    // policies. Each child carries the shared cancellation token.
+    let token = ctx.child_cancel_token();
+    // Fork every child up front, in variant order, so the random streams
+    // (and thus each variant's behavior up to cancellation) are those of
+    // the sequential mode. Each child carries the shared token.
     let children: Vec<ExecContext> = (0..total)
         .map(|i| ctx.fork(i as u64).with_cancel_token(token.clone()))
         .collect();
@@ -164,7 +132,7 @@ where
         for (i, (variant, mut child)) in variants.iter().zip(children).enumerate() {
             let tx = tx.clone();
             scope.spawn(move || {
-                let outcome = run_contained(variant.borrow().as_ref(), input, &mut child);
+                let outcome = run_contained(variant.as_ref(), input, &mut child);
                 // The receiver outlives the scope; a send can only fail if
                 // the main thread panicked, which already aborts the test.
                 let _ = tx.send((i, outcome));
@@ -178,31 +146,44 @@ where
             let (i, outcome) = rx.recv().expect("every variant thread sends once");
             pending.insert(i, outcome);
             while let Some(next) = pending.remove(&ordered.len()) {
-                let idx = ordered.len();
                 ordered.push(next);
                 if verdict.is_none() {
-                    let decision = judge.feed(idx, &ordered[idx]);
+                    let decision = judge.feed(&ordered[ordered.len() - 1]);
                     if decision.is_final() {
                         // Fire the token first so stragglers stop charging
                         // as soon as possible.
                         token.cancel();
-                        ctx.obs_emit(|| Point::EarlyDecision {
-                            executed: idx + 1,
-                            total,
-                        });
-                        verdict = Some(match decision {
-                            Decision::Decided(v) => v,
-                            _ => judge.conclude(&ordered),
-                        });
+                        verdict = Some(conclude(ctx, judge, decision, &ordered, total));
                     }
                 }
             }
         }
     });
     ctx.add_parallel_costs(ordered.iter().map(|o| o.cost));
-    let verdict = verdict.unwrap_or_else(|| judge.conclude(&ordered));
-    StreamRun {
-        outcomes: ordered,
-        verdict,
+    let verdict = verdict.unwrap_or_else(|| judge.finish(&ordered));
+    (ordered, verdict)
+}
+
+/// Turns the judge's final decision on the fed prefix into the verdict,
+/// marking the early exit in the trace.
+fn conclude<O, J>(
+    ctx: &mut ExecContext,
+    judge: &mut J,
+    decision: Decision<O>,
+    fed: &[VariantOutcome<O>],
+    total: usize,
+) -> Verdict<O>
+where
+    J: IncrementalAdjudicator<O> + ?Sized,
+{
+    ctx.obs_emit(|| Point::EarlyDecision {
+        executed: fed.len(),
+        total,
+    });
+    match decision {
+        Decision::Decided(verdict) => verdict,
+        // Acceptance is off the table: the rejection follows from the
+        // prefix fed so far.
+        _ => judge.finish(fed),
     }
 }

@@ -17,11 +17,14 @@
 //! Results are identical across modes because every variant draws from its
 //! own forked random stream.
 //!
-//! Orthogonally, the parallel engines support two [`DecisionPolicy`]s:
-//! `Exhaustive` (run every alternative, then adjudicate — bit-identical to
-//! the historical engines) and `Eager` (stream outcomes through an
-//! [`IncrementalAdjudicator`] and stop paying for redundancy the moment
-//! the verdict is mathematically fixed).
+//! Both parallel patterns run on one decision engine, which feeds their
+//! outcomes in variant order to an [`IncrementalAdjudicator`]. Its two
+//! [`DecisionPolicy`]s differ only in that judge: under `Exhaustive` it
+//! never decides early, so every alternative runs and the full outcome
+//! set is adjudicated; under `Eager` it stops paying for redundancy the
+//! moment the verdict is mathematically fixed. Sequential alternatives
+//! stop at the first accepted result by construction, so they take no
+//! policy.
 //!
 //! [`ParallelEvaluation`]: parallel::ParallelEvaluation
 //! [`ParallelSelection`]: parallel::ParallelSelection
@@ -114,9 +117,9 @@ pub enum ExecutionMode {
 /// When a pattern engine commits to a verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DecisionPolicy {
-    /// Execute every alternative, then adjudicate the full outcome set.
-    /// The historical behavior, and bit-identical to it: summaries,
-    /// reports, costs and traces are unchanged on fixed seeds.
+    /// Execute every alternative, then adjudicate the full outcome set:
+    /// the engine's judge never decides early, so nothing is skipped or
+    /// cancelled.
     #[default]
     Exhaustive,
     /// Stream outcomes through the adjudicator's incremental interface

@@ -1,115 +1,62 @@
 //! Figure 1(a) and 1(b): the two parallel patterns.
 
-use std::borrow::Borrow;
-
 use redundancy_obs::SpanKind;
 
-use crate::adjudicator::acceptance::{AcceptanceTest, BoxedAcceptance};
-use crate::adjudicator::incremental::{Decision, IncrementalAdjudicator};
+use crate::adjudicator::acceptance::BoxedAcceptance;
+use crate::adjudicator::incremental::{BatchIncremental, Decision, IncrementalAdjudicator};
 use crate::adjudicator::Adjudicator;
 use crate::context::ExecContext;
 use crate::outcome::{RejectionReason, VariantOutcome, Verdict};
-use crate::patterns::engine::{self, StreamJudge};
+use crate::patterns::engine;
 use crate::patterns::{emit_verdict, verdict_status, DecisionPolicy, ExecutionMode, PatternReport};
-use crate::variant::{run_contained, BoxedVariant};
+use crate::variant::BoxedVariant;
 
-/// A selection component: a variant paired with its own acceptance test.
-type Component<I, O> = (BoxedVariant<I, O>, BoxedAcceptance<I, O>);
-
-/// Runs each variant against `input` with a forked context, either in the
-/// calling thread or on scoped threads, and returns the outcomes in
-/// variant order.
-///
-/// Generic over [`Borrow`] so callers can pass owned variants
-/// (`&[BoxedVariant]`) or, when the variant list is split-borrowed out of
-/// a larger structure, references (`&[&BoxedVariant]`).
-fn execute_all<I, O, V>(
-    variants: &[V],
-    input: &I,
-    ctx: &ExecContext,
-    mode: ExecutionMode,
-) -> Vec<VariantOutcome<O>>
-where
-    I: Sync,
-    O: Send,
-    V: Borrow<BoxedVariant<I, O>> + Sync,
-{
-    match mode {
-        ExecutionMode::Sequential => {
-            let mut outcomes = Vec::with_capacity(variants.len());
-            for (i, variant) in variants.iter().enumerate() {
-                let mut child = ctx.fork(i as u64);
-                outcomes.push(run_contained(variant.borrow().as_ref(), input, &mut child));
-            }
-            outcomes
-        }
-        ExecutionMode::Threaded => {
-            let mut slots: Vec<Option<VariantOutcome<O>>> =
-                (0..variants.len()).map(|_| None).collect();
-            // Variant threads are crash-contained (run_contained catches
-            // panics), so the scope never propagates a panic.
-            std::thread::scope(|scope| {
-                for (i, (variant, slot)) in variants.iter().zip(slots.iter_mut()).enumerate() {
-                    let mut child = ctx.fork(i as u64);
-                    scope.spawn(move || {
-                        *slot = Some(run_contained(variant.borrow().as_ref(), input, &mut child));
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .map(|slot| slot.expect("every scoped thread fills its slot"))
-                .collect()
-        }
-    }
-}
-
-/// Streaming judge of Figure 1(a): delegates to the adjudicator's
-/// incremental interface, falling back to batch adjudication when the
-/// stream ends undecided.
-struct EvaluationJudge<'a, O> {
-    incremental: Box<dyn IncrementalAdjudicator<O> + 'a>,
-    adjudicator: &'a dyn Adjudicator<O>,
-}
-
-impl<O> StreamJudge<O> for EvaluationJudge<'_, O> {
-    fn feed(&mut self, _idx: usize, outcome: &VariantOutcome<O>) -> Decision<O> {
-        self.incremental.feed(outcome)
-    }
-
-    fn conclude(&mut self, outcomes: &[VariantOutcome<O>]) -> Verdict<O> {
-        self.adjudicator.adjudicate(outcomes)
-    }
-}
-
-/// Streaming judge of Figure 1(b): validates each outcome with its
-/// component's own acceptance test; the first validated result decides.
+/// The judge of Figure 1(b): validates each outcome with its component's
+/// own acceptance test, in priority order. The first validated component
+/// is selected; under [`DecisionPolicy::Eager`] it decides on the spot
+/// (support 1, dissent the components fed before it), otherwise the
+/// verdict waits for every component (support every validated one,
+/// dissent the rest).
 struct SelectionJudge<'a, I, O> {
-    components: &'a [Component<I, O>],
+    tests: &'a [BoxedAcceptance<I, O>],
     input: &'a I,
+    eager: bool,
+    fed: usize,
+    validated: usize,
     selected: Option<usize>,
 }
 
-impl<I, O: Clone> StreamJudge<O> for SelectionJudge<'_, I, O> {
-    fn feed(&mut self, idx: usize, outcome: &VariantOutcome<O>) -> Decision<O> {
+impl<I, O: Clone> IncrementalAdjudicator<O> for SelectionJudge<'_, I, O> {
+    fn feed(&mut self, outcome: &VariantOutcome<O>) -> Decision<O> {
+        let idx = self.fed;
+        self.fed += 1;
         if let Some(output) = outcome.output() {
-            if self.components[idx].1.accept(self.input, output) {
-                self.selected = Some(idx);
-                // The first validated component (in priority order) wins;
-                // support counts it alone, dissent the components fed
-                // before it.
-                return Decision::Decided(Verdict::accepted(output.clone(), 1, idx));
+            if self.tests[idx].accept(self.input, output) {
+                self.validated += 1;
+                self.selected.get_or_insert(idx);
+                if self.eager {
+                    return Decision::Decided(Verdict::accepted(output.clone(), 1, idx));
+                }
             }
         }
         Decision::Undecided
     }
 
-    fn conclude(&mut self, outcomes: &[VariantOutcome<O>]) -> Verdict<O> {
-        // Only reached when no fed component validated.
-        if outcomes.iter().all(|o| !o.is_ok()) {
-            Verdict::rejected(RejectionReason::AllFailed)
-        } else {
-            Verdict::rejected(RejectionReason::AcceptanceFailed)
+    fn finish(&mut self, outcomes: &[VariantOutcome<O>]) -> Verdict<O> {
+        match self.selected {
+            Some(idx) => Verdict::accepted(
+                outcomes[idx]
+                    .output()
+                    .expect("selected outcome is validated")
+                    .clone(),
+                self.validated,
+                outcomes.len() - self.validated,
+            ),
+            None if outcomes.is_empty() => Verdict::rejected(RejectionReason::NoOutcomes),
+            None if outcomes.iter().all(|o| !o.is_ok()) => {
+                Verdict::rejected(RejectionReason::AllFailed)
+            }
+            None => Verdict::rejected(RejectionReason::AcceptanceFailed),
         }
     }
 }
@@ -176,11 +123,12 @@ impl<I, O> ParallelEvaluation<I, O> {
         self
     }
 
-    /// Selects the decision policy (builder style). The default,
-    /// [`DecisionPolicy::Exhaustive`], reproduces the historical engine
-    /// bit for bit; [`DecisionPolicy::Eager`] streams outcomes through
-    /// the adjudicator's incremental interface and stops early once the
-    /// verdict is fixed.
+    /// Selects the decision policy (builder style). Both run the same
+    /// engine: the default, [`DecisionPolicy::Exhaustive`], feeds it a
+    /// judge that never decides early, so every alternative runs and the
+    /// batch adjudicator sees the full outcome set;
+    /// [`DecisionPolicy::Eager`] feeds it the adjudicator's incremental
+    /// interface and stops once the verdict is fixed.
     #[must_use]
     pub fn with_policy(mut self, policy: DecisionPolicy) -> Self {
         self.policy = policy;
@@ -220,18 +168,12 @@ impl<I, O> ParallelEvaluation<I, O> {
         let before = ctx.cost();
         let (outcomes, verdict) = match self.policy {
             DecisionPolicy::Exhaustive => {
-                let outcomes = execute_all(&self.variants, input, ctx, self.mode);
-                ctx.add_parallel_costs(outcomes.iter().map(|o| o.cost));
-                let verdict = self.adjudicator.adjudicate(&outcomes);
-                (outcomes, verdict)
+                let mut judge = BatchIncremental::new(self.adjudicator.as_ref());
+                engine::run(&self.variants, input, ctx, self.mode, &mut judge)
             }
             DecisionPolicy::Eager => {
-                let mut judge = EvaluationJudge {
-                    incremental: self.adjudicator.begin_incremental(self.variants.len()),
-                    adjudicator: self.adjudicator.as_ref(),
-                };
-                let run = engine::run_eager(&self.variants, input, ctx, self.mode, &mut judge);
-                (run.outcomes, run.verdict)
+                let mut judge = self.adjudicator.begin_incremental(self.variants.len());
+                engine::run(&self.variants, input, ctx, self.mode, judge.as_mut())
             }
         };
         emit_verdict(ctx, &verdict);
@@ -259,7 +201,10 @@ impl<I, O> ParallelEvaluation<I, O> {
 /// This is self-checking programming: "acting" components ahead in the
 /// list, "hot spares" behind them.
 pub struct ParallelSelection<I, O> {
-    components: Vec<Component<I, O>>,
+    /// The components' variants, in priority order; `tests[i]` validates
+    /// `variants[i]`.
+    variants: Vec<BoxedVariant<I, O>>,
+    tests: Vec<BoxedAcceptance<I, O>>,
     mode: ExecutionMode,
     policy: DecisionPolicy,
 }
@@ -269,7 +214,8 @@ impl<I, O> ParallelSelection<I, O> {
     #[must_use]
     pub fn new() -> Self {
         Self {
-            components: Vec::new(),
+            variants: Vec::new(),
+            tests: Vec::new(),
             mode: ExecutionMode::Sequential,
             policy: DecisionPolicy::default(),
         }
@@ -284,13 +230,14 @@ impl<I, O> ParallelSelection<I, O> {
         variant: BoxedVariant<I, O>,
         test: BoxedAcceptance<I, O>,
     ) -> Self {
-        self.components.push((variant, test));
+        self.push_component(variant, test);
         self
     }
 
     /// Adds a self-checking component.
     pub fn push_component(&mut self, variant: BoxedVariant<I, O>, test: BoxedAcceptance<I, O>) {
-        self.components.push((variant, test));
+        self.variants.push(variant);
+        self.tests.push(test);
     }
 
     /// Selects the execution mode (builder style).
@@ -319,13 +266,13 @@ impl<I, O> ParallelSelection<I, O> {
     /// Number of components.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.components.len()
+        self.variants.len()
     }
 
     /// Whether the pattern has no components.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.components.is_empty()
+        self.variants.is_empty()
     }
 
     /// Executes all components, validates each result with its own test,
@@ -339,70 +286,15 @@ impl<I, O> ParallelSelection<I, O> {
             name: "parallel_selection",
         });
         let before = ctx.cost();
-        if self.components.is_empty() {
-            let verdict = Verdict::rejected(RejectionReason::NoOutcomes);
-            emit_verdict(ctx, &verdict);
-            ctx.obs_end(
-                span,
-                verdict_status(&verdict),
-                ctx.cost().delta_since(before).snapshot(),
-            );
-            return PatternReport {
-                verdict,
-                outcomes: Vec::new(),
-                cost: ctx.cost().delta_since(before),
-                selected: None,
-            }
-            .recorded();
-        }
-        // Split borrows: variants for execution, tests for validation.
-        let variants: Vec<&BoxedVariant<I, O>> = self.components.iter().map(|(v, _)| v).collect();
-        let (outcomes, verdict, selected) = match self.policy {
-            DecisionPolicy::Exhaustive => {
-                let outcomes = execute_all(&variants, input, ctx, self.mode);
-                ctx.add_parallel_costs(outcomes.iter().map(|o| o.cost));
-
-                let mut selected = None;
-                let mut validated = 0usize;
-                for (idx, outcome) in outcomes.iter().enumerate() {
-                    if let Some(output) = outcome.output() {
-                        if self.components[idx].1.accept(input, output) {
-                            validated += 1;
-                            if selected.is_none() {
-                                selected = Some(idx);
-                            }
-                        }
-                    }
-                }
-                let verdict = match selected {
-                    Some(idx) => Verdict::accepted(
-                        outcomes[idx]
-                            .output()
-                            .expect("selected outcome is validated")
-                            .clone(),
-                        validated,
-                        outcomes.len() - validated,
-                    ),
-                    None => {
-                        if outcomes.iter().all(|o| !o.is_ok()) {
-                            Verdict::rejected(RejectionReason::AllFailed)
-                        } else {
-                            Verdict::rejected(RejectionReason::AcceptanceFailed)
-                        }
-                    }
-                };
-                (outcomes, verdict, selected)
-            }
-            DecisionPolicy::Eager => {
-                let mut judge = SelectionJudge {
-                    components: &self.components,
-                    input,
-                    selected: None,
-                };
-                let run = engine::run_eager(&variants, input, ctx, self.mode, &mut judge);
-                (run.outcomes, run.verdict, judge.selected)
-            }
+        let mut judge = SelectionJudge {
+            tests: &self.tests,
+            input,
+            eager: self.policy == DecisionPolicy::Eager,
+            fed: 0,
+            validated: 0,
+            selected: None,
         };
+        let (outcomes, verdict) = engine::run(&self.variants, input, ctx, self.mode, &mut judge);
         emit_verdict(ctx, &verdict);
         ctx.obs_end(
             span,
@@ -412,7 +304,7 @@ impl<I, O> ParallelSelection<I, O> {
         PatternReport {
             verdict,
             cost: ctx.cost().delta_since(before),
-            selected: selected.map(|idx| outcomes[idx].variant.to_string()),
+            selected: judge.selected.map(|idx| outcomes[idx].variant.to_string()),
             outcomes,
         }
         .recorded()
@@ -875,5 +767,85 @@ mod tests {
         let thr = build(ExecutionMode::Threaded).run(&4, &mut c2);
         assert_eq!(seq.verdict, thr.verdict);
         assert_eq!(seq.selected, thr.selected);
+    }
+
+    #[test]
+    fn eager_threaded_cancellation_reaches_nested_threaded_patterns() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+        use std::time::{Duration, Instant};
+
+        // Each nested variant charges one unit at a time until a charge
+        // fails (counted in `stopped`) or five seconds pass.
+        let stopped = Arc::new(AtomicUsize::new(0));
+        let slow = |name: &str| -> BoxedVariant<i32, i32> {
+            let stopped = Arc::clone(&stopped);
+            Box::new(FnVariant::new(
+                name,
+                move |x: &i32, ctx: &mut ExecContext| {
+                    let start = Instant::now();
+                    while start.elapsed() < Duration::from_secs(5) {
+                        if ctx.charge(1).is_err() {
+                            stopped.fetch_add(1, Ordering::SeqCst);
+                            return Err(VariantFailure::Timeout);
+                        }
+                        std::thread::sleep(Duration::from_micros(200));
+                    }
+                    Ok(*x)
+                },
+            ))
+        };
+        let nested = Arc::new(
+            ParallelEvaluation::new(MajorityVoter::new())
+                .with_mode(ExecutionMode::Threaded)
+                .with_policy(DecisionPolicy::Eager)
+                .with_variant(slow("slow1"))
+                .with_variant(slow("slow2"))
+                .with_variant(slow("slow3")),
+        );
+        let outer = ParallelEvaluation::new(MajorityVoter::new())
+            .with_mode(ExecutionMode::Threaded)
+            .with_policy(DecisionPolicy::Eager)
+            .with_variant(pure_variant("a", 10, |x: &i32| x * 2))
+            .with_variant(pure_variant("b", 10, |x: &i32| x * 2))
+            .with_variant(Box::new(FnVariant::new(
+                "nested",
+                move |x: &i32, ctx: &mut ExecContext| {
+                    nested
+                        .run(x, ctx)
+                        .into_output()
+                        .ok_or(VariantFailure::Omission)
+                },
+            )));
+        let report = outer.run(&10, &mut ExecContext::new(5));
+        assert_eq!(report.output(), Some(&20));
+        // The outer verdict is fixed by a and b: its token must reach the
+        // nested pattern's variants through their own engine's token.
+        assert_eq!(stopped.load(Ordering::SeqCst), 3);
+    }
+
+    #[test]
+    fn eager_threaded_children_see_an_inherited_cancel_after_fuse() {
+        use crate::context::CancelToken;
+        let charges = |name: &str| -> BoxedVariant<i32, i32> {
+            Box::new(FnVariant::new(name, |x: &i32, ctx: &mut ExecContext| {
+                for _ in 0..1_000 {
+                    ctx.charge(1).map_err(|_| VariantFailure::Timeout)?;
+                }
+                Ok(*x)
+            }))
+        };
+        let p = ParallelEvaluation::new(MajorityVoter::new())
+            .with_mode(ExecutionMode::Threaded)
+            .with_policy(DecisionPolicy::Eager)
+            .with_variant(charges("a"))
+            .with_variant(charges("b"))
+            .with_variant(charges("c"));
+        // The fuse blows after 10 charge checks in all, long before any
+        // variant finishes its 1 000 charges.
+        let mut ctx = ExecContext::new(1).with_cancel_token(CancelToken::cancel_after(10));
+        let report = p.run(&1, &mut ctx);
+        assert!(!report.is_accepted());
+        assert_eq!(report.cancelled(), 3);
     }
 }

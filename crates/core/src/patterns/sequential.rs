@@ -11,7 +11,7 @@ use redundancy_obs::{Point, SpanKind};
 use crate::adjudicator::acceptance::{AcceptanceTest, BoxedAcceptance};
 use crate::context::ExecContext;
 use crate::outcome::{RejectionReason, Verdict};
-use crate::patterns::{emit_verdict, verdict_status, DecisionPolicy, PatternReport};
+use crate::patterns::{emit_verdict, verdict_status, PatternReport};
 use crate::variant::{run_contained, BoxedVariant};
 
 type RollbackHook = Box<dyn Fn(&mut ExecContext) + Send + Sync>;
@@ -92,24 +92,6 @@ impl<I, O> SequentialAlternatives<I, O> {
     pub fn with_max_attempts(mut self, max_attempts: usize) -> Self {
         self.max_attempts = Some(max_attempts);
         self
-    }
-
-    /// Accepts a decision policy for API uniformity with the parallel
-    /// patterns. Sequential alternatives are *inherently* eager — the
-    /// pattern stops at the first accepted result and later alternatives
-    /// never run — so both policies behave identically and this builder is
-    /// a documented no-op.
-    #[must_use]
-    pub fn with_policy(self, policy: DecisionPolicy) -> Self {
-        let _ = policy;
-        self
-    }
-
-    /// The decision policy in effect: always
-    /// [`DecisionPolicy::Eager`], the pattern's inherent behavior.
-    #[must_use]
-    pub fn policy(&self) -> DecisionPolicy {
-        DecisionPolicy::Eager
     }
 
     /// Number of alternatives.

@@ -189,7 +189,8 @@ pub fn summary(events: &[Event]) -> String {
 }
 
 pub use self::jsonl::{
-    event_from_json, event_to_json, from_jsonl, to_jsonl, write_event_json, ParseError,
+    event_from_json, event_to_json, from_jsonl, to_jsonl, validate_json, write_event_json,
+    ParseError,
 };
 
 mod jsonl {
@@ -199,6 +200,7 @@ mod jsonl {
     use std::fmt::Write as _;
 
     use crate::event::{CostSnapshot, Event, EventKind, Point, SpanKind, SpanStatus};
+    use crate::intern::Symbol;
 
     fn escape(s: &str, out: &mut String) {
         out.push('"');
@@ -424,7 +426,7 @@ mod jsonl {
 
     // ---- parsing: the exact inverse of the serializers above ----
 
-    /// Error from [`event_from_json`] / [`from_jsonl`].
+    /// Error from [`event_from_json`], [`from_jsonl`] and [`validate_json`].
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub struct ParseError {
         message: String,
@@ -569,8 +571,8 @@ mod jsonl {
             }
             let raw =
                 std::str::from_utf8(&self.bytes[start..self.pos]).expect("number tokens are ascii");
-            if raw.is_empty() {
-                return Err(ParseError::new(format!("empty number at byte {start}")));
+            if !raw.bytes().any(|b| b.is_ascii_digit()) {
+                return Err(ParseError::new(format!("invalid number at byte {start}")));
             }
             Ok(Json::Num(raw.to_owned()))
         }
@@ -734,6 +736,20 @@ mod jsonl {
         Ok(value)
     }
 
+    /// Checks that `text` is one well-formed JSON value (object, array,
+    /// string, number, bool or null) with nothing but whitespace around
+    /// it: the syntax [`event_from_json`] reads, without its event
+    /// schema. `monitor-smoke` uses it to reject torn or malformed
+    /// snapshot lines.
+    ///
+    /// # Errors
+    ///
+    /// Returns a byte-offset-annotated description of the first syntax
+    /// error.
+    pub fn validate_json(text: &str) -> Result<(), ParseError> {
+        parse_json(text).map(drop)
+    }
+
     fn field<'j>(fields: &'j [(String, Json)], key: &str) -> Option<&'j Json> {
         fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
@@ -759,26 +775,6 @@ mod jsonl {
         required(fields, key)?.bool_value(key)
     }
 
-    /// Interns a label, returning a `&'static str`. The event model
-    /// carries technique/pattern/scope names, failure kinds, rejection
-    /// reasons and trial dispositions as `&'static str`; parsed events
-    /// reconstruct them by leaking each *distinct* label once. The label
-    /// vocabulary is small and fixed (compile-time constants upstream),
-    /// so the leak is bounded.
-    fn intern(label: &str) -> &'static str {
-        use std::collections::BTreeSet;
-        use std::sync::Mutex;
-        static INTERNED: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
-        let mut set = INTERNED.lock().expect("label interner lock");
-        if let Some(existing) = set.get(label) {
-            existing
-        } else {
-            let leaked: &'static str = Box::leak(label.to_owned().into_boxed_str());
-            set.insert(leaked);
-            leaked
-        }
-    }
-
     fn span_kind_from(value: &Json) -> Result<SpanKind, ParseError> {
         let fields = value.fields("span kind")?;
         let (key, inner) = fields
@@ -793,16 +789,16 @@ mod jsonl {
                 })
             }
             "technique" => Ok(SpanKind::Technique {
-                name: intern(inner.str_value("technique")?),
+                name: Symbol::intern(inner.str_value("technique")?).resolve(),
             }),
             "pattern" => Ok(SpanKind::Pattern {
-                name: intern(inner.str_value("pattern")?),
+                name: Symbol::intern(inner.str_value("pattern")?).resolve(),
             }),
             "variant" => Ok(SpanKind::Variant {
                 name: inner.str_value("variant")?.into(),
             }),
             "scope" => Ok(SpanKind::Scope {
-                name: intern(inner.str_value("scope")?),
+                name: Symbol::intern(inner.str_value("scope")?).resolve(),
             }),
             other => Err(ParseError::new(format!("unknown span kind \"{other}\""))),
         }
@@ -823,13 +819,13 @@ mod jsonl {
                 })
             }
             "rejected" => Ok(SpanStatus::Rejected {
-                reason: intern(inner.str_value("rejected")?),
+                reason: Symbol::intern(inner.str_value("rejected")?).resolve(),
             }),
             "failed" => Ok(SpanStatus::Failed {
-                kind: intern(inner.str_value("failed")?),
+                kind: Symbol::intern(inner.str_value("failed")?).resolve(),
             }),
             "trial" => Ok(SpanStatus::Trial {
-                disposition: intern(inner.str_value("trial")?),
+                disposition: Symbol::intern(inner.str_value("trial")?).resolve(),
             }),
             other => Err(ParseError::new(format!("unknown span status \"{other}\""))),
         }
@@ -844,7 +840,7 @@ mod jsonl {
                 support: num_field(fields, "support")?,
                 dissent: num_field(fields, "dissent")?,
                 rejection: match field(fields, "rejection") {
-                    Some(v) => Some(intern(v.str_value("rejection")?)),
+                    Some(v) => Some(Symbol::intern(v.str_value("rejection")?).resolve()),
                     None => None,
                 },
             },
@@ -852,10 +848,10 @@ mod jsonl {
                 consumed: num_field(fields, "consumed")?,
             },
             "checkpoint" => Point::Checkpoint {
-                label: intern(str_field(fields, "label")?),
+                label: Symbol::intern(str_field(fields, "label")?).resolve(),
             },
             "rollback" => Point::Rollback {
-                label: intern(str_field(fields, "label")?),
+                label: Symbol::intern(str_field(fields, "label")?).resolve(),
             },
             "rejuvenation" => Point::Rejuvenation {
                 age_before: num_field(fields, "age_before")?,
@@ -874,7 +870,7 @@ mod jsonl {
                 attempt: num_field(fields, "attempt")?,
             },
             "perturbation" => Point::Perturbation {
-                knob: intern(str_field(fields, "knob")?),
+                knob: Symbol::intern(str_field(fields, "knob")?).resolve(),
                 attempt: num_field(fields, "attempt")?,
             },
             "gp_generation" => Point::GpGeneration {
@@ -889,14 +885,14 @@ mod jsonl {
                 errors: num_field(fields, "errors")?,
             },
             "repair" => Point::Repair {
-                outcome: intern(str_field(fields, "outcome")?),
+                outcome: Symbol::intern(str_field(fields, "outcome")?).resolve(),
             },
             "workaround" => Point::Workaround {
                 rule: str_field(fields, "rule")?.into(),
                 applied: bool_field(fields, "applied")?,
             },
             "sanitized" => Point::Sanitized {
-                action: intern(str_field(fields, "action")?),
+                action: Symbol::intern(str_field(fields, "action")?).resolve(),
             },
             "early-decision" => Point::EarlyDecision {
                 executed: num_field(fields, "executed")?,
@@ -906,7 +902,7 @@ mod jsonl {
                 variant: str_field(fields, "variant")?.into(),
             },
             custom => Point::Custom {
-                name: intern(custom),
+                name: Symbol::intern(custom).resolve(),
                 detail: str_field(fields, "detail")?.into(),
             },
         })
@@ -1336,5 +1332,31 @@ mod tests {
         assert!(std::ptr::eq(reparsed.resolve(), name.resolve()));
         // And the checkpoint round trip is byte-exact.
         assert_eq!(event_to_json(&parsed), line);
+    }
+
+    #[test]
+    fn json_validator_accepts_values_and_rejects_torn_lines() {
+        for ok in [
+            "{}",
+            "[]",
+            "{\"a\":1,\"b\":[true,null,-2.5e3],\"c\":{\"d\":\"x\\\"y\"}}",
+            "  42  ",
+            "\"lone string\"",
+        ] {
+            validate_json(ok).unwrap_or_else(|e| panic!("{ok:?}: {e}"));
+        }
+        for bad in [
+            "{\"a\":1",
+            "{\"a\" 1}",
+            "{a:1}",
+            "[1,]",
+            "tru",
+            "{} trailing",
+            "\"unterminated",
+            "-",
+            "",
+        ] {
+            assert!(validate_json(bad).is_err(), "{bad:?} must fail");
+        }
     }
 }

@@ -78,7 +78,7 @@ pub mod telemetry;
 
 pub use event::{CostSnapshot, Event, EventKind, Point, SpanId, SpanKind, SpanStatus, ROOT_SPAN};
 pub use export::{
-    event_from_json, event_to_json, from_jsonl, render_span_tree, summary, to_jsonl,
+    event_from_json, event_to_json, from_jsonl, render_span_tree, summary, to_jsonl, validate_json,
     write_event_json, ParseError, TraceSummary,
 };
 pub use intern::Symbol;

@@ -927,13 +927,23 @@ impl Sim<'_> {
         self.resolve(now, slot, RequestOutcome::DeadlineExceeded);
     }
 
-    /// Terminal bookkeeping for the live request in `slot`: ledger,
+    /// Terminal bookkeeping for the executing request in `slot`: ledger,
     /// telemetry, slot and admission release, dequeue.
+    ///
+    /// Only executing requests resolve. With one deadline budget and FIFO
+    /// admission, every executing request arrived no later than every
+    /// queued one, so its deadline fires first (ties fire in scheduling
+    /// order) and by then it has freed a slot for the head of the queue:
+    /// a queued request always starts before its own deadline fires.
+    /// `services/tests/admission.rs` pins that invariant; the two
+    /// assertions below make a breach loud.
     fn resolve(&mut self, now: u64, slot: u32, outcome: RequestOutcome) {
         let state = &mut self.slots[slot as usize];
         let req = std::mem::replace(&mut state.id, FREE);
-        let (arrival_ns, start_ns, attempts) =
-            (state.arrival_ns, state.start_ns, state.attempts_started);
+        let (arrival_ns, attempts) = (state.arrival_ns, state.attempts_started);
+        let Some(start_ns) = state.start_ns else {
+            unreachable!("request {req} resolved while still queued");
+        };
         self.free.push(slot);
         let (counter, tally) = match outcome {
             RequestOutcome::Ok { .. } => (Counter::ServiceOk, &mut self.report.ok),
@@ -947,35 +957,27 @@ impl Sim<'_> {
         telemetry::add(counter, 1);
         *tally += 1;
         telemetry::observe_ns(Timer::ServiceLatencyNs, now - arrival_ns);
-        if let Some(start) = start_ns {
-            telemetry::observe_ns(Timer::ServiceQueueWaitNs, start - arrival_ns);
-        }
+        telemetry::observe_ns(Timer::ServiceQueueWaitNs, start_ns - arrival_ns);
         self.report.ledger.push(RequestRecord {
             id: req,
             arrival_ns,
-            start_ns,
+            start_ns: Some(start_ns),
             end_ns: now,
             attempts,
             outcome,
         });
-        if start_ns.is_some() {
-            // An executing request frees its admission slot; pull the
-            // next waiter (skipping any that died of deadline in line —
-            // their queue entries are cancelled lazily, like events).
-            self.in_flight -= 1;
-            while self.in_flight < self.config.max_in_flight {
-                let Some((next, next_slot)) = self.waiting.pop_front() else {
-                    break;
-                };
-                if !self.is_live(next, next_slot) {
-                    continue;
-                }
-                telemetry::add(Counter::ServiceDequeued, 1);
-                self.start_execution(now, next_slot);
-            }
-        } else {
-            // Died while queued: it logically left the queue now.
+        // The request frees its admission slot; pull the next waiters.
+        self.in_flight -= 1;
+        while self.in_flight < self.config.max_in_flight {
+            let Some((next, next_slot)) = self.waiting.pop_front() else {
+                break;
+            };
+            assert!(
+                self.is_live(next, next_slot),
+                "queued request {next} died before it started"
+            );
             telemetry::add(Counter::ServiceDequeued, 1);
+            self.start_execution(now, next_slot);
         }
     }
 }

@@ -336,7 +336,8 @@ fn fmt_seconds(secs: f64) -> String {
 /// Renders one JSONL snapshot line: elapsed time, interval rate, every
 /// counter, and a digest (count/sum/min/max/p50/p95/p99) per timer.
 /// Pure and hand-rolled (the workspace carries no JSON dependency); the
-/// shape is validated by [`validate_json_line`] in `monitor-smoke`.
+/// shape is validated by [`validate_json`](redundancy_core::obs::validate_json)
+/// in `monitor-smoke`.
 #[must_use]
 pub fn snapshot_json(
     cur: &TelemetrySnapshot,
@@ -388,130 +389,6 @@ pub fn snapshot_json(
     }
     out.push_str("}}");
     out
-}
-
-/// Checks that `line` is one well-formed JSON value (object, array,
-/// string, number, bool or null) with nothing trailing. A minimal
-/// recursive-descent scanner — enough for `monitor-smoke` to reject
-/// torn or malformed snapshot lines without a JSON dependency.
-///
-/// # Errors
-///
-/// Returns a byte-offset-annotated description of the first syntax
-/// error.
-pub fn validate_json_line(line: &str) -> Result<(), String> {
-    let bytes = line.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(bytes, &mut pos);
-    scan_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(())
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while bytes
-        .get(*pos)
-        .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-    {
-        *pos += 1;
-    }
-}
-
-fn scan_value(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
-    match bytes.get(*pos) {
-        Some(b'{') => scan_sequence(bytes, pos, b'}', true),
-        Some(b'[') => scan_sequence(bytes, pos, b']', false),
-        Some(b'"') => scan_string(bytes, pos),
-        Some(b't') => scan_literal(bytes, pos, "true"),
-        Some(b'f') => scan_literal(bytes, pos, "false"),
-        Some(b'n') => scan_literal(bytes, pos, "null"),
-        Some(b'-' | b'0'..=b'9') => scan_number(bytes, pos),
-        Some(other) => Err(format!("unexpected byte {:?} at {}", *other as char, *pos)),
-        None => Err(format!("unexpected end of input at byte {}", *pos)),
-    }
-}
-
-/// Scans `{"k":v,...}` (object, `keyed = true`) or `[v,...]` (array).
-fn scan_sequence(bytes: &[u8], pos: &mut usize, close: u8, keyed: bool) -> Result<(), String> {
-    *pos += 1; // opening delimiter
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&close) {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        if keyed {
-            skip_ws(bytes, pos);
-            scan_string(bytes, pos)?;
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) != Some(&b':') {
-                return Err(format!("expected ':' at byte {}", *pos));
-            }
-            *pos += 1;
-        }
-        skip_ws(bytes, pos);
-        scan_value(bytes, pos)?;
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(&b) if b == close => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or close at byte {}", *pos)),
-        }
-    }
-}
-
-fn scan_string(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
-    if bytes.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at byte {}", *pos));
-    }
-    *pos += 1;
-    while let Some(&b) = bytes.get(*pos) {
-        match b {
-            b'"' => {
-                *pos += 1;
-                return Ok(());
-            }
-            b'\\' => *pos += 2, // escape: skip the escaped byte
-            _ => *pos += 1,
-        }
-    }
-    Err("unterminated string".to_owned())
-}
-
-fn scan_literal(bytes: &[u8], pos: &mut usize, literal: &str) -> Result<(), String> {
-    if bytes[*pos..].starts_with(literal.as_bytes()) {
-        *pos += literal.len();
-        Ok(())
-    } else {
-        Err(format!("invalid literal at byte {}", *pos))
-    }
-}
-
-fn scan_number(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let mut saw_digit = false;
-    while bytes.get(*pos).is_some_and(|b| {
-        if b.is_ascii_digit() {
-            saw_digit = true;
-        }
-        b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-')
-    }) {
-        *pos += 1;
-    }
-    if saw_digit {
-        Ok(())
-    } else {
-        Err(format!("invalid number at byte {start}"))
-    }
 }
 
 #[cfg(test)]
@@ -606,7 +483,7 @@ mod tests {
             Duration::from_secs(1),
             &prev,
         );
-        validate_json_line(&line).expect("snapshot line is valid JSON");
+        redundancy_core::obs::validate_json(&line).expect("snapshot line is valid JSON");
         for counter in Counter::ALL {
             assert!(line.contains(&format!("\"{}\":", counter.name())), "{line}");
         }
@@ -616,32 +493,6 @@ mod tests {
         assert!(line.contains("\"elapsed_ms\":1500"), "{line}");
         assert!(line.contains("\"trials_per_sec\":250.000"), "{line}");
         assert!(line.contains("\"p95\":256000"), "{line}");
-    }
-
-    #[test]
-    fn json_validator_accepts_values_and_rejects_torn_lines() {
-        for ok in [
-            "{}",
-            "[]",
-            "{\"a\":1,\"b\":[true,null,-2.5e3],\"c\":{\"d\":\"x\\\"y\"}}",
-            "  42  ",
-            "\"lone string\"",
-        ] {
-            validate_json_line(ok).unwrap_or_else(|e| panic!("{ok:?}: {e}"));
-        }
-        for bad in [
-            "{\"a\":1",
-            "{\"a\" 1}",
-            "{a:1}",
-            "[1,]",
-            "tru",
-            "{} trailing",
-            "\"unterminated",
-            "-",
-            "",
-        ] {
-            assert!(validate_json_line(bad).is_err(), "{bad:?} must fail");
-        }
     }
 
     #[test]

@@ -19,11 +19,12 @@
 use std::sync::Arc;
 
 use redundancy_core::adjudicator::voting::MajorityVoter;
-use redundancy_core::adjudicator::{Adjudicator, Decision};
 use redundancy_core::context::ExecContext;
-use redundancy_core::obs::{CostSnapshot, Point, SpanKind, SpanStatus};
-use redundancy_core::outcome::{RejectionReason, VariantFailure, VariantOutcome, Verdict};
-use redundancy_core::patterns::{emit_verdict, verdict_status, DecisionPolicy};
+use redundancy_core::obs::{Point, SpanKind};
+use redundancy_core::outcome::{RejectionReason, VariantOutcome, Verdict};
+use redundancy_core::patterns::{
+    emit_verdict, run_technique_span, verdict_status, DecisionPolicy, ParallelEvaluation,
+};
 use redundancy_core::taxonomy::{
     Adjudication, ArchitecturalPattern, Classification, FaultSet, Intention, RedundancyType,
 };
@@ -174,21 +175,6 @@ where
         self.reexpressions.len()
     }
 
-    /// Accepts a decision policy for uniformity with [`NCopy`]. Retry
-    /// blocks are *inherently* eager — re-expressions after the first
-    /// accepted result never run — so the policy changes nothing and
-    /// [`policy`](Self::policy) always reports [`DecisionPolicy::Eager`].
-    #[must_use]
-    pub fn with_policy(self, _policy: DecisionPolicy) -> Self {
-        self
-    }
-
-    /// The decision policy in effect (always [`DecisionPolicy::Eager`]).
-    #[must_use]
-    pub fn policy(&self) -> DecisionPolicy {
-        DecisionPolicy::Eager
-    }
-
     /// Runs the retry block.
     pub fn run(&self, input: &I, ctx: &mut ExecContext) -> Verdict<O> {
         let span = ctx.obs_begin(|| SpanKind::Technique {
@@ -231,12 +217,10 @@ where
 
 /// Ammann–Knight N-copy programming: the same program runs on N
 /// re-expressed inputs in parallel; an implicit voter merges the decoded
-/// outputs.
+/// outputs. Each copy is one variant of a [`ParallelEvaluation`].
 pub struct NCopy<I, O> {
     program: Arc<dyn Variant<I, O>>,
-    reexpressions: Vec<ReExpression<I, O>>,
-    adjudicator: Box<dyn Adjudicator<O>>,
-    policy: DecisionPolicy,
+    pattern: ParallelEvaluation<I, O>,
 }
 
 impl<I, O> NCopy<I, O>
@@ -251,18 +235,18 @@ where
     where
         I: Clone,
     {
-        Self {
-            program: Arc::new(program),
-            reexpressions: vec![ReExpression::identity()],
-            adjudicator: Box::new(MajorityVoter::new()),
-            policy: DecisionPolicy::Exhaustive,
-        }
+        let program: Arc<dyn Variant<I, O>> = Arc::new(program);
+        let pattern = ParallelEvaluation::new(MajorityVoter::new()).with_variant(
+            reexpressed_variant(Arc::clone(&program), ReExpression::identity()),
+        );
+        Self { program, pattern }
     }
 
     /// Adds a re-expression (one more copy).
     #[must_use]
     pub fn with_reexpression(mut self, re: ReExpression<I, O>) -> Self {
-        self.reexpressions.push(re);
+        self.pattern
+            .push_variant(reexpressed_variant(Arc::clone(&self.program), re));
         self
     }
 
@@ -273,92 +257,25 @@ where
     /// `Exhaustive`.
     #[must_use]
     pub fn with_policy(mut self, policy: DecisionPolicy) -> Self {
-        self.policy = policy;
+        self.pattern = self.pattern.with_policy(policy);
         self
     }
 
     /// The decision policy in effect.
     #[must_use]
     pub fn policy(&self) -> DecisionPolicy {
-        self.policy
+        self.pattern.policy()
     }
 
     /// Number of copies.
     #[must_use]
     pub fn copies(&self) -> usize {
-        self.reexpressions.len()
+        self.pattern.len()
     }
 
     /// Runs all copies and votes.
     pub fn run(&self, input: &I, ctx: &mut ExecContext) -> Verdict<O> {
-        let span = ctx.obs_begin(|| SpanKind::Technique { name: "n-copy" });
-        let before = ctx.cost();
-        let verdict = match self.policy {
-            DecisionPolicy::Exhaustive => self.run_exhaustive(input, ctx),
-            DecisionPolicy::Eager => self.run_eager(input, ctx),
-        };
-        emit_verdict(ctx, &verdict);
-        ctx.obs_end(
-            span,
-            verdict_status(&verdict),
-            ctx.cost().delta_since(before).snapshot(),
-        );
-        verdict
-    }
-
-    fn run_exhaustive(&self, input: &I, ctx: &mut ExecContext) -> Verdict<O> {
-        let mut outcomes = Vec::with_capacity(self.reexpressions.len());
-        let mut costs = Vec::with_capacity(self.reexpressions.len());
-        for (i, re) in self.reexpressions.iter().enumerate() {
-            let variant = reexpressed_variant(Arc::clone(&self.program), re.clone());
-            let mut child = ctx.fork(i as u64);
-            let outcome = run_contained(variant.as_ref(), input, &mut child);
-            costs.push(outcome.cost);
-            outcomes.push(outcome);
-        }
-        ctx.add_parallel_costs(costs);
-        self.adjudicator.adjudicate(&outcomes)
-    }
-
-    fn run_eager(&self, input: &I, ctx: &mut ExecContext) -> Verdict<O> {
-        let total = self.reexpressions.len();
-        let mut judge = self.adjudicator.begin_incremental(total);
-        let mut outcomes: Vec<VariantOutcome<O>> = Vec::with_capacity(total);
-        let mut verdict: Option<Verdict<O>> = None;
-        for (i, re) in self.reexpressions.iter().enumerate() {
-            if verdict.is_some() {
-                // Quorum already fixed: this copy is never forked or run,
-                // but its skip is first-class in the trace.
-                let name = format!("{}@{}", self.program.name(), re.name());
-                let span = ctx.obs_begin(|| SpanKind::Variant {
-                    name: name.as_str().into(),
-                });
-                ctx.obs_end(
-                    span,
-                    SpanStatus::Failed { kind: "skipped" },
-                    CostSnapshot::ZERO,
-                );
-                outcomes.push(VariantOutcome::failed(name, VariantFailure::Skipped));
-                continue;
-            }
-            let variant = reexpressed_variant(Arc::clone(&self.program), re.clone());
-            let mut child = ctx.fork(i as u64);
-            let outcome = run_contained(variant.as_ref(), input, &mut child);
-            let decision = judge.feed(&outcome);
-            outcomes.push(outcome);
-            if decision.is_final() {
-                ctx.obs_emit(|| Point::EarlyDecision {
-                    executed: i + 1,
-                    total,
-                });
-                verdict = Some(match decision {
-                    Decision::Decided(v) => v,
-                    _ => judge.finish(&outcomes),
-                });
-            }
-        }
-        ctx.add_parallel_costs(outcomes.iter().map(|o| o.cost));
-        verdict.unwrap_or_else(|| judge.finish(&outcomes))
+        run_technique_span(ctx, "n-copy", |ctx| self.pattern.run(input, ctx)).verdict
     }
 }
 
@@ -497,13 +414,6 @@ mod tests {
             c2.cost().work_units,
             c1.cost().work_units
         );
-    }
-
-    #[test]
-    fn retry_block_policy_is_inherently_eager() {
-        let rb = RetryBlock::new(buggy_linear(0.0), |x: &i64, out: &i64| *out == 2 * x + 6)
-            .with_policy(DecisionPolicy::Exhaustive);
-        assert_eq!(rb.policy(), DecisionPolicy::Eager);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::sync::Mutex;
 
 use redundancy_core::adjudicator::acceptance::AcceptanceTest;
 use redundancy_core::context::ExecContext;
-use redundancy_core::patterns::{DecisionPolicy, PatternReport, SequentialAlternatives};
+use redundancy_core::patterns::{PatternReport, SequentialAlternatives};
 use redundancy_core::taxonomy::{
     Adjudication, ArchitecturalPattern, Classification, FaultSet, Intention, RedundancyType,
 };
@@ -120,23 +120,6 @@ impl<I, O> RecoveryBlocks<I, O> {
         self.alternates
     }
 
-    /// Accepts a decision policy for uniformity with the parallel
-    /// techniques. Recovery blocks are *inherently* eager — alternates
-    /// after the first accepted result never start — so the policy changes
-    /// nothing; [`policy`](Self::policy) always reports
-    /// [`DecisionPolicy::Eager`].
-    #[must_use]
-    pub fn with_policy(mut self, policy: DecisionPolicy) -> Self {
-        self.pattern = self.pattern.with_policy(policy);
-        self
-    }
-
-    /// The decision policy in effect (always [`DecisionPolicy::Eager`]).
-    #[must_use]
-    pub fn policy(&self) -> DecisionPolicy {
-        self.pattern.policy()
-    }
-
     /// Runs the recovery block.
     pub fn run(&self, input: &I, ctx: &mut ExecContext) -> PatternReport<O>
     where
@@ -189,26 +172,6 @@ mod tests {
 
     fn nonneg() -> FnAcceptance<impl Fn(&i64, &i64) -> bool> {
         FnAcceptance::new("nonneg", |_: &i64, out: &i64| *out >= 0)
-    }
-
-    #[test]
-    fn policy_is_inherently_eager_and_a_no_op() {
-        let mk = |policy| {
-            RecoveryBlocks::new(nonneg())
-                .with_alternate(pure_variant("primary", 10, |_x: &i64| -1))
-                .with_alternate(pure_variant("backup", 30, |x: &i64| x * 2))
-                .with_policy(policy)
-        };
-        let eager = mk(DecisionPolicy::Eager);
-        assert_eq!(eager.policy(), DecisionPolicy::Eager);
-        let exhaustive = mk(DecisionPolicy::Exhaustive);
-        assert_eq!(exhaustive.policy(), DecisionPolicy::Eager);
-        let mut c1 = ExecContext::new(0);
-        let mut c2 = ExecContext::new(0);
-        let a = eager.run(&4, &mut c1);
-        let b = exhaustive.run(&4, &mut c2);
-        assert_eq!(a.verdict, b.verdict);
-        assert_eq!(a.cost, b.cost);
     }
 
     #[test]

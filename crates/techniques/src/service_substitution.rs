@@ -77,23 +77,6 @@ impl<'r> DynamicSubstitution<'r> {
         self
     }
 
-    /// Accepts a decision policy for uniformity with the parallel
-    /// techniques. Substitution is *inherently* eager — fail-over stops at
-    /// the first provider that serves the request, and later candidates
-    /// are never invoked — so the policy changes nothing;
-    /// [`policy`](Self::policy) always reports
-    /// [`DecisionPolicy`](redundancy_core::patterns::DecisionPolicy)`::Eager`.
-    #[must_use]
-    pub fn with_policy(self, _policy: redundancy_core::patterns::DecisionPolicy) -> Self {
-        self
-    }
-
-    /// The decision policy in effect (always `Eager`).
-    #[must_use]
-    pub fn policy(&self) -> redundancy_core::patterns::DecisionPolicy {
-        redundancy_core::patterns::DecisionPolicy::Eager
-    }
-
     /// Invokes `operation` on some provider of `interface`, substituting
     /// on failure.
     ///
