@@ -95,12 +95,18 @@ examples:
 
 # Reproduction gate: the release `exp_all` tables must be byte-identical
 # to the committed experiments_output.txt, so a change that moves any
-# reproduced number shows up as a diff. When a change is meant to move
-# one, regenerate the file with
+# reproduced number shows up as a diff. It runs twice, serially and on 4
+# worker threads, since every experiment takes `--jobs` and must print
+# the same bytes at any job count. When a change is meant to move a
+# number, regenerate the file with
 #   cargo run --release -q -p redundancy-bench --bin exp_all > experiments_output.txt
 # (with no REDUNDANCY_* variables set) and commit it with the change.
 experiments-check:
-	$(CARGO) run --release -q -p redundancy-bench --bin exp_all | diff -u experiments_output.txt -
+	$(CARGO) build --release -q -p redundancy-bench --bin exp_all
+	@set -e; for jobs in 1 4; do \
+		echo "experiments-check: --jobs $$jobs"; \
+		$(CARGO) run --release -q -p redundancy-bench --bin exp_all -- --jobs $$jobs | diff -u experiments_output.txt -; \
+	done
 
 # The benchmark harness lives outside the workspace (its own manifest
 # and lock file) and compiles against the Campaign and Adjudicator APIs:

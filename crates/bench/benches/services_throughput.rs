@@ -75,17 +75,17 @@ fn bench_services(c: &mut Criterion) {
     // workload fanned across N event loops on the worker pool. Guard
     // first: every shard count must reproduce the shards=1 digest
     // (breakers off, caps non-binding), or the merge is broken.
-    let baseline = run_sharded(1, REQUESTS, SEED, false).ledger_digest();
+    let baseline = run_sharded(1, REQUESTS, SEED, false, 1).ledger_digest();
     for shards in SHARD_COUNTS {
         assert_eq!(
-            run_sharded(shards, REQUESTS, SEED, false).ledger_digest(),
+            run_sharded(shards, REQUESTS, SEED, false, 1).ledger_digest(),
             baseline,
             "shards={shards} digest drifted from the single-loop baseline"
         );
     }
     for shards in SHARD_COUNTS {
         group.bench_function(format!("sharded/spiky-hedged-s{shards}/{REQUESTS}"), |b| {
-            b.iter(|| run_sharded(shards, REQUESTS, SEED, false));
+            b.iter(|| run_sharded(shards, REQUESTS, SEED, false, 1));
         });
     }
     group.finish();

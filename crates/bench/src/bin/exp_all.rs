@@ -26,49 +26,49 @@ fn main() {
     println!("{rule}\nT1 — Table 1\n{rule}");
     print!("{}", exp::table1::run());
     println!("{rule}\nT2 — Table 2 (empirical)\n{rule}");
-    print!("{}", exp::table2_matrix::run_jobs(trials, seed, jobs));
+    print!("{}", exp::table2_matrix::run(trials, seed, jobs, None).0);
     println!("{rule}\nF1 — Figure 1 patterns\n{rule}");
-    print!("{}", exp::fig1_patterns::run_jobs(trials, seed, jobs));
+    print!("{}", exp::fig1_patterns::run(trials, seed, jobs, None));
     println!("{rule}\nE4 — 2k+1 tolerance\n{rule}");
-    print!("{}", exp::nvp_tolerance::run_jobs(trials, seed, jobs));
+    print!("{}", exp::nvp_tolerance::run(trials, seed, jobs));
     println!("{rule}\nE5 — correlated faults\n{rule}");
-    print!("{}", exp::correlated::run(trials, seed));
+    print!("{}", exp::correlated::run(trials, seed, jobs));
     println!("{rule}\nE6 — cost/efficacy\n{rule}");
-    print!("{}", exp::cost_efficacy::run(trials, seed));
+    print!("{}", exp::cost_efficacy::run(trials, seed, jobs));
     println!("{rule}\nE7a — rejuvenation failure rates\n{rule}");
     print!(
         "{}",
-        exp::rejuvenation::run_failure_rates_jobs(trials, seed, jobs)
+        exp::rejuvenation::run_failure_rates(trials, seed, jobs)
     );
     println!("{rule}\nE7b — completion-time U-curve\n{rule}");
-    print!("{}", exp::rejuvenation::run_completion_jobs(60, seed, jobs));
+    print!("{}", exp::rejuvenation::run_completion(60, seed, jobs));
     println!("{rule}\nE8 — data diversity\n{rule}");
-    print!("{}", exp::data_diversity::run(trials, seed));
+    print!("{}", exp::data_diversity::run(trials, seed, jobs));
     println!("{rule}\nE9 — security diversity\n{rule}");
-    print!("{}", exp::security::run(trials.min(1000), seed));
+    print!("{}", exp::security::run(trials.min(1000), seed, jobs));
     println!("{rule}\nE10 — RX vs re-execution\n{rule}");
-    print!("{}", exp::rx::run(trials, seed));
+    print!("{}", exp::rx::run(trials, seed, jobs));
     println!("{rule}\nE10b — RX knob ablation\n{rule}");
-    print!("{}", exp::rx_ablation::run(trials, seed));
+    print!("{}", exp::rx_ablation::run(trials, seed, jobs));
     println!("{rule}\nE11 — reboot policies\n{rule}");
-    print!("{}", exp::microreboot::run_jobs(50_000, seed, jobs));
+    print!("{}", exp::microreboot::run(50_000, seed, jobs));
     println!("{rule}\nE12 — service substitution\n{rule}");
-    print!("{}", exp::substitution::run(trials, seed));
+    print!("{}", exp::substitution::run(trials, seed, jobs));
     println!("{rule}\nE13 — automatic workarounds\n{rule}");
-    print!("{}", exp::workarounds::run(trials, seed));
+    print!("{}", exp::workarounds::run(trials, seed, jobs));
     println!("{rule}\nE14 — GP fault fixing\n{rule}");
     print!("{}", exp::gp_fix::run(3, seed));
     println!("{rule}\nE15 — healer wrappers\n{rule}");
-    print!("{}", exp::wrappers::run(trials, seed));
+    print!("{}", exp::wrappers::run(trials, seed, jobs));
     println!("{rule}\nE16 — robust data structures\n{rule}");
-    print!("{}", exp::robust_data::run(trials, seed));
+    print!("{}", exp::robust_data::run(trials, seed, jobs));
     println!("{rule}\nE17 — checkpoint-interval U-curve\n{rule}");
-    print!("{}", exp::checkpoint_interval::run(60, seed));
+    print!("{}", exp::checkpoint_interval::run(60, seed, jobs));
     println!("{rule}\nE18 — eager adjudication early exit\n{rule}");
-    print!("{}", exp::early_exit::run_jobs(trials, seed, jobs));
-    print!("{}", exp::early_exit::run_quorum_jobs(trials, seed, jobs));
+    print!("{}", exp::early_exit::run(trials, seed, jobs));
+    print!("{}", exp::early_exit::run_quorum(trials, seed, jobs));
     println!("{rule}\nE19 — resumable campaigns: interval vs work lost\n{rule}");
-    print!("{}", exp::resume::run_jobs(128, seed, jobs));
+    print!("{}", exp::resume::run(128, seed, jobs));
     println!("{rule}\nE20 — event-loop service runtime\n{rule}");
-    print!("{}", exp::services_rt::run_jobs(trials, seed, jobs));
+    print!("{}", exp::services_rt::run(trials, seed, jobs));
 }

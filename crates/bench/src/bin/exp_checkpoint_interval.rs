@@ -9,10 +9,6 @@ fn main() {
     println!("(20k work units, checkpoint cost 25, failure rate 0.002/unit)\n");
     print!(
         "{}",
-        redundancy_bench::experiments::checkpoint_interval::run_jobs(
-            60,
-            default_seed(),
-            jobs_arg()
-        )
+        redundancy_bench::experiments::checkpoint_interval::run(60, default_seed(), jobs_arg())
     );
 }

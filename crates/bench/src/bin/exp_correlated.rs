@@ -8,7 +8,7 @@ fn main() {
     println!("E5 — NVP(3) reliability vs failure correlation (density 0.2)\n");
     print!(
         "{}",
-        redundancy_bench::experiments::correlated::run_jobs(
+        redundancy_bench::experiments::correlated::run(
             default_trials(),
             default_seed(),
             jobs_arg()

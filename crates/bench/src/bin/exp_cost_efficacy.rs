@@ -8,7 +8,7 @@ fn main() {
     println!("E6 — cost vs efficacy (fault density 0.25)\n");
     print!(
         "{}",
-        redundancy_bench::experiments::cost_efficacy::run_jobs(
+        redundancy_bench::experiments::cost_efficacy::run(
             default_trials(),
             default_seed(),
             jobs_arg()

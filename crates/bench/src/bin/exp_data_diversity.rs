@@ -8,7 +8,7 @@ fn main() {
     println!("E8 — data diversity (fault density 0.3)\n");
     print!(
         "{}",
-        redundancy_bench::experiments::data_diversity::run_jobs(
+        redundancy_bench::experiments::data_diversity::run(
             default_trials(),
             default_seed(),
             jobs_arg()

@@ -12,11 +12,11 @@ fn main() {
     println!("E18 — eager vs exhaustive adjudication, majority voting vs N\n");
     print!(
         "{}",
-        redundancy_bench::experiments::early_exit::run_jobs(trials, seed, jobs)
+        redundancy_bench::experiments::early_exit::run(trials, seed, jobs)
     );
     println!("\nQuorum sweep at N = 5:\n");
     print!(
         "{}",
-        redundancy_bench::experiments::early_exit::run_quorum_jobs(trials, seed, jobs)
+        redundancy_bench::experiments::early_exit::run_quorum(trials, seed, jobs)
     );
 }

@@ -23,12 +23,7 @@ fn main() {
     println!("(3 variants, 25% independent fault density, {trials} requests, {jobs} jobs)\n");
     print!(
         "{}",
-        redundancy_bench::experiments::fig1_patterns::run_traced_jobs(
-            trials,
-            default_seed(),
-            observer,
-            jobs
-        )
+        redundancy_bench::experiments::fig1_patterns::run(trials, default_seed(), jobs, observer)
     );
 
     if trace {

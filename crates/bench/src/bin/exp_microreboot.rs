@@ -8,6 +8,6 @@ fn main() {
     println!("E11 — availability and recovery time by reboot policy\n");
     print!(
         "{}",
-        redundancy_bench::experiments::microreboot::run_jobs(50_000, default_seed(), jobs_arg())
+        redundancy_bench::experiments::microreboot::run(50_000, default_seed(), jobs_arg())
     );
 }

@@ -11,7 +11,7 @@ fn main() {
     println!("E4 — N-version reliability vs N and fault density\n");
     print!(
         "{}",
-        redundancy_bench::experiments::nvp_tolerance::run_jobs(trials, seed, jobs)
+        redundancy_bench::experiments::nvp_tolerance::run(trials, seed, jobs)
     );
     println!("\nAdjudicator ablation at N = 5:\n");
     print!(

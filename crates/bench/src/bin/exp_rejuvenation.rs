@@ -10,7 +10,7 @@ fn main() {
     println!("E7a — aging-failure rate vs rejuvenation cadence\n");
     print!(
         "{}",
-        redundancy_bench::experiments::rejuvenation::run_failure_rates_jobs(
+        redundancy_bench::experiments::rejuvenation::run_failure_rates(
             default_trials(),
             seed,
             jobs
@@ -19,6 +19,6 @@ fn main() {
     println!("\nE7b — completion time vs rejuvenate-every-N-checkpoints (Garg)\n");
     print!(
         "{}",
-        redundancy_bench::experiments::rejuvenation::run_completion_jobs(60, seed, jobs)
+        redundancy_bench::experiments::rejuvenation::run_completion(60, seed, jobs)
     );
 }

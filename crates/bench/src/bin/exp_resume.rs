@@ -31,7 +31,7 @@ fn main() {
         "({trials} trials, kill injected before trial {})\n",
         trials * 3 / 4
     );
-    print!("{}", resume::run_jobs(trials, seed, jobs_arg()));
+    print!("{}", resume::run(trials, seed, jobs_arg()));
     let kills = resume::chaos_smoke(if smoke { 60 } else { 120 }, seed, jobs_arg());
     println!(
         "\nchaos smoke: PASS — traced campaign survived {kills} scripted kill(s); \

@@ -8,7 +8,7 @@ fn main() {
     println!("E16 — robust data structures under corruption\n");
     print!(
         "{}",
-        redundancy_bench::experiments::robust_data::run_jobs(
+        redundancy_bench::experiments::robust_data::run(
             default_trials(),
             default_seed(),
             jobs_arg()

@@ -8,6 +8,6 @@ fn main() {
     println!("E10 — recovery by fault type (density 0.35, 6 attempts)\n");
     print!(
         "{}",
-        redundancy_bench::experiments::rx::run_jobs(default_trials(), default_seed(), jobs_arg())
+        redundancy_bench::experiments::rx::run(default_trials(), default_seed(), jobs_arg())
     );
 }

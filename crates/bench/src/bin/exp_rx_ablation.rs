@@ -8,7 +8,7 @@ fn main() {
     println!("E10b — RX knob ablation (fault density 0.4, 6 rounds)\n");
     print!(
         "{}",
-        redundancy_bench::experiments::rx_ablation::run_jobs(
+        redundancy_bench::experiments::rx_ablation::run(
             default_trials(),
             default_seed(),
             jobs_arg()

@@ -8,7 +8,7 @@ fn main() {
     println!("E9 — attacks stopped vs replica/variant count\n");
     print!(
         "{}",
-        redundancy_bench::experiments::security::run_jobs(
+        redundancy_bench::experiments::security::run(
             default_trials().min(1000),
             default_seed(),
             jobs_arg()

@@ -18,7 +18,7 @@ fn main() {
         "E20 — event-loop service runtime ({trials} requests/cell, 3 providers, \
          100 µs mean interarrival, 100 ms deadline)\n"
     );
-    print!("{}", services_rt::run_jobs(trials, seed, jobs_arg()));
+    print!("{}", services_rt::run(trials, seed, jobs_arg()));
     if smoke {
         // The CI gate: the determinism claim, re-proven end to end.
         let a = services_rt::run_cell("spiky", "hedged", trials as u64, seed);

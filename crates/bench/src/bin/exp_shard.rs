@@ -43,16 +43,16 @@ fn main() {
         "E21 — sharded service runtime with circuit breakers ({trials} requests/cell, \
          3 providers with one sick, bursty on/off arrivals, hedged policy)\n"
     );
-    print!("{}", shard_rt::run_jobs(trials, seed, jobs_arg()));
+    print!("{}", shard_rt::run(trials, seed, jobs_arg()));
     if !smoke {
         return;
     }
     let requests = trials as u64;
 
     // Gate 1: breaker-off digests are shard-count invariant.
-    let baseline = shard_rt::run_sharded(1, requests, seed, false);
+    let baseline = shard_rt::run_sharded(1, requests, seed, false, 1);
     for shards in shard_rt::SHARD_COUNTS {
-        let report = shard_rt::run_sharded(shards, requests, seed, false);
+        let report = shard_rt::run_sharded(shards, requests, seed, false, 1);
         assert_eq!(
             report.ledger_digest(),
             baseline.ledger_digest(),
@@ -61,15 +61,15 @@ fn main() {
     }
 
     // Gate 2: breaker-on runs are jobs-invariant at a fixed shard count.
-    let on_serial = shard_rt::run_sharded_jobs(8, requests, seed, true, 1);
-    let on_parallel = shard_rt::run_sharded_jobs(8, requests, seed, true, 4);
+    let on_serial = shard_rt::run_sharded(8, requests, seed, true, 1);
+    let on_parallel = shard_rt::run_sharded(8, requests, seed, true, 4);
     assert_eq!(
         on_serial, on_parallel,
         "breaker run must be bit-identical on 1 and 4 pool workers"
     );
 
     // Gate 3: the breaker cuts failed attempts without losing the tail.
-    let off = shard_rt::run_sharded(8, requests, seed, false);
+    let off = shard_rt::run_sharded(8, requests, seed, false, 1);
     assert!(on_serial.breaker_opens > 0, "sick provider must trip");
     assert!(
         on_serial.attempts_failed < off.attempts_failed,
@@ -93,10 +93,10 @@ fn main() {
     let was_enabled = telemetry.is_enabled();
     telemetry.set_enabled(true);
     telemetry.reset();
-    let _ = shard_rt::run_sharded_jobs(8, requests, seed, true, 1);
+    let _ = shard_rt::run_sharded(8, requests, seed, true, 1);
     let serial_totals = service_totals();
     telemetry.reset();
-    let _ = shard_rt::run_sharded_jobs(8, requests, seed, true, 4);
+    let _ = shard_rt::run_sharded(8, requests, seed, true, 4);
     let parallel_totals = service_totals();
     telemetry.set_enabled(was_enabled);
     for ((counter, serial), (_, parallel)) in serial_totals.iter().zip(&parallel_totals) {

@@ -8,7 +8,7 @@ fn main() {
     println!("E12 — dynamic service substitution (provider failure rate 0.4)\n");
     print!(
         "{}",
-        redundancy_bench::experiments::substitution::run_jobs(
+        redundancy_bench::experiments::substitution::run(
             default_trials(),
             default_seed(),
             jobs_arg()

@@ -23,7 +23,7 @@ fn main() {
     println!("Table 2 — classification + empirical delivery rate under fault load");
     println!("({trials} trials per cell, fault strength 0.3, seed {seed:#x}, {jobs} jobs)\n");
     let (matrix, latency) =
-        redundancy_bench::experiments::table2_matrix::run_traced_jobs(trials, seed, extra, jobs);
+        redundancy_bench::experiments::table2_matrix::run(trials, seed, jobs, extra);
     print!("{matrix}");
     println!("\nStatic classification (as printed in the paper):\n");
     print!("{}", redundancy_techniques::table2::render());

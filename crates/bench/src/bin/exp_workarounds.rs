@@ -8,7 +8,7 @@ fn main() {
     println!("E13 — failures worked around vs equivalence rules known\n");
     print!(
         "{}",
-        redundancy_bench::experiments::workarounds::run_jobs(
+        redundancy_bench::experiments::workarounds::run(
             default_trials(),
             default_seed(),
             jobs_arg()

@@ -8,10 +8,6 @@ fn main() {
     println!("E15 — heap smashing (64-byte buffers, 1..=128-byte overflows)\n");
     print!(
         "{}",
-        redundancy_bench::experiments::wrappers::run_jobs(
-            default_trials(),
-            default_seed(),
-            jobs_arg()
-        )
+        redundancy_bench::experiments::wrappers::run(default_trials(), default_seed(), jobs_arg())
     );
 }

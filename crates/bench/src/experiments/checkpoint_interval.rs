@@ -38,17 +38,12 @@ pub fn young_interval(checkpoint_cost: u64, fail_prob: f64) -> f64 {
     (2.0 * checkpoint_cost as f64 / fail_prob).sqrt()
 }
 
-/// Builds the interval sweep table.
+/// Builds the E17 table: mean completion time per checkpoint interval,
+/// with the interval sweep sharded across up to `jobs` worker threads;
+/// every interval seeds its own RNG, so the table is identical for any
+/// `jobs`.
 #[must_use]
-pub fn run(repetitions: usize, seed: u64) -> Table {
-    run_jobs(repetitions, seed, 1)
-}
-
-/// Like [`run`] with the interval sweep sharded across up to `jobs`
-/// worker threads; every interval seeds its own RNG, so the table is
-/// identical for any `jobs`.
-#[must_use]
-pub fn run_jobs(repetitions: usize, seed: u64, jobs: usize) -> Table {
+pub fn run(repetitions: usize, seed: u64, jobs: usize) -> Table {
     let total_work = 20_000;
     let checkpoint_cost = 25;
     let fail_prob = 0.002;
@@ -137,11 +132,11 @@ mod tests {
 
     #[test]
     fn table_renders() {
-        assert_eq!(run(3, SEED).len(), 9);
+        assert_eq!(run(3, SEED, 1).len(), 9);
     }
 
     #[test]
     fn table_is_identical_for_any_job_count() {
-        crate::assert_jobs_invariant!(|jobs| run_jobs(3, SEED, jobs));
+        crate::assert_jobs_invariant!(|jobs| run(3, SEED, jobs));
     }
 }

@@ -32,17 +32,11 @@ pub fn reliability_at_rho(rho: f64, density: f64, trials: usize, seed: u64) -> f
     correct as f64 / trials as f64
 }
 
-/// Builds the E5 table: reliability and gain-over-single-version vs ρ.
+/// Builds the E5 table: reliability and gain-over-single-version vs ρ, with
+/// the ρ sweep sharded across up to `jobs` worker threads; every row seeds
+/// its own suite and context, so the table is identical for any `jobs`.
 #[must_use]
-pub fn run(trials: usize, seed: u64) -> Table {
-    run_jobs(trials, seed, 1)
-}
-
-/// Like [`run`] with the ρ sweep sharded across up to `jobs` worker
-/// threads; every row seeds its own suite and context, so the table is
-/// identical for any `jobs`.
-#[must_use]
-pub fn run_jobs(trials: usize, seed: u64, jobs: usize) -> Table {
+pub fn run(trials: usize, seed: u64, jobs: usize) -> Table {
     let density = 0.2;
     let single = 1.0 - density;
     let rhos = [0.0, 0.25, 0.5, 0.75, 1.0];
@@ -95,11 +89,11 @@ mod tests {
 
     #[test]
     fn table_renders_five_rhos() {
-        assert_eq!(run(300, SEED).len(), 5);
+        assert_eq!(run(300, SEED, 1).len(), 5);
     }
 
     #[test]
     fn table_is_identical_for_any_job_count() {
-        crate::assert_jobs_invariant!(|jobs| run_jobs(300, SEED, jobs));
+        crate::assert_jobs_invariant!(|jobs| run(300, SEED, jobs));
     }
 }

@@ -130,17 +130,11 @@ pub fn single_point(trials: usize, seed: u64) -> CostPoint {
     })
 }
 
-/// Builds the E6 table.
-#[must_use]
-pub fn run(trials: usize, seed: u64) -> Table {
-    run_jobs(trials, seed, 1)
-}
-
-/// Like [`run`] with the six technique measurements sharded across up to
-/// `jobs` worker threads; every point seeds its own context, so the
+/// Builds the E6 table, with the six technique measurements sharded across
+/// up to `jobs` worker threads; every point seeds its own context, so the
 /// table is identical for any `jobs`.
 #[must_use]
-pub fn run_jobs(trials: usize, seed: u64, jobs: usize) -> Table {
+pub fn run(trials: usize, seed: u64, jobs: usize) -> Table {
     let mut table = Table::new(&[
         "Technique",
         "reliability",
@@ -243,11 +237,11 @@ mod tests {
 
     #[test]
     fn table_renders_six_rows() {
-        assert_eq!(run(200, SEED).len(), 6);
+        assert_eq!(run(200, SEED, 1).len(), 6);
     }
 
     #[test]
     fn table_is_identical_for_any_job_count() {
-        crate::assert_jobs_invariant!(|jobs| run_jobs(200, SEED, jobs));
+        crate::assert_jobs_invariant!(|jobs| run(200, SEED, jobs));
     }
 }

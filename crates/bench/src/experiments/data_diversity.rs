@@ -64,17 +64,11 @@ pub fn ncopy_rate(k: usize, trials: usize, seed: u64) -> f64 {
     ok as f64 / trials as f64
 }
 
-/// Builds the E8 table.
-#[must_use]
-pub fn run(trials: usize, seed: u64) -> Table {
-    run_jobs(trials, seed, 1)
-}
-
-/// Like [`run`] with the re-expression sweep sharded across up to `jobs`
-/// worker threads; every row seeds its own contexts, so the table is
+/// Builds the E8 table, with the re-expression sweep sharded across up to
+/// `jobs` worker threads; every row seeds its own contexts, so the table is
 /// identical for any `jobs`.
 #[must_use]
-pub fn run_jobs(trials: usize, seed: u64, jobs: usize) -> Table {
+pub fn run(trials: usize, seed: u64, jobs: usize) -> Table {
     let mut table = Table::new(&[
         "re-expressions",
         "retry blocks",
@@ -141,11 +135,11 @@ mod tests {
 
     #[test]
     fn table_renders_five_rows() {
-        assert_eq!(run(200, SEED).len(), 5);
+        assert_eq!(run(200, SEED, 1).len(), 5);
     }
 
     #[test]
     fn table_is_identical_for_any_job_count() {
-        crate::assert_jobs_invariant!(|jobs| run_jobs(200, SEED, jobs));
+        crate::assert_jobs_invariant!(|jobs| run(200, SEED, jobs));
     }
 }

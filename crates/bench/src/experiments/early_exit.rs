@@ -88,17 +88,12 @@ const HEADERS: [&str; 9] = [
     "reliability",
 ];
 
-/// Builds the cost-vs-N table (majority voting) under both policies.
+/// Builds the cost-vs-N table (majority voting) under both policies, with
+/// the per-(N, policy) campaigns computed across up to `jobs` worker
+/// threads; every campaign seeds its own versions and contexts, so the
+/// table is identical for any `jobs`.
 #[must_use]
-pub fn run(trials: usize, seed: u64) -> Table {
-    run_jobs(trials, seed, 1)
-}
-
-/// Like [`run`] with the per-(N, policy) campaigns computed across up to
-/// `jobs` worker threads; every campaign seeds its own versions and
-/// contexts, so the table is identical for any `jobs`.
-#[must_use]
-pub fn run_jobs(trials: usize, seed: u64, jobs: usize) -> Table {
+pub fn run(trials: usize, seed: u64, jobs: usize) -> Table {
     let ns = [3usize, 5, 7, 9];
     let tasks: Vec<_> = ns
         .iter()
@@ -123,18 +118,12 @@ pub fn run_jobs(trials: usize, seed: u64, jobs: usize) -> Table {
     table
 }
 
-/// Builds the cost-vs-quorum table at N = 5 under both policies: quorum
-/// `q` means the vote concludes once `q` outputs agree, so eagerness has
-/// the most to skip at small `q` and nothing at `q = N`.
+/// Builds the cost-vs-quorum table at N = 5 under both policies, with the
+/// per-(quorum, policy) campaigns computed across up to `jobs` worker
+/// threads. Quorum `q` means the vote concludes once `q` outputs agree,
+/// so eagerness has the most to skip at small `q` and nothing at `q = N`.
 #[must_use]
-pub fn run_quorum(trials: usize, seed: u64) -> Table {
-    run_quorum_jobs(trials, seed, 1)
-}
-
-/// Like [`run_quorum`] with the per-(quorum, policy) campaigns computed
-/// across up to `jobs` worker threads.
-#[must_use]
-pub fn run_quorum_jobs(trials: usize, seed: u64, jobs: usize) -> Table {
+pub fn run_quorum(trials: usize, seed: u64, jobs: usize) -> Table {
     let n = 5usize;
     let quorums = [2usize, 3, 4, 5];
     let tasks: Vec<_> = quorums
@@ -221,13 +210,13 @@ mod tests {
 
     #[test]
     fn tables_render() {
-        assert_eq!(run(100, SEED).len(), 4);
-        assert_eq!(run_quorum(100, SEED).len(), 4);
+        assert_eq!(run(100, SEED, 1).len(), 4);
+        assert_eq!(run_quorum(100, SEED, 1).len(), 4);
     }
 
     #[test]
     fn tables_are_identical_for_any_job_count() {
-        crate::assert_jobs_invariant!(|jobs| run_jobs(100, SEED, jobs));
-        crate::assert_jobs_invariant!(|jobs| run_quorum_jobs(100, SEED, jobs));
+        crate::assert_jobs_invariant!(|jobs| run(100, SEED, jobs));
+        crate::assert_jobs_invariant!(|jobs| run_quorum(100, SEED, jobs));
     }
 }

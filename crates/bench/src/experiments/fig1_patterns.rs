@@ -109,38 +109,15 @@ pub fn sequential_alternatives(trials: usize, seed: u64, obs: Option<&ObsHandle>
     })
 }
 
-/// Builds the Figure 1 comparison table.
+/// Builds the Figure 1 comparison table, with the three pattern rows
+/// measured across up to `jobs` worker threads and every request
+/// recorded to `observer` when one is given (what `exp_fig1 --trace`
+/// uses). Each row seeds its own context, so the table is identical for
+/// any `jobs`; but with `jobs > 1` an observer's event stream
+/// interleaves rows in scheduling order, so pass `jobs = 1` when
+/// capturing a stream for replay.
 #[must_use]
-pub fn run(trials: usize, seed: u64) -> Table {
-    run_jobs(trials, seed, 1)
-}
-
-/// Like [`run`] with the three pattern rows measured across up to `jobs`
-/// worker threads; each row seeds its own context, so the table is
-/// identical for any `jobs`.
-#[must_use]
-pub fn run_jobs(trials: usize, seed: u64, jobs: usize) -> Table {
-    run_traced_jobs(trials, seed, None, jobs)
-}
-
-/// Like [`run`], with every request recorded to `observer` when one is
-/// given (what `exp_fig1 --trace` uses).
-#[must_use]
-pub fn run_traced(trials: usize, seed: u64, observer: Option<Arc<dyn Observer>>) -> Table {
-    run_traced_jobs(trials, seed, observer, 1)
-}
-
-/// Like [`run_traced`] with rows measured across up to `jobs` worker
-/// threads. The table is identical for any `jobs`, but with `jobs > 1`
-/// an observer's event stream interleaves rows in scheduling order;
-/// pass `jobs = 1` when capturing a stream for replay.
-#[must_use]
-pub fn run_traced_jobs(
-    trials: usize,
-    seed: u64,
-    observer: Option<Arc<dyn Observer>>,
-    jobs: usize,
-) -> Table {
+pub fn run(trials: usize, seed: u64, jobs: usize, observer: Option<Arc<dyn Observer>>) -> Table {
     let handle = observer.map(ObsHandle::new);
     let mut table = Table::new(&[
         "Pattern (Figure 1)",
@@ -234,13 +211,13 @@ mod tests {
 
     #[test]
     fn table_renders_three_rows() {
-        let table = run(100, SEED);
+        let table = run(100, SEED, 1, None);
         assert_eq!(table.len(), 3);
         assert!(table.to_string().contains("parallel evaluation"));
     }
 
     #[test]
     fn table_is_identical_for_any_job_count() {
-        crate::assert_jobs_invariant!(|jobs| run_jobs(100, SEED, jobs));
+        crate::assert_jobs_invariant!(|jobs| run(100, SEED, jobs, None));
     }
 }

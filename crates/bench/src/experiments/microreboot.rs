@@ -30,17 +30,12 @@ pub fn shallow_recovery_times() -> Vec<(RebootPolicy, u64, bool)> {
     .collect()
 }
 
-/// Builds the E11 table: availability and mean recovery per policy.
+/// Builds the E11 table: availability and mean recovery per policy, with
+/// the three policy simulations run across up to `jobs` worker threads;
+/// every policy gets its own freshly seeded RNG, so the table is identical
+/// for any `jobs`.
 #[must_use]
-pub fn run(requests: u64, seed: u64) -> Table {
-    run_jobs(requests, seed, 1)
-}
-
-/// Like [`run`] with the three policy simulations run across up to
-/// `jobs` worker threads; every policy gets its own freshly seeded RNG,
-/// so the table is identical for any `jobs`.
-#[must_use]
-pub fn run_jobs(requests: u64, seed: u64, jobs: usize) -> Table {
+pub fn run(requests: u64, seed: u64, jobs: usize) -> Table {
     let mut table = Table::new(&[
         "policy",
         "availability",
@@ -118,11 +113,11 @@ mod tests {
 
     #[test]
     fn table_renders_three_rows() {
-        assert_eq!(run(5_000, SEED).len(), 3);
+        assert_eq!(run(5_000, SEED, 1).len(), 3);
     }
 
     #[test]
     fn table_is_identical_for_any_job_count() {
-        crate::assert_jobs_invariant!(|jobs| run_jobs(5_000, SEED, jobs));
+        crate::assert_jobs_invariant!(|jobs| run(5_000, SEED, jobs));
     }
 }

@@ -46,17 +46,12 @@ pub fn reliability_with(
     correct as f64 / trials as f64
 }
 
-/// Builds the E4 table: rows = N, columns = densities.
+/// Builds the E4 table: rows = N, columns = densities, with the 16 (N,
+/// density) cells computed across up to `jobs` worker threads; every cell
+/// seeds its own versions and context, so the table is identical for any
+/// `jobs`.
 #[must_use]
-pub fn run(trials: usize, seed: u64) -> Table {
-    run_jobs(trials, seed, 1)
-}
-
-/// Like [`run`] with the 16 (N, density) cells computed across up to
-/// `jobs` worker threads; every cell seeds its own versions and context,
-/// so the table is identical for any `jobs`.
-#[must_use]
-pub fn run_jobs(trials: usize, seed: u64, jobs: usize) -> Table {
+pub fn run(trials: usize, seed: u64, jobs: usize) -> Table {
     let densities = [0.05, 0.15, 0.30, 0.50];
     let ns = [1usize, 3, 5, 7];
     let tasks: Vec<_> = ns
@@ -174,12 +169,12 @@ mod tests {
 
     #[test]
     fn tables_render() {
-        assert_eq!(run(200, SEED).len(), 4);
+        assert_eq!(run(200, SEED, 1).len(), 4);
         assert_eq!(run_adjudicator_ablation(200, SEED).len(), 3);
     }
 
     #[test]
     fn table_is_identical_for_any_job_count() {
-        crate::assert_jobs_invariant!(|jobs| run_jobs(200, SEED, jobs));
+        crate::assert_jobs_invariant!(|jobs| run(200, SEED, jobs));
     }
 }

@@ -49,17 +49,12 @@ pub fn mean_completion(rejuvenate_every: u64, repetitions: usize, seed: u64) -> 
     total as f64 / repetitions as f64
 }
 
-/// Builds the E7a table: failure rate vs rejuvenation cadence.
+/// Builds the E7a table: failure rate vs rejuvenation cadence, with the six
+/// cadence rows computed across up to `jobs` worker threads; every row
+/// seeds its own server and context, so the table is identical for any
+/// `jobs`.
 #[must_use]
-pub fn run_failure_rates(trials: usize, seed: u64) -> Table {
-    run_failure_rates_jobs(trials, seed, 1)
-}
-
-/// Like [`run_failure_rates`] with the six cadence rows computed across
-/// up to `jobs` worker threads; every row seeds its own server and
-/// context, so the table is identical for any `jobs`.
-#[must_use]
-pub fn run_failure_rates_jobs(trials: usize, seed: u64, jobs: usize) -> Table {
+pub fn run_failure_rates(trials: usize, seed: u64, jobs: usize) -> Table {
     let intervals = [25u64, 50, 100, 200, 400, u64::MAX];
     let tasks: Vec<_> = intervals
         .iter()
@@ -78,17 +73,11 @@ pub fn run_failure_rates_jobs(trials: usize, seed: u64, jobs: usize) -> Table {
     table
 }
 
-/// Builds the E7b table: completion time vs rejuvenate-every-N.
+/// Builds the E7b table: completion time vs rejuvenate-every-N, with the
+/// eight cadence rows computed across up to `jobs` worker threads; every
+/// row seeds its own RNG, so the table is identical for any `jobs`.
 #[must_use]
-pub fn run_completion(repetitions: usize, seed: u64) -> Table {
-    run_completion_jobs(repetitions, seed, 1)
-}
-
-/// Like [`run_completion`] with the eight cadence rows computed across
-/// up to `jobs` worker threads; every row seeds its own RNG, so the
-/// table is identical for any `jobs`.
-#[must_use]
-pub fn run_completion_jobs(repetitions: usize, seed: u64, jobs: usize) -> Table {
+pub fn run_completion(repetitions: usize, seed: u64, jobs: usize) -> Table {
     let cadences = [0u64, 1, 2, 4, 8, 16, 32, 64];
     let tasks: Vec<_> = cadences
         .iter()
@@ -141,13 +130,13 @@ mod tests {
 
     #[test]
     fn tables_render() {
-        assert_eq!(run_failure_rates(300, SEED).len(), 6);
-        assert_eq!(run_completion(5, SEED).len(), 8);
+        assert_eq!(run_failure_rates(300, SEED, 1).len(), 6);
+        assert_eq!(run_completion(5, SEED, 1).len(), 8);
     }
 
     #[test]
     fn tables_are_identical_for_any_job_count() {
-        crate::assert_jobs_invariant!(|jobs| run_failure_rates_jobs(300, SEED, jobs));
-        crate::assert_jobs_invariant!(|jobs| run_completion_jobs(5, SEED, jobs));
+        crate::assert_jobs_invariant!(|jobs| run_failure_rates(300, SEED, jobs));
+        crate::assert_jobs_invariant!(|jobs| run_completion(5, SEED, jobs));
     }
 }

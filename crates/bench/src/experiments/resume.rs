@@ -112,17 +112,12 @@ pub fn measure(trials: usize, seed: u64, interval: usize, kill_at: usize) -> Res
     }
 }
 
-/// Builds the interval sweep table.
+/// Builds the E19 table: work lost per checkpoint interval, with the
+/// interval sweep sharded across up to `jobs` worker threads; each cell
+/// runs its own single-worker campaign on its own checkpoint file, so the
+/// table is identical for any `jobs`.
 #[must_use]
-pub fn run(trials: usize, seed: u64) -> Table {
-    run_jobs(trials, seed, 1)
-}
-
-/// Like [`run`] with the interval sweep sharded across up to `jobs`
-/// worker threads; each cell runs its own single-worker campaign on its
-/// own checkpoint file, so the table is identical for any `jobs`.
-#[must_use]
-pub fn run_jobs(trials: usize, seed: u64, jobs: usize) -> Table {
+pub fn run(trials: usize, seed: u64, jobs: usize) -> Table {
     let trials = trials.max(8);
     let kill_at = trials * 3 / 4;
     let mut intervals: Vec<usize> = [1, 2, 8, 32, 128, trials]
@@ -271,7 +266,7 @@ mod tests {
 
     #[test]
     fn table_renders_with_identical_summaries_everywhere() {
-        let table = run(64, SEED);
+        let table = run(64, SEED, 1);
         let rendered = table.to_string();
         assert!(rendered.contains("yes"));
         assert!(!rendered.contains("NO"));
@@ -279,7 +274,7 @@ mod tests {
 
     #[test]
     fn table_is_identical_for_any_job_count() {
-        crate::assert_jobs_invariant!(|jobs| run_jobs(32, SEED, jobs));
+        crate::assert_jobs_invariant!(|jobs| run(32, SEED, jobs));
     }
 
     #[test]

@@ -105,17 +105,11 @@ pub fn measure(damage: Damage, trials: usize, seed: u64) -> RepairStats {
     }
 }
 
-/// Builds the E16 table.
-#[must_use]
-pub fn run(trials: usize, seed: u64) -> Table {
-    run_jobs(trials, seed, 1)
-}
-
-/// Like [`run`] with the corruption patterns sharded across up to `jobs`
-/// worker threads; every pattern seeds its own RNG, so the table is
+/// Builds the E16 table, with the corruption patterns sharded across up to
+/// `jobs` worker threads; every pattern seeds its own RNG, so the table is
 /// identical for any `jobs`.
 #[must_use]
-pub fn run_jobs(trials: usize, seed: u64, jobs: usize) -> Table {
+pub fn run(trials: usize, seed: u64, jobs: usize) -> Table {
     let mut table = Table::new(&["corruption", "detected", "repaired"]);
     let tasks: Vec<_> = Damage::ALL
         .iter()
@@ -174,11 +168,11 @@ mod tests {
 
     #[test]
     fn table_renders_five_rows() {
-        assert_eq!(run(50, SEED).len(), 5);
+        assert_eq!(run(50, SEED, 1).len(), 5);
     }
 
     #[test]
     fn table_is_identical_for_any_job_count() {
-        crate::assert_jobs_invariant!(|jobs| run_jobs(50, SEED, jobs));
+        crate::assert_jobs_invariant!(|jobs| run(50, SEED, jobs));
     }
 }

@@ -6,11 +6,10 @@
 //! (same environment → same failure); RX cures both by re-rolling the
 //! environment; neither touches environment-blind input-region Bohrbugs.
 
+use redundancy_core::adjudicator::acceptance::AcceptAll;
 use redundancy_core::context::ExecContext;
 use redundancy_core::variant::BoxedVariant;
-use redundancy_faults::{
-    Activation, DetectableFailures, EnvSignature, FaultEffect, FaultSpec, FaultyVariant,
-};
+use redundancy_faults::{Activation, EnvSignature, FaultEffect, FaultSpec, FaultyVariant};
 use redundancy_sim::parallel_tasks;
 use redundancy_sim::table::Table;
 use redundancy_techniques::checkpoint_recovery::CheckpointRecovery;
@@ -77,7 +76,7 @@ fn build(fault: FaultType) -> (BoxedVariant<u64, u64>, EnvSignature) {
 #[must_use]
 pub fn rx_rate(fault: FaultType, rounds: u32, trials: usize, seed: u64) -> f64 {
     let (variant, env) = build(fault);
-    let rx = Rx::new(variant, env, DetectableFailures::new(), rounds);
+    let rx = Rx::new(variant, env, AcceptAll, rounds);
     let mut ctx = ExecContext::new(seed);
     let ok = (0..trials as u64)
         .filter(|x| rx.execute(x, &mut ctx).output() == Some(&golden(x)))
@@ -89,7 +88,7 @@ pub fn rx_rate(fault: FaultType, rounds: u32, trials: usize, seed: u64) -> f64 {
 #[must_use]
 pub fn reexecution_rate(fault: FaultType, retries: u32, trials: usize, seed: u64) -> f64 {
     let (variant, _env) = build(fault);
-    let cr = CheckpointRecovery::new(variant, DetectableFailures::new(), retries);
+    let cr = CheckpointRecovery::new(variant, AcceptAll, retries);
     let mut ctx = ExecContext::new(seed);
     let ok = (0..trials as u64)
         .filter(|x| cr.execute(x, &mut ctx).output() == Some(&golden(x)))
@@ -97,17 +96,12 @@ pub fn reexecution_rate(fault: FaultType, retries: u32, trials: usize, seed: u64
     ok as f64 / trials as f64
 }
 
-/// Builds the E10 comparison table (6 recovery attempts each).
+/// Builds the E10 comparison table (6 recovery attempts each), with the
+/// fault-type rows sharded across up to `jobs` worker threads; every
+/// measurement seeds its own context, so the table is identical for any
+/// `jobs`.
 #[must_use]
-pub fn run(trials: usize, seed: u64) -> Table {
-    run_jobs(trials, seed, 1)
-}
-
-/// Like [`run`] with the fault-type rows sharded across up to `jobs`
-/// worker threads; every measurement seeds its own context, so the table
-/// is identical for any `jobs`.
-#[must_use]
-pub fn run_jobs(trials: usize, seed: u64, jobs: usize) -> Table {
+pub fn run(trials: usize, seed: u64, jobs: usize) -> Table {
     let mut table = Table::new(&[
         "fault type",
         "no protection",
@@ -185,11 +179,11 @@ mod tests {
 
     #[test]
     fn table_renders_three_rows() {
-        assert_eq!(run(150, SEED).len(), 3);
+        assert_eq!(run(150, SEED, 1).len(), 3);
     }
 
     #[test]
     fn table_is_identical_for_any_job_count() {
-        crate::assert_jobs_invariant!(|jobs| run_jobs(150, SEED, jobs));
+        crate::assert_jobs_invariant!(|jobs| run(150, SEED, jobs));
     }
 }

@@ -7,11 +7,10 @@
 //! knob cures exactly its own fault family, the full menu cures all of
 //! them, and mismatched knobs leave the fault at its baseline rate.
 
+use redundancy_core::adjudicator::acceptance::AcceptAll;
 use redundancy_core::context::ExecContext;
 use redundancy_core::variant::BoxedVariant;
-use redundancy_faults::{
-    Activation, DetectableFailures, EnvKnobs, FaultEffect, FaultSpec, FaultyVariant,
-};
+use redundancy_faults::{Activation, EnvKnobs, FaultEffect, FaultSpec, FaultyVariant};
 use redundancy_sandbox::env::EnvConfig;
 use redundancy_sim::parallel_tasks;
 use redundancy_sim::table::Table;
@@ -149,7 +148,7 @@ fn build(
 #[must_use]
 pub fn delivery_rate(fault: KnobFault, schedule: Schedule, trials: usize, seed: u64) -> f64 {
     let (variant, env, knobs) = build(fault);
-    let rx = Rx::new(variant, env, DetectableFailures::new(), 6)
+    let rx = Rx::new(variant, env, AcceptAll, 6)
         .with_knobs(knobs)
         .with_schedule(move |round, env| schedule.apply(round, env));
     let mut ctx = ExecContext::new(seed);
@@ -159,17 +158,11 @@ pub fn delivery_rate(fault: KnobFault, schedule: Schedule, trials: usize, seed: 
     ok as f64 / trials as f64
 }
 
-/// Builds the E10b matrix: fault family × schedule.
+/// Builds the E10b matrix: fault family × schedule, with the 4×5
+/// fault/schedule cells sharded across up to `jobs` worker threads; every
+/// cell seeds its own context, so the table is identical for any `jobs`.
 #[must_use]
-pub fn run(trials: usize, seed: u64) -> Table {
-    run_jobs(trials, seed, 1)
-}
-
-/// Like [`run`] with the 4×5 fault/schedule cells sharded across up to
-/// `jobs` worker threads; every cell seeds its own context, so the table
-/// is identical for any `jobs`.
-#[must_use]
-pub fn run_jobs(trials: usize, seed: u64, jobs: usize) -> Table {
+pub fn run(trials: usize, seed: u64, jobs: usize) -> Table {
     let mut headers = vec!["fault \\ RX schedule".to_owned()];
     headers.extend(Schedule::ALL.iter().map(|s| s.label().to_owned()));
     let refs: Vec<&str> = headers.iter().map(String::as_str).collect();
@@ -257,13 +250,13 @@ mod tests {
 
     #[test]
     fn table_renders_four_by_five() {
-        let t = run(60, SEED);
+        let t = run(60, SEED, 1);
         assert_eq!(t.len(), 4);
         assert!(t.to_string().contains("full RX menu"));
     }
 
     #[test]
     fn table_is_identical_for_any_job_count() {
-        crate::assert_jobs_invariant!(|jobs| run_jobs(60, SEED, jobs));
+        crate::assert_jobs_invariant!(|jobs| run(60, SEED, jobs));
     }
 }

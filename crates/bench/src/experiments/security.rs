@@ -111,17 +111,12 @@ pub fn data_attacks(n: usize, trials: usize, seed: u64) -> AttackStats {
     stats
 }
 
-/// Builds the E9 table: stop rate per attack type and replica count.
+/// Builds the E9 table: stop rate per attack type and replica count, with
+/// the replica-count sweep sharded across up to `jobs` worker threads;
+/// every campaign seeds its own RNG, so the table is identical for any
+/// `jobs`.
 #[must_use]
-pub fn run(trials: usize, seed: u64) -> Table {
-    run_jobs(trials, seed, 1)
-}
-
-/// Like [`run`] with the replica-count sweep sharded across up to `jobs`
-/// worker threads; every campaign seeds its own RNG, so the table is
-/// identical for any `jobs`.
-#[must_use]
-pub fn run_jobs(trials: usize, seed: u64, jobs: usize) -> Table {
+pub fn run(trials: usize, seed: u64, jobs: usize) -> Table {
     let mut table = Table::new(&[
         "replicas/variants",
         "memory attacks stopped",
@@ -193,11 +188,11 @@ mod tests {
 
     #[test]
     fn table_renders_four_rows() {
-        assert_eq!(run(50, SEED).len(), 4);
+        assert_eq!(run(50, SEED, 1).len(), 4);
     }
 
     #[test]
     fn table_is_identical_for_any_job_count() {
-        crate::assert_jobs_invariant!(|jobs| run_jobs(50, SEED, jobs));
+        crate::assert_jobs_invariant!(|jobs| run(50, SEED, jobs));
     }
 }

@@ -100,17 +100,11 @@ fn fmt_us(ns: Option<u64>) -> String {
     }
 }
 
-/// Builds the E20 table.
+/// Builds the E20 table, with the 12 (scenario × policy) cells sharded
+/// across up to `jobs` worker threads; every cell builds its own pool and
+/// event loop, so the table is identical for any `jobs`.
 #[must_use]
-pub fn run(trials: usize, seed: u64) -> Table {
-    run_jobs(trials, seed, 1)
-}
-
-/// Like [`run`] with the 12 (scenario × policy) cells sharded across up
-/// to `jobs` worker threads; every cell builds its own pool and event
-/// loop, so the table is identical for any `jobs`.
-#[must_use]
-pub fn run_jobs(trials: usize, seed: u64, jobs: usize) -> Table {
+pub fn run(trials: usize, seed: u64, jobs: usize) -> Table {
     let mut table = Table::new(&[
         "scenario",
         "policy",
@@ -165,7 +159,7 @@ mod tests {
 
     #[test]
     fn table_renders_all_scenario_policy_cells() {
-        assert_eq!(run(300, SEED).len(), SCENARIOS.len() * POLICIES.len());
+        assert_eq!(run(300, SEED, 1).len(), SCENARIOS.len() * POLICIES.len());
     }
 
     #[test]
@@ -210,6 +204,6 @@ mod tests {
 
     #[test]
     fn table_is_identical_for_any_job_count() {
-        crate::assert_jobs_invariant!(|jobs| run_jobs(200, SEED, jobs));
+        crate::assert_jobs_invariant!(|jobs| run(200, SEED, jobs));
     }
 }

@@ -107,17 +107,11 @@ pub fn bursty_workload(requests: u64) -> Workload {
     }
 }
 
-/// Runs one (shards, breaker) cell serially.
+/// Runs one (shards, breaker) cell with the shard loops spread across up
+/// to `jobs` workers of the campaign pool. The report is bit-identical
+/// for any `jobs`.
 #[must_use]
-pub fn run_sharded(shards: usize, requests: u64, seed: u64, breaker: bool) -> RuntimeReport {
-    run_sharded_jobs(shards, requests, seed, breaker, 1)
-}
-
-/// Like [`run_sharded`] with the shard loops spread across up to `jobs`
-/// workers of the campaign pool. The report is bit-identical for any
-/// `jobs`.
-#[must_use]
-pub fn run_sharded_jobs(
+pub fn run_sharded(
     shards: usize,
     requests: u64,
     seed: u64,
@@ -139,16 +133,10 @@ fn fmt_us(ns: Option<u64>) -> String {
     }
 }
 
-/// Builds the E21 table.
+/// Builds the E21 table, with each cell's shard loops spread across up to
+/// `jobs` workers; the table is identical for any `jobs`.
 #[must_use]
-pub fn run(trials: usize, seed: u64) -> Table {
-    run_jobs(trials, seed, 1)
-}
-
-/// Like [`run`] with each cell's shard loops spread across up to `jobs`
-/// workers; the table is identical for any `jobs`.
-#[must_use]
-pub fn run_jobs(trials: usize, seed: u64, jobs: usize) -> Table {
+pub fn run(trials: usize, seed: u64, jobs: usize) -> Table {
     let mut table = Table::new(&[
         "shards",
         "breaker",
@@ -165,7 +153,7 @@ pub fn run_jobs(trials: usize, seed: u64, jobs: usize) -> Table {
     let requests = trials as u64;
     for breaker in [false, true] {
         for shards in SHARD_COUNTS {
-            let report = run_sharded_jobs(shards, requests, seed, breaker, jobs);
+            let report = run_sharded(shards, requests, seed, breaker, jobs);
             #[allow(clippy::cast_precision_loss)]
             let ok_rate = report.ok as f64 / requests as f64;
             table.row_owned(vec![
@@ -199,15 +187,15 @@ mod tests {
 
     #[test]
     fn table_renders_all_shard_breaker_cells() {
-        assert_eq!(run(300, SEED).len(), SHARD_COUNTS.len() * 2);
+        assert_eq!(run(300, SEED, 1).len(), SHARD_COUNTS.len() * 2);
     }
 
     #[test]
     fn breaker_off_digest_is_shard_count_invariant() {
-        let baseline = run_sharded(1, 2_000, SEED, false).ledger_digest();
+        let baseline = run_sharded(1, 2_000, SEED, false, 1).ledger_digest();
         for shards in SHARD_COUNTS {
             assert_eq!(
-                run_sharded(shards, 2_000, SEED, false).ledger_digest(),
+                run_sharded(shards, 2_000, SEED, false, 1).ledger_digest(),
                 baseline,
                 "shards={shards}"
             );
@@ -216,8 +204,8 @@ mod tests {
 
     #[test]
     fn breaker_cuts_failed_attempts_without_costing_availability() {
-        let off = run_sharded(2, 2_000, SEED, false);
-        let on = run_sharded(2, 2_000, SEED, true);
+        let off = run_sharded(2, 2_000, SEED, false, 1);
+        let on = run_sharded(2, 2_000, SEED, true, 1);
         assert!(on.breaker_opens > 0, "the sick provider must trip");
         assert!(
             on.attempts_failed < off.attempts_failed,
@@ -230,6 +218,6 @@ mod tests {
 
     #[test]
     fn table_is_identical_for_any_job_count() {
-        crate::assert_jobs_invariant!(|jobs| run_jobs(400, SEED, jobs));
+        crate::assert_jobs_invariant!(|jobs| run(400, SEED, jobs));
     }
 }

@@ -63,17 +63,11 @@ pub fn availability_with_converters(n: usize, similar: usize, trials: usize, see
     ok as f64 / trials as f64
 }
 
-/// Builds the E12 table.
+/// Builds the E12 table, with the provider-count sweep sharded across up to
+/// `jobs` worker threads; every row builds its own registry and context, so
+/// the table is identical for any `jobs`.
 #[must_use]
-pub fn run(trials: usize, seed: u64) -> Table {
-    run_jobs(trials, seed, 1)
-}
-
-/// Like [`run`] with the provider-count sweep sharded across up to
-/// `jobs` worker threads; every row builds its own registry and context,
-/// so the table is identical for any `jobs`.
-#[must_use]
-pub fn run_jobs(trials: usize, seed: u64, jobs: usize) -> Table {
+pub fn run(trials: usize, seed: u64, jobs: usize) -> Table {
     let mut table = Table::new(&[
         "providers",
         "availability (exact only)",
@@ -134,11 +128,11 @@ mod tests {
 
     #[test]
     fn table_renders_five_rows() {
-        assert_eq!(run(300, SEED).len(), 5);
+        assert_eq!(run(300, SEED, 1).len(), 5);
     }
 
     #[test]
     fn table_is_identical_for_any_job_count() {
-        crate::assert_jobs_invariant!(|jobs| run_jobs(300, SEED, jobs));
+        crate::assert_jobs_invariant!(|jobs| run(300, SEED, jobs));
     }
 }

@@ -12,14 +12,14 @@
 
 use std::sync::Arc;
 
-use redundancy_core::adjudicator::acceptance::FnAcceptance;
+use redundancy_core::adjudicator::acceptance::{AcceptAll, FnAcceptance, OracleTest};
 use redundancy_core::context::ExecContext;
 use redundancy_core::obs::{MetricsObserver, MetricsRegistry, ObsHandle, Observer};
 use redundancy_core::rng::SplitMix64;
 use redundancy_core::variant::Variant as _;
 use redundancy_core::variant::{pure_variant, BoxedVariant};
 use redundancy_faults::correlation::{correlated_versions, CorrelatedSuite};
-use redundancy_faults::{Activation, DetectableFailures, FaultEffect, FaultSpec, FaultyVariant};
+use redundancy_faults::{Activation, FaultEffect, FaultSpec, FaultyVariant};
 use redundancy_sim::parallel_tasks_lpt;
 use redundancy_sim::table::Table;
 use redundancy_techniques as tech;
@@ -361,7 +361,7 @@ fn env_perturbation(trials: usize, seed: u64, obs: Option<&ObsHandle>) -> Row {
             .fault(FaultSpec::new("bug", activation, FaultEffect::Crash))
             .build();
         let env = v.env_signature();
-        tech::env_perturbation::Rx::new(Box::new(v), env, DetectableFailures::new(), 6)
+        tech::env_perturbation::Rx::new(Box::new(v), env, AcceptAll, 6)
     };
     let mut ctx = mk_ctx(seed, obs);
     // Bohr cell: environment-blind input-region crash — RX cannot help.
@@ -515,22 +515,16 @@ fn workarounds(trials: usize, seed: u64) -> Row {
 }
 
 fn checkpoint_recovery(trials: usize, seed: u64, obs: Option<&ObsHandle>) -> Row {
-    use redundancy_faults::OracleDetector;
     let mut ctx = mk_ctx(seed, obs);
     let bohr = FaultyVariant::builder("hard", 10, golden)
         .corruptor(|c, _| c + 1001)
         .fault(FaultSpec::bohrbug("region", DENSITY, seed))
         .build_boxed();
-    let cr =
-        tech::checkpoint_recovery::CheckpointRecovery::new(bohr, OracleDetector::new(golden), 8);
+    let cr = tech::checkpoint_recovery::CheckpointRecovery::new(bohr, OracleTest::new(golden), 8);
     let bohr_ok = (0..trials as u64)
         .filter(|x| cr.execute(x, &mut ctx).output() == Some(&golden(x)))
         .count();
-    let cr = tech::checkpoint_recovery::CheckpointRecovery::new(
-        heisen_version(),
-        DetectableFailures::new(),
-        8,
-    );
+    let cr = tech::checkpoint_recovery::CheckpointRecovery::new(heisen_version(), AcceptAll, 8);
     let heis_ok = (0..trials as u64)
         .filter(|x| cr.execute(x, &mut ctx).output() == Some(&golden(x)))
         .count();
@@ -553,42 +547,26 @@ fn microreboot(trials: usize, seed: u64) -> Row {
     [None, rate(cured, trials), None]
 }
 
-/// Builds the empirical Table 2 matrix.
+/// Builds the empirical Table 2 matrix, with the technique rows computed
+/// across up to `jobs` worker threads. Every scenario context carries a
+/// [`MetricsObserver`] (fanned out to `extra`, when given — e.g. a ring
+/// buffer for `--trace`), and the second table reports per-technique
+/// recovery latency: mean `SimClock` ticks of technique runs that
+/// *recovered* (accepted with dissent), straight from the
+/// `recovery_latency_ticks` histograms.
+///
+/// Every row seeds its own contexts, so both tables are identical for
+/// any `jobs` — the metrics registry aggregates per-span histograms,
+/// which are insensitive to the order concurrent rows feed them — but
+/// the raw event *stream* an `extra` sink sees interleaves rows in
+/// scheduling order when `jobs > 1`; pass `jobs = 1` when capturing a
+/// stream for replay.
 #[must_use]
-pub fn run(trials: usize, seed: u64) -> Table {
-    run_jobs(trials, seed, 1)
-}
-
-/// Like [`run`] with the technique rows computed across up to `jobs`
-/// worker threads. Every row seeds its own contexts, so the rendered
-/// table is identical for any `jobs`.
-#[must_use]
-pub fn run_jobs(trials: usize, seed: u64, jobs: usize) -> Table {
-    run_traced_jobs(trials, seed, None, jobs).0
-}
-
-/// Like [`run`], but every scenario context carries a [`MetricsObserver`]
-/// (fanned out to `extra`, when given — e.g. a ring buffer for `--trace`),
-/// and the second table reports per-technique recovery latency: mean
-/// `SimClock` ticks of technique runs that *recovered* (accepted with
-/// dissent), straight from the `recovery_latency_ticks` histograms.
-#[must_use]
-pub fn run_traced(trials: usize, seed: u64, extra: Option<Arc<dyn Observer>>) -> (Table, Table) {
-    run_traced_jobs(trials, seed, extra, 1)
-}
-
-/// Like [`run_traced`] with rows computed across up to `jobs` worker
-/// threads. Both tables are identical for any `jobs` — the metrics
-/// registry aggregates per-span histograms, which are insensitive to the
-/// order concurrent rows feed them — but the raw event *stream* an
-/// `extra` sink sees interleaves rows in scheduling order when
-/// `jobs > 1`; pass `jobs = 1` when capturing a stream for replay.
-#[must_use]
-pub fn run_traced_jobs(
+pub fn run(
     trials: usize,
     seed: u64,
-    extra: Option<Arc<dyn Observer>>,
     jobs: usize,
+    extra: Option<Arc<dyn Observer>>,
 ) -> (Table, Table) {
     let registry = MetricsRegistry::shared();
     let metrics: Arc<dyn Observer> = Arc::new(MetricsObserver::new(Arc::clone(&registry)));
@@ -779,23 +757,12 @@ mod tests {
     }
 
     #[test]
-    fn full_matrix_renders() {
-        let table = run(120, SEED);
-        assert_eq!(table.len(), 18);
-        let text = table.to_string();
+    fn full_matrix_renders_with_recovery_latency_per_technique() {
+        let (matrix, latency) = run(120, SEED, 1, None);
+        assert_eq!(matrix.len(), 18);
+        let text = matrix.to_string();
         assert!(text.contains("N-version programming"));
         assert!(text.contains("—"));
-    }
-
-    #[test]
-    fn matrix_is_identical_for_any_job_count() {
-        crate::assert_jobs_invariant!(|jobs| run_jobs(60, SEED, jobs));
-    }
-
-    #[test]
-    fn traced_run_reports_recovery_latency_per_technique() {
-        let (matrix, latency) = run_traced(120, SEED, None);
-        assert_eq!(matrix.len(), 18);
         // Techniques that mask faults at density 0.3 must have recovered
         // at least once in 120 trials, and a recovery takes ticks.
         let text = latency.to_string();
@@ -806,9 +773,17 @@ mod tests {
     }
 
     #[test]
+    fn matrix_is_identical_for_any_job_count() {
+        crate::assert_jobs_invariant!(|jobs| {
+            let (matrix, latency) = run(60, SEED, jobs, None);
+            format!("{matrix}{latency}")
+        });
+    }
+
+    #[test]
     fn traced_run_fans_out_to_extra_observer() {
         let ring = redundancy_core::obs::RingBufferObserver::shared(1 << 16);
-        let _ = run_traced(40, SEED, Some(ring.clone() as Arc<dyn Observer>));
+        let _ = run(40, SEED, 1, Some(ring.clone() as Arc<dyn Observer>));
         assert!(!ring.is_empty(), "extra sink saw no events");
     }
 }

@@ -54,17 +54,12 @@ pub fn success_rate(rule_set: &[RewriteRule<Op>], trials: usize, seed: u64) -> f
     worked as f64 / applicable as f64
 }
 
-/// Builds the E13 table: success rate vs rule-set size.
+/// Builds the E13 table: success rate vs rule-set size, with the
+/// rule-set-size sweep sharded across up to `jobs` worker threads; every
+/// row builds its own rule set and RNG, so the table is identical for any
+/// `jobs`.
 #[must_use]
-pub fn run(trials: usize, seed: u64) -> Table {
-    run_jobs(trials, seed, 1)
-}
-
-/// Like [`run`] with the rule-set-size sweep sharded across up to `jobs`
-/// worker threads; every row builds its own rule set and RNG, so the
-/// table is identical for any `jobs`.
-#[must_use]
-pub fn run_jobs(trials: usize, seed: u64, jobs: usize) -> Table {
+pub fn run(trials: usize, seed: u64, jobs: usize) -> Table {
     let mut table = Table::new(&["equivalence rules known", "failures worked around"]);
     let tasks: Vec<_> = (0..=rules().len())
         .map(|k| move || success_rate(&rules()[..k], trials, seed))
@@ -109,11 +104,11 @@ mod tests {
 
     #[test]
     fn table_renders() {
-        assert_eq!(run(50, SEED).len(), rules().len() + 1);
+        assert_eq!(run(50, SEED, 1).len(), rules().len() + 1);
     }
 
     #[test]
     fn table_is_identical_for_any_job_count() {
-        crate::assert_jobs_invariant!(|jobs| run_jobs(50, SEED, jobs));
+        crate::assert_jobs_invariant!(|jobs| run(50, SEED, jobs));
     }
 }

@@ -86,17 +86,11 @@ pub fn padded(pad: u64, trials: usize, seed: u64) -> SmashStats {
     })
 }
 
-/// Builds the E15 table.
-#[must_use]
-pub fn run(trials: usize, seed: u64) -> Table {
-    run_jobs(trials, seed, 1)
-}
-
-/// Like [`run`] with the four configurations sharded across up to `jobs`
-/// worker threads; every campaign seeds its own RNG and heap, so the
+/// Builds the E15 table, with the four configurations sharded across up to
+/// `jobs` worker threads; every campaign seeds its own RNG and heap, so the
 /// table is identical for any `jobs`.
 #[must_use]
-pub fn run_jobs(trials: usize, seed: u64, jobs: usize) -> Table {
+pub fn run(trials: usize, seed: u64, jobs: usize) -> Table {
     let mut table = Table::new(&["configuration", "corruption rate", "writes refused"]);
     let labels = [
         "unchecked heap",
@@ -158,11 +152,11 @@ mod tests {
 
     #[test]
     fn table_renders_four_rows() {
-        assert_eq!(run(100, SEED).len(), 4);
+        assert_eq!(run(100, SEED, 1).len(), 4);
     }
 
     #[test]
     fn table_is_identical_for_any_job_count() {
-        crate::assert_jobs_invariant!(|jobs| run_jobs(100, SEED, jobs));
+        crate::assert_jobs_invariant!(|jobs| run(100, SEED, jobs));
     }
 }

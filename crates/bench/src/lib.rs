@@ -325,11 +325,11 @@ pub fn trace_enabled() -> bool {
 /// Asserts that an experiment is **jobs-invariant**: the rendered table
 /// must be byte-identical whether its campaign runs serially or sharded
 /// across worker threads. Pass a closure mapping a job count to anything
-/// `Display` (typically `|jobs| run_jobs(trials, SEED, jobs)`); the
-/// macro renders it at `jobs = 1` and requires the same bytes at
-/// `jobs = 2` and `jobs = 8`.
+/// `Display` (typically `|jobs| run(trials, SEED, jobs)`); the macro
+/// renders it at `jobs = 1` and requires the same bytes at `jobs = 2`
+/// and `jobs = 8`.
 ///
-/// Every experiment with a `run_jobs` entry point carries this test —
+/// Every experiment whose entry point takes `jobs` carries this test —
 /// parallelism must only ever trade wall-clock time for cores, never
 /// change results.
 ///

@@ -53,7 +53,7 @@ pub use taxonomy::{
     Adjudication, ArchitecturalPattern, Classification, FaultClass, FaultSet, Intention,
     RedundancyType,
 };
-pub use technique::{Technique, TechniqueEntry};
+pub use technique::TechniqueEntry;
 pub use variant::{BoxedVariant, FnVariant, Variant};
 
 /// The observability substrate (re-exported so downstream crates can name

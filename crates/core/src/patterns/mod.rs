@@ -60,25 +60,28 @@ pub fn verdict_status<O>(verdict: &Verdict<O>) -> SpanStatus {
     }
 }
 
-/// Wraps a pattern invocation in a `Technique` span: the technique
-/// modules call this so traces attribute each pattern run (and the
-/// variant executions under it) to the named technique, and so metrics
-/// can aggregate per technique. A no-op shell when the context is
-/// untraced.
-pub fn run_technique_span<O>(
+/// Wraps a technique invocation in a `Technique` span: every technique
+/// module runs its body through this so traces attribute the run (and
+/// the pattern runs and variant executions under it) to the named
+/// technique, and so metrics can aggregate per technique. `status` maps
+/// the body's result to the span's closing status (for a pattern report,
+/// its [`verdict_status`]); the span is charged the cost the body
+/// accrued. A no-op shell when the context is untraced.
+pub fn run_technique_span<R>(
     ctx: &mut ExecContext,
     name: &'static str,
-    body: impl FnOnce(&mut ExecContext) -> PatternReport<O>,
-) -> PatternReport<O> {
+    body: impl FnOnce(&mut ExecContext) -> R,
+    status: impl FnOnce(&R) -> SpanStatus,
+) -> R {
     let span = ctx.obs_begin(|| redundancy_obs::SpanKind::Technique { name });
     let before = ctx.cost();
-    let report = body(ctx);
+    let result = body(ctx);
     ctx.obs_end(
         span,
-        verdict_status(&report.verdict),
+        status(&result),
         ctx.cost().delta_since(before).snapshot(),
     );
-    report
+    result
 }
 
 /// Emits the adjudicator's conclusion as a [`Point::Verdict`] event (a

@@ -1,34 +1,14 @@
-//! The [`Technique`] trait: the contract every fault-handling mechanism in
-//! the framework fulfills, and the machinery that regenerates the paper's
-//! Table 2 from it.
+//! [`TechniqueEntry`]: the one declaration of a technique's Table 2 row
+//! (name, classification, patterns, citations), and the renderer that
+//! regenerates the paper's Table 2 from those rows.
 
 use std::fmt;
 
 use crate::taxonomy::{ArchitecturalPattern, Classification};
 
-/// A redundancy-based fault-handling technique (one row of Table 2).
-///
-/// Implementations live in the `redundancy-techniques` crate; the trait
-/// lives here so every layer can describe techniques uniformly.
-pub trait Technique {
-    /// The technique's name as it appears in the paper's Table 2.
-    fn name(&self) -> &'static str;
-
-    /// The taxonomy classification — must match the paper's Table 2 row,
-    /// which conformance tests assert.
-    fn classification(&self) -> Classification;
-
-    /// The architectural pattern(s) the technique instantiates (paper §2).
-    fn patterns(&self) -> &'static [ArchitecturalPattern];
-
-    /// Key citations from the paper for this technique.
-    fn citations(&self) -> &'static [&'static str] {
-        &[]
-    }
-}
-
-/// A static description of a technique, used by registries and by the
-/// Table 2 regenerator without instantiating the technique itself.
+/// A technique's Table 2 row: each technique module declares one as its
+/// `ENTRY` const, and the Table 2 regenerator reads them without
+/// instantiating any technique.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TechniqueEntry {
     /// Table 2 row label.
@@ -152,24 +132,5 @@ mod tests {
         let header_off = lines[0].find("Intention").unwrap();
         assert_eq!(&lines[2][header_off..header_off + 10], "deliberate");
         assert_eq!(&lines[3][header_off..header_off + 10], "deliberate");
-    }
-
-    #[test]
-    fn technique_trait_is_object_safe() {
-        struct Dummy;
-        impl Technique for Dummy {
-            fn name(&self) -> &'static str {
-                "dummy"
-            }
-            fn classification(&self) -> Classification {
-                sample_entry().classification
-            }
-            fn patterns(&self) -> &'static [ArchitecturalPattern] {
-                &[ArchitecturalPattern::IntraComponent]
-            }
-        }
-        let t: Box<dyn Technique> = Box::new(Dummy);
-        assert_eq!(t.name(), "dummy");
-        assert!(t.citations().is_empty());
     }
 }

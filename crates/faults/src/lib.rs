@@ -27,19 +27,13 @@
 #![warn(missing_docs)]
 
 pub mod correlation;
-pub mod detector;
 pub mod plan;
 pub mod spec;
 pub mod variant;
-pub mod workload;
 
 pub use correlation::{correlated_versions, CorrelatedSuite};
-pub use detector::{
-    AnyDetector, DetectableFailures, FailureDetector, InvariantDetector, OracleDetector,
-};
 pub use plan::FaultPlan;
 pub use spec::{Activation, FaultEffect, FaultSpec, Probe};
 pub use variant::{
     AgeHandle, EnvKnobs, EnvSignature, FaultyVariant, FaultyVariantBuilder, KnobSnapshot,
 };
-pub use workload::{AttackMix, Request, UniformInts, VecInts, Workload};

@@ -11,15 +11,16 @@
 //! Classification (Table 2): opportunistic / environment /
 //! reactive-explicit / Heisenbugs.
 
+use redundancy_core::adjudicator::acceptance::{AcceptanceTest, BoxedAcceptance};
 use redundancy_core::context::ExecContext;
 use redundancy_core::outcome::{VariantFailure, VariantOutcome};
+use redundancy_core::patterns::run_technique_span;
 use redundancy_core::rng::SplitMix64;
 use redundancy_core::taxonomy::{
     Adjudication, ArchitecturalPattern, Classification, FaultSet, Intention, RedundancyType,
 };
-use redundancy_core::technique::{Technique, TechniqueEntry};
+use redundancy_core::technique::TechniqueEntry;
 use redundancy_core::variant::{run_contained, BoxedVariant};
-use redundancy_faults::FailureDetector;
 
 /// Table 2 row for checkpoint-recovery.
 pub const ENTRY: TechniqueEntry = TechniqueEntry {
@@ -61,26 +62,29 @@ impl<O> RecoveryOutcome<O> {
     }
 }
 
-/// Checkpoint-recovery around a single computation: on detected failure,
-/// roll back (pay `rollback_cost`) and re-execute identically.
+/// Checkpoint-recovery around a single computation: on a failure or a
+/// rejected output, roll back (pay `rollback_cost`) and re-execute
+/// identically.
 pub struct CheckpointRecovery<I, O> {
     variant: BoxedVariant<I, O>,
-    detector: Box<dyn FailureDetector<I, O>>,
+    test: BoxedAcceptance<I, O>,
     max_retries: u32,
     rollback_cost: u64,
 }
 
 impl<I, O> CheckpointRecovery<I, O> {
-    /// Creates the wrapper.
+    /// Creates the wrapper. Every detectable failure triggers a
+    /// rollback; `test` is the explicit adjudicator for outputs
+    /// (`AcceptAll` when only detectable failures count).
     #[must_use]
     pub fn new(
         variant: BoxedVariant<I, O>,
-        detector: impl FailureDetector<I, O> + 'static,
+        test: impl AcceptanceTest<I, O> + 'static,
         max_retries: u32,
     ) -> Self {
         Self {
             variant,
-            detector: Box::new(detector),
+            test: Box::new(test),
             max_retries,
             rollback_cost: 20,
         }
@@ -95,26 +99,26 @@ impl<I, O> CheckpointRecovery<I, O> {
 
     /// Executes with rollback-and-retry protection.
     pub fn execute(&self, input: &I, ctx: &mut ExecContext) -> RecoveryOutcome<O> {
-        use redundancy_core::obs::{Point, SpanKind, SpanStatus};
+        use redundancy_core::obs::{Point, SpanStatus};
 
-        let span = ctx.obs_begin(|| SpanKind::Technique {
-            name: "checkpoint-recovery",
-        });
-        let before = ctx.cost();
-        ctx.obs_emit(|| Point::Checkpoint { label: "entry" });
-        let result = self.execute_inner(input, ctx);
-        let status = match &result {
-            RecoveryOutcome::Clean(_) => SpanStatus::Ok,
-            RecoveryOutcome::Recovered { rollbacks, .. } => SpanStatus::Accepted {
-                support: 1,
-                dissent: *rollbacks as usize,
+        run_technique_span(
+            ctx,
+            "checkpoint-recovery",
+            |ctx| {
+                ctx.obs_emit(|| Point::Checkpoint { label: "entry" });
+                self.execute_inner(input, ctx)
             },
-            RecoveryOutcome::Failed(failure) => SpanStatus::Failed {
-                kind: failure.kind(),
+            |result| match result {
+                RecoveryOutcome::Clean(_) => SpanStatus::Ok,
+                RecoveryOutcome::Recovered { rollbacks, .. } => SpanStatus::Accepted {
+                    support: 1,
+                    dissent: *rollbacks as usize,
+                },
+                RecoveryOutcome::Failed(failure) => SpanStatus::Failed {
+                    kind: failure.kind(),
+                },
             },
-        };
-        ctx.obs_end(span, status, ctx.cost().delta_since(before).snapshot());
-        result
+        )
     }
 
     fn execute_inner(&self, input: &I, ctx: &mut ExecContext) -> RecoveryOutcome<O> {
@@ -126,8 +130,8 @@ impl<I, O> CheckpointRecovery<I, O> {
             let outcome: VariantOutcome<O> =
                 run_contained(self.variant.as_ref(), input, &mut child);
             ctx.add_sequential_cost(outcome.cost);
-            if !self.detector.detect(input, &outcome) {
-                if let Ok(output) = outcome.result {
+            last_failure = match outcome.result {
+                Ok(output) if self.test.accept(input, &output) => {
                     return if attempt == 0 {
                         RecoveryOutcome::Clean(output)
                     } else {
@@ -137,10 +141,8 @@ impl<I, O> CheckpointRecovery<I, O> {
                         }
                     };
                 }
-            }
-            last_failure = match outcome.result {
+                Ok(_) => VariantFailure::error("acceptance test rejected the output"),
                 Err(f) => f,
-                Ok(_) => VariantFailure::error("detector rejected the output"),
             };
             ctx.advance_ns(self.rollback_cost);
             ctx.obs_emit(|| Point::Rollback {
@@ -148,24 +150,6 @@ impl<I, O> CheckpointRecovery<I, O> {
             });
         }
         RecoveryOutcome::Failed(last_failure)
-    }
-}
-
-impl<I, O> Technique for CheckpointRecovery<I, O> {
-    fn name(&self) -> &'static str {
-        ENTRY.name
-    }
-
-    fn classification(&self) -> Classification {
-        ENTRY.classification
-    }
-
-    fn patterns(&self) -> &'static [ArchitecturalPattern] {
-        ENTRY.patterns
-    }
-
-    fn citations(&self) -> &'static [&'static str] {
-        ENTRY.citations
     }
 }
 
@@ -228,7 +212,8 @@ pub fn long_run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use redundancy_faults::{DetectableFailures, FaultSpec, FaultyVariant, OracleDetector};
+    use redundancy_core::adjudicator::acceptance::{AcceptAll, OracleTest};
+    use redundancy_faults::{FaultSpec, FaultyVariant};
 
     fn heisen_variant(p: f64) -> BoxedVariant<i64, i64> {
         FaultyVariant::builder("flaky", 10, |x: &i64| x * 2)
@@ -245,7 +230,7 @@ mod tests {
 
     #[test]
     fn recovers_heisenbugs() {
-        let cr = CheckpointRecovery::new(heisen_variant(0.6), DetectableFailures::new(), 15);
+        let cr = CheckpointRecovery::new(heisen_variant(0.6), AcceptAll, 15);
         let mut ctx = ExecContext::new(1);
         let mut failed = 0;
         for x in 0..300i64 {
@@ -263,10 +248,9 @@ mod tests {
     #[test]
     fn cannot_recover_bohrbugs() {
         // Deterministic wrong output on a fixed input region: identical
-        // re-execution reproduces it forever. (Oracle detector so the
-        // wrong output is at least *detected*.)
-        let cr =
-            CheckpointRecovery::new(bohr_variant(0.5), OracleDetector::new(|x: &i64| x * 2), 10);
+        // re-execution reproduces it forever. (Oracle acceptance test so
+        // the wrong output is at least *detected*.)
+        let cr = CheckpointRecovery::new(bohr_variant(0.5), OracleTest::new(|x: &i64| x * 2), 10);
         let mut ctx = ExecContext::new(2);
         let mut recovered = 0;
         let mut failed = 0;
@@ -283,7 +267,7 @@ mod tests {
 
     #[test]
     fn clean_runs_skip_rollbacks() {
-        let cr = CheckpointRecovery::new(heisen_variant(0.0), DetectableFailures::new(), 5);
+        let cr = CheckpointRecovery::new(heisen_variant(0.0), AcceptAll, 5);
         let mut ctx = ExecContext::new(3);
         assert_eq!(cr.execute(&4, &mut ctx), RecoveryOutcome::Clean(8));
         assert_eq!(ctx.cost().invocations, 1);
@@ -291,8 +275,7 @@ mod tests {
 
     #[test]
     fn rollback_cost_is_charged() {
-        let cr = CheckpointRecovery::new(heisen_variant(1.0), DetectableFailures::new(), 3)
-            .with_rollback_cost(100);
+        let cr = CheckpointRecovery::new(heisen_variant(1.0), AcceptAll, 3).with_rollback_cost(100);
         let mut ctx = ExecContext::new(4);
         assert!(matches!(
             cr.execute(&1, &mut ctx),
@@ -341,7 +324,6 @@ mod tests {
         assert_eq!(ENTRY.classification.intention, Intention::Opportunistic);
         assert_eq!(ENTRY.classification.redundancy, RedundancyType::Environment);
         assert_eq!(ENTRY.classification.faults, FaultSet::HEISENBUGS);
-        let cr = CheckpointRecovery::new(heisen_variant(0.0), DetectableFailures::new(), 1);
-        assert_eq!(cr.name(), "Checkpoint-recovery");
+        assert_eq!(ENTRY.name, "Checkpoint-recovery");
     }
 }

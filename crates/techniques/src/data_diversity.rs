@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use redundancy_core::adjudicator::voting::MajorityVoter;
 use redundancy_core::context::ExecContext;
-use redundancy_core::obs::{Point, SpanKind};
+use redundancy_core::obs::{Point, Symbol};
 use redundancy_core::outcome::{RejectionReason, VariantOutcome, Verdict};
 use redundancy_core::patterns::{
     emit_verdict, run_technique_span, verdict_status, DecisionPolicy, ParallelEvaluation,
@@ -28,7 +28,7 @@ use redundancy_core::patterns::{
 use redundancy_core::taxonomy::{
     Adjudication, ArchitecturalPattern, Classification, FaultSet, Intention, RedundancyType,
 };
-use redundancy_core::technique::{Technique, TechniqueEntry};
+use redundancy_core::technique::TechniqueEntry;
 use redundancy_core::variant::{run_contained, BoxedVariant, FnVariant, Variant};
 
 /// Table 2 row for data diversity.
@@ -51,18 +51,8 @@ pub const ENTRY: TechniqueEntry = TechniqueEntry {
 /// correct `f`.
 pub struct ReExpression<I, O> {
     name: String,
-    encode: Arc<dyn Fn(&I) -> I + Send + Sync>,
-    decode: Arc<dyn Fn(O) -> O + Send + Sync>,
-}
-
-impl<I, O> Clone for ReExpression<I, O> {
-    fn clone(&self) -> Self {
-        Self {
-            name: self.name.clone(),
-            encode: Arc::clone(&self.encode),
-            decode: Arc::clone(&self.decode),
-        }
-    }
+    encode: Box<dyn Fn(&I) -> I + Send + Sync>,
+    decode: Box<dyn Fn(O) -> O + Send + Sync>,
 }
 
 impl<I, O> ReExpression<I, O> {
@@ -76,8 +66,8 @@ impl<I, O> ReExpression<I, O> {
     ) -> Self {
         Self {
             name: name.into(),
-            encode: Arc::new(encode),
-            decode: Arc::new(decode),
+            encode: Box::new(encode),
+            decode: Box::new(decode),
         }
     }
 
@@ -133,10 +123,14 @@ where
 type AcceptFn<I, O> = Box<dyn Fn(&I, &O) -> bool + Send + Sync>;
 
 /// Ammann–Knight retry blocks: run the program; if the (explicit)
-/// acceptance check rejects, re-express the input and retry.
+/// acceptance check rejects, re-express the input and retry. Like
+/// [`NCopy`], each re-expressed copy of the program is built once, when
+/// its re-expression is added.
 pub struct RetryBlock<I, O> {
     program: Arc<dyn Variant<I, O>>,
-    reexpressions: Vec<ReExpression<I, O>>,
+    /// The copies in retry order (identity first), each with its
+    /// re-expression's name for the trace.
+    copies: Vec<(Symbol, BoxedVariant<I, O>)>,
     accept: AcceptFn<I, O>,
 }
 
@@ -157,57 +151,55 @@ where
     {
         Self {
             program: Arc::new(program),
-            reexpressions: vec![ReExpression::identity()],
+            copies: Vec::new(),
             accept: Box::new(accept),
         }
+        .with_reexpression(ReExpression::identity())
     }
 
     /// Adds a re-expression to try on failure.
     #[must_use]
     pub fn with_reexpression(mut self, re: ReExpression<I, O>) -> Self {
-        self.reexpressions.push(re);
+        let name = Symbol::intern(re.name());
+        self.copies
+            .push((name, reexpressed_variant(Arc::clone(&self.program), re)));
         self
     }
 
     /// Number of re-expressions (including identity).
     #[must_use]
     pub fn reexpressions(&self) -> usize {
-        self.reexpressions.len()
+        self.copies.len()
     }
 
     /// Runs the retry block.
     pub fn run(&self, input: &I, ctx: &mut ExecContext) -> Verdict<O> {
-        let span = ctx.obs_begin(|| SpanKind::Technique {
-            name: "retry-block",
-        });
-        let before = ctx.cost();
-        let verdict = self.run_inner(input, ctx);
-        emit_verdict(ctx, &verdict);
-        ctx.obs_end(
-            span,
-            verdict_status(&verdict),
-            ctx.cost().delta_since(before).snapshot(),
-        );
-        verdict
+        run_technique_span(
+            ctx,
+            "retry-block",
+            |ctx| {
+                let verdict = self.run_inner(input, ctx);
+                emit_verdict(ctx, &verdict);
+                verdict
+            },
+            verdict_status,
+        )
     }
 
     fn run_inner(&self, input: &I, ctx: &mut ExecContext) -> Verdict<O> {
-        let mut attempts = 0;
-        for (i, re) in self.reexpressions.iter().enumerate() {
+        for (i, (name, copy)) in self.copies.iter().enumerate() {
             if i > 0 {
                 ctx.obs_emit(|| Point::Reexpression {
-                    name: redundancy_core::obs::Symbol::intern(re.name()),
+                    name: *name,
                     attempt: u32::try_from(i).unwrap_or(u32::MAX),
                 });
             }
-            let variant = reexpressed_variant(Arc::clone(&self.program), re.clone());
             let mut child = ctx.fork(i as u64);
-            let outcome: VariantOutcome<O> = run_contained(variant.as_ref(), input, &mut child);
+            let outcome: VariantOutcome<O> = run_contained(copy.as_ref(), input, &mut child);
             ctx.add_sequential_cost(outcome.cost);
-            attempts += 1;
             if let Ok(output) = outcome.result {
                 if (self.accept)(input, &output) {
-                    return Verdict::accepted(output, 1, attempts - 1);
+                    return Verdict::accepted(output, 1, i);
                 }
             }
         }
@@ -275,29 +267,13 @@ where
 
     /// Runs all copies and votes.
     pub fn run(&self, input: &I, ctx: &mut ExecContext) -> Verdict<O> {
-        run_technique_span(ctx, "n-copy", |ctx| self.pattern.run(input, ctx)).verdict
-    }
-}
-
-/// Marker type carrying the Table 2 metadata for data diversity.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DataDiversity;
-
-impl Technique for DataDiversity {
-    fn name(&self) -> &'static str {
-        ENTRY.name
-    }
-
-    fn classification(&self) -> Classification {
-        ENTRY.classification
-    }
-
-    fn patterns(&self) -> &'static [ArchitecturalPattern] {
-        ENTRY.patterns
-    }
-
-    fn citations(&self) -> &'static [&'static str] {
-        ENTRY.citations
+        run_technique_span(
+            ctx,
+            "n-copy",
+            |ctx| self.pattern.run(input, ctx),
+            |report| verdict_status(&report.verdict),
+        )
+        .verdict
     }
 }
 
@@ -435,7 +411,7 @@ mod tests {
             Adjudication::ReactiveMixed
         );
         assert_eq!(ENTRY.classification.faults, FaultSet::DEVELOPMENT);
-        assert_eq!(DataDiversity.name(), "Data diversity");
-        assert_eq!(DataDiversity.patterns().len(), 2);
+        assert_eq!(ENTRY.name, "Data diversity");
+        assert_eq!(ENTRY.patterns.len(), 2);
     }
 }

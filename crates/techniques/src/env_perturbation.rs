@@ -10,14 +10,16 @@
 //! Classification (Table 2): deliberate / environment / reactive-explicit
 //! / development.
 
+use redundancy_core::adjudicator::acceptance::{AcceptanceTest, BoxedAcceptance};
 use redundancy_core::context::ExecContext;
 use redundancy_core::outcome::{VariantFailure, VariantOutcome};
+use redundancy_core::patterns::run_technique_span;
 use redundancy_core::taxonomy::{
     Adjudication, ArchitecturalPattern, Classification, FaultSet, Intention, RedundancyType,
 };
-use redundancy_core::technique::{Technique, TechniqueEntry};
+use redundancy_core::technique::TechniqueEntry;
 use redundancy_core::variant::{run_contained, BoxedVariant};
-use redundancy_faults::{EnvKnobs, EnvSignature, FailureDetector, KnobSnapshot};
+use redundancy_faults::{EnvKnobs, EnvSignature, KnobSnapshot};
 use redundancy_sandbox::env::EnvConfig;
 
 /// Table 2 row for environment perturbation.
@@ -68,14 +70,14 @@ impl<O> RxOutcome<O> {
 /// ablation of experiment E10b.
 pub type PerturbationSchedule = Box<dyn Fn(u32, EnvConfig) -> EnvConfig + Send + Sync>;
 
-/// The RX executor: detector-triggered rollback and re-execution under
+/// The RX executor: failure-triggered rollback and re-execution under
 /// progressively perturbed environments.
 pub struct Rx<I, O> {
     variant: BoxedVariant<I, O>,
     env_signature: EnvSignature,
     env_knobs: Option<EnvKnobs>,
     schedule: PerturbationSchedule,
-    detector: Box<dyn FailureDetector<I, O>>,
+    test: BoxedAcceptance<I, O>,
     max_rounds: u32,
 }
 
@@ -83,13 +85,15 @@ impl<I, O> Rx<I, O> {
     /// Creates an RX executor.
     ///
     /// `env_signature` must be the signature handle the variant's
-    /// environment-sensitive faults read. The detector is the explicit
-    /// adjudicator (sensors/exception monitors in the original system).
+    /// environment-sensitive faults read. Every detectable failure
+    /// triggers a round; `test` is the explicit adjudicator for outputs
+    /// (sensors/exception monitors in the original system; `AcceptAll`
+    /// when only detectable failures count).
     #[must_use]
     pub fn new(
         variant: BoxedVariant<I, O>,
         env_signature: EnvSignature,
-        detector: impl FailureDetector<I, O> + 'static,
+        test: impl AcceptanceTest<I, O> + 'static,
         max_rounds: u32,
     ) -> Self {
         Self {
@@ -97,7 +101,7 @@ impl<I, O> Rx<I, O> {
             env_signature,
             env_knobs: None,
             schedule: Box::new(|round, env| env.rx_perturbations(round)),
-            detector: Box::new(detector),
+            test: Box::new(test),
             max_rounds,
         }
     }
@@ -136,25 +140,23 @@ impl<I, O> Rx<I, O> {
     /// Executes with RX protection. The environment is restored to the
     /// baseline before returning (so calls do not leak perturbations).
     pub fn execute(&self, input: &I, ctx: &mut ExecContext) -> RxOutcome<O> {
-        use redundancy_core::obs::{SpanKind, SpanStatus};
+        use redundancy_core::obs::SpanStatus;
 
-        let span = ctx.obs_begin(|| SpanKind::Technique {
-            name: "env-perturbation-rx",
-        });
-        let before = ctx.cost();
-        let result = self.execute_inner(input, ctx);
-        let status = match &result {
-            RxOutcome::CleanRun(_) => SpanStatus::Ok,
-            RxOutcome::Recovered { rounds, .. } => SpanStatus::Accepted {
-                support: 1,
-                dissent: *rounds as usize,
+        run_technique_span(
+            ctx,
+            "env-perturbation-rx",
+            |ctx| self.execute_inner(input, ctx),
+            |result| match result {
+                RxOutcome::CleanRun(_) => SpanStatus::Ok,
+                RxOutcome::Recovered { rounds, .. } => SpanStatus::Accepted {
+                    support: 1,
+                    dissent: *rounds as usize,
+                },
+                RxOutcome::Failed(failure) => SpanStatus::Failed {
+                    kind: failure.kind(),
+                },
             },
-            RxOutcome::Failed(failure) => SpanStatus::Failed {
-                kind: failure.kind(),
-            },
-        };
-        ctx.obs_end(span, status, ctx.cost().delta_since(before).snapshot());
-        result
+        )
     }
 
     fn execute_inner(&self, input: &I, ctx: &mut ExecContext) -> RxOutcome<O> {
@@ -163,12 +165,10 @@ impl<I, O> Rx<I, O> {
         let mut child = ctx.fork(0);
         let outcome = run_contained(self.variant.as_ref(), input, &mut child);
         ctx.add_sequential_cost(outcome.cost);
-        if !self.detector.detect(input, &outcome) {
-            if let Ok(output) = outcome.result {
-                return RxOutcome::CleanRun(output);
-            }
-        }
-        let mut last_failure = failure_of(&outcome);
+        let mut last_failure = match self.judge(input, outcome) {
+            Ok(output) => return RxOutcome::CleanRun(output),
+            Err(failure) => failure,
+        };
         let mut env = baseline;
         for round in 0..self.max_rounds {
             // Perturb the environment (RX's ordered menu of changes) and
@@ -182,8 +182,8 @@ impl<I, O> Rx<I, O> {
             let mut child = ctx.fork(u64::from(round) + 1);
             let retry = run_contained(self.variant.as_ref(), input, &mut child);
             ctx.add_sequential_cost(retry.cost);
-            if !self.detector.detect(input, &retry) {
-                if let Ok(output) = retry.result {
+            last_failure = match self.judge(input, retry) {
+                Ok(output) => {
                     self.apply_env(&baseline);
                     return RxOutcome::Recovered {
                         output,
@@ -191,45 +191,29 @@ impl<I, O> Rx<I, O> {
                         environment: env,
                     };
                 }
-            }
-            last_failure = failure_of(&retry);
+                Err(failure) => failure,
+            };
         }
         self.apply_env(&baseline);
         RxOutcome::Failed(last_failure)
     }
-}
 
-fn failure_of<O>(outcome: &VariantOutcome<O>) -> VariantFailure {
-    match &outcome.result {
-        Ok(_) => VariantFailure::error("detector rejected the output"),
-        Err(f) => f.clone(),
-    }
-}
-
-impl<I, O> Technique for Rx<I, O> {
-    fn name(&self) -> &'static str {
-        ENTRY.name
-    }
-
-    fn classification(&self) -> Classification {
-        ENTRY.classification
-    }
-
-    fn patterns(&self) -> &'static [ArchitecturalPattern] {
-        ENTRY.patterns
-    }
-
-    fn citations(&self) -> &'static [&'static str] {
-        ENTRY.citations
+    /// An execution's output if it succeeded and passed the test, else
+    /// the failure to report.
+    fn judge(&self, input: &I, outcome: VariantOutcome<O>) -> Result<O, VariantFailure> {
+        match outcome.result {
+            Ok(output) if self.test.accept(input, &output) => Ok(output),
+            Ok(_) => Err(VariantFailure::error("acceptance test rejected the output")),
+            Err(failure) => Err(failure),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use redundancy_faults::{
-        Activation, DetectableFailures, FaultEffect, FaultSpec, FaultyVariant,
-    };
+    use redundancy_core::adjudicator::acceptance::AcceptAll;
+    use redundancy_faults::{Activation, FaultEffect, FaultSpec, FaultyVariant};
 
     /// A variant whose crash depends on the environment: for a given env,
     /// `density` of inputs crash; a perturbed env re-rolls the set.
@@ -261,7 +245,7 @@ mod tests {
     #[test]
     fn clean_runs_pass_through() {
         let (variant, env) = env_sensitive(0.0);
-        let rx = Rx::new(variant, env, DetectableFailures::new(), 5);
+        let rx = Rx::new(variant, env, AcceptAll, 5);
         let mut ctx = ExecContext::new(1);
         assert_eq!(rx.execute(&21, &mut ctx), RxOutcome::CleanRun(42));
     }
@@ -269,7 +253,7 @@ mod tests {
     #[test]
     fn recovers_env_sensitive_failures() {
         let (variant, env) = env_sensitive(0.4);
-        let rx = Rx::new(variant, env, DetectableFailures::new(), 6);
+        let rx = Rx::new(variant, env, AcceptAll, 6);
         let mut ctx = ExecContext::new(2);
         let mut clean = 0;
         let mut recovered = 0;
@@ -297,7 +281,7 @@ mod tests {
     #[test]
     fn does_not_recover_environment_blind_bohrbugs() {
         let (variant, env) = env_blind(0.4);
-        let rx = Rx::new(variant, env, DetectableFailures::new(), 6);
+        let rx = Rx::new(variant, env, AcceptAll, 6);
         let mut ctx = ExecContext::new(3);
         let mut recovered = 0;
         let mut failed = 0;
@@ -316,7 +300,7 @@ mod tests {
     fn environment_is_restored_after_recovery() {
         let (variant, env) = env_sensitive(0.9);
         let baseline_sig = EnvConfig::baseline().signature();
-        let rx = Rx::new(variant, env.clone(), DetectableFailures::new(), 10);
+        let rx = Rx::new(variant, env.clone(), AcceptAll, 10);
         let mut ctx = ExecContext::new(4);
         for x in 0..20i64 {
             let _ = rx.execute(&x, &mut ctx);
@@ -327,7 +311,7 @@ mod tests {
     #[test]
     fn zero_rounds_never_recovers() {
         let (variant, env) = env_sensitive(1.0);
-        let rx = Rx::new(variant, env, DetectableFailures::new(), 0);
+        let rx = Rx::new(variant, env, AcceptAll, 0);
         let mut ctx = ExecContext::new(5);
         assert!(matches!(rx.execute(&1, &mut ctx), RxOutcome::Failed(_)));
     }
@@ -348,8 +332,6 @@ mod tests {
             Adjudication::ReactiveExplicit
         );
         assert_eq!(ENTRY.classification.faults, FaultSet::DEVELOPMENT);
-        let (variant, env) = env_sensitive(0.0);
-        let rx = Rx::new(variant, env, DetectableFailures::new(), 1);
-        assert_eq!(rx.name(), "Environment perturbation");
+        assert_eq!(ENTRY.name, "Environment perturbation");
     }
 }

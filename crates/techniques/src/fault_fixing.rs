@@ -17,7 +17,7 @@ use redundancy_core::rng::SplitMix64;
 use redundancy_core::taxonomy::{
     Adjudication, ArchitecturalPattern, Classification, FaultSet, Intention, RedundancyType,
 };
-use redundancy_core::technique::{Technique, TechniqueEntry};
+use redundancy_core::technique::TechniqueEntry;
 use redundancy_gp::ast::Expr;
 use redundancy_gp::engine::{Gp, GpParams, GpResult};
 use redundancy_gp::suite::TestSuite;
@@ -137,24 +137,6 @@ impl Default for FaultFixer {
     }
 }
 
-impl Technique for FaultFixer {
-    fn name(&self) -> &'static str {
-        ENTRY.name
-    }
-
-    fn classification(&self) -> Classification {
-        ENTRY.classification
-    }
-
-    fn patterns(&self) -> &'static [ArchitecturalPattern] {
-        ENTRY.patterns
-    }
-
-    fn citations(&self) -> &'static [&'static str] {
-        ENTRY.citations
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,9 +213,6 @@ mod tests {
             ENTRY.classification.adjudication,
             Adjudication::ReactiveExplicit
         );
-        assert_eq!(
-            FaultFixer::default().name(),
-            "Fault fixing, genetic programming"
-        );
+        assert_eq!(ENTRY.name, "Fault fixing, genetic programming");
     }
 }

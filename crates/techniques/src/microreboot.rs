@@ -19,7 +19,7 @@ use redundancy_core::rng::SplitMix64;
 use redundancy_core::taxonomy::{
     Adjudication, ArchitecturalPattern, Classification, FaultSet, Intention, RedundancyType,
 };
-use redundancy_core::technique::{Technique, TechniqueEntry};
+use redundancy_core::technique::TechniqueEntry;
 
 /// Table 2 row for reboot and micro-reboot.
 pub const ENTRY: TechniqueEntry = TechniqueEntry {
@@ -352,28 +352,6 @@ pub fn availability_sim(
     (availability, mean_recovery)
 }
 
-/// Marker type carrying the Table 2 metadata.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MicroReboot;
-
-impl Technique for MicroReboot {
-    fn name(&self) -> &'static str {
-        ENTRY.name
-    }
-
-    fn classification(&self) -> Classification {
-        ENTRY.classification
-    }
-
-    fn patterns(&self) -> &'static [ArchitecturalPattern] {
-        ENTRY.patterns
-    }
-
-    fn citations(&self) -> &'static [&'static str] {
-        ENTRY.citations
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -465,6 +443,6 @@ mod tests {
     fn entry_matches_table2() {
         assert_eq!(ENTRY.classification.intention, Intention::Opportunistic);
         assert_eq!(ENTRY.classification.faults, FaultSet::HEISENBUGS);
-        assert_eq!(MicroReboot.name(), "Reboot and micro-reboot");
+        assert_eq!(ENTRY.name, "Reboot and micro-reboot");
     }
 }

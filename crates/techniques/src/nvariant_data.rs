@@ -18,7 +18,7 @@ use redundancy_core::rng::SplitMix64;
 use redundancy_core::taxonomy::{
     Adjudication, ArchitecturalPattern, Classification, FaultSet, Intention, RedundancyType,
 };
-use redundancy_core::technique::{Technique, TechniqueEntry};
+use redundancy_core::technique::TechniqueEntry;
 
 /// Table 2 row for data diversity for security.
 pub const ENTRY: TechniqueEntry = TechniqueEntry {
@@ -222,24 +222,6 @@ impl NVariantCell {
     }
 }
 
-impl Technique for NVariantCell {
-    fn name(&self) -> &'static str {
-        ENTRY.name
-    }
-
-    fn classification(&self) -> Classification {
-        ENTRY.classification
-    }
-
-    fn patterns(&self) -> &'static [ArchitecturalPattern] {
-        ENTRY.patterns
-    }
-
-    fn citations(&self) -> &'static [&'static str] {
-        ENTRY.citations
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -345,7 +327,6 @@ mod tests {
             ENTRY.classification.adjudication,
             Adjudication::ReactiveImplicit
         );
-        let cell = NVariantCell::new(2, 0);
-        assert_eq!(cell.name(), "Data diversity for security");
+        assert_eq!(ENTRY.name, "Data diversity for security");
     }
 }

@@ -12,11 +12,14 @@
 use redundancy_core::adjudicator::voting::MajorityVoter;
 use redundancy_core::adjudicator::Adjudicator;
 use redundancy_core::context::ExecContext;
-use redundancy_core::patterns::{DecisionPolicy, ExecutionMode, ParallelEvaluation, PatternReport};
+use redundancy_core::patterns::{
+    run_technique_span, verdict_status, DecisionPolicy, ExecutionMode, ParallelEvaluation,
+    PatternReport,
+};
 use redundancy_core::taxonomy::{
     Adjudication, ArchitecturalPattern, Classification, FaultSet, Intention, RedundancyType,
 };
-use redundancy_core::technique::{Technique, TechniqueEntry};
+use redundancy_core::technique::TechniqueEntry;
 use redundancy_core::variant::BoxedVariant;
 
 /// Table 2 row for N-version programming.
@@ -140,27 +143,12 @@ where
         I: Sync,
         O: Send,
     {
-        redundancy_core::patterns::run_technique_span(ctx, "n-version", |ctx| {
-            self.pattern.run(input, ctx)
-        })
-    }
-}
-
-impl<I, O> Technique for NVersion<I, O> {
-    fn name(&self) -> &'static str {
-        ENTRY.name
-    }
-
-    fn classification(&self) -> Classification {
-        ENTRY.classification
-    }
-
-    fn patterns(&self) -> &'static [ArchitecturalPattern] {
-        ENTRY.patterns
-    }
-
-    fn citations(&self) -> &'static [&'static str] {
-        ENTRY.citations
+        run_technique_span(
+            ctx,
+            "n-version",
+            |ctx| self.pattern.run(input, ctx),
+            |report| verdict_status(&report.verdict),
+        )
     }
 }
 
@@ -335,10 +323,8 @@ mod tests {
             Adjudication::ReactiveImplicit
         );
         assert_eq!(ENTRY.classification.faults, FaultSet::DEVELOPMENT);
-        let nvp = NVersion::new(vec![pure_variant("v", 1, |x: &i64| *x)]);
-        assert_eq!(nvp.name(), "N-version programming");
-        assert_eq!(nvp.classification(), ENTRY.classification);
-        assert!(!nvp.citations().is_empty());
+        assert_eq!(ENTRY.name, "N-version programming");
+        assert!(!ENTRY.citations.is_empty());
     }
 
     #[test]

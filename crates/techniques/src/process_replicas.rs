@@ -19,7 +19,7 @@ use redundancy_core::patterns::DecisionPolicy;
 use redundancy_core::taxonomy::{
     Adjudication, ArchitecturalPattern, Classification, FaultSet, Intention, RedundancyType,
 };
-use redundancy_core::technique::{Technique, TechniqueEntry};
+use redundancy_core::technique::TechniqueEntry;
 use redundancy_sandbox::memory::SimMemory;
 use redundancy_sandbox::vm::{tag_program, Instr, Opcode, TaggedVm};
 
@@ -301,24 +301,6 @@ fn streamed_comparison(
     }
 }
 
-impl Technique for ProcessReplicas {
-    fn name(&self) -> &'static str {
-        ENTRY.name
-    }
-
-    fn classification(&self) -> Classification {
-        ENTRY.classification
-    }
-
-    fn patterns(&self) -> &'static [ArchitecturalPattern] {
-        ENTRY.patterns
-    }
-
-    fn citations(&self) -> &'static [&'static str] {
-        ENTRY.citations
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -503,8 +485,7 @@ mod tests {
             Adjudication::ReactiveImplicit
         );
         assert_eq!(ENTRY.classification.redundancy, RedundancyType::Environment);
-        let r = ProcessReplicas::new(1);
-        assert_eq!(r.name(), "Process replicas");
-        assert_eq!(r.replicas(), 1);
+        assert_eq!(ENTRY.name, "Process replicas");
+        assert_eq!(ProcessReplicas::new(1).replicas(), 1);
     }
 }

@@ -16,11 +16,13 @@ use std::sync::Mutex;
 
 use redundancy_core::adjudicator::acceptance::AcceptanceTest;
 use redundancy_core::context::ExecContext;
-use redundancy_core::patterns::{PatternReport, SequentialAlternatives};
+use redundancy_core::patterns::{
+    run_technique_span, verdict_status, PatternReport, SequentialAlternatives,
+};
 use redundancy_core::taxonomy::{
     Adjudication, ArchitecturalPattern, Classification, FaultSet, Intention, RedundancyType,
 };
-use redundancy_core::technique::{Technique, TechniqueEntry};
+use redundancy_core::technique::TechniqueEntry;
 use redundancy_core::variant::BoxedVariant;
 use redundancy_sandbox::process::{ProcessCheckpoint, SimProcess};
 
@@ -125,40 +127,27 @@ impl<I, O> RecoveryBlocks<I, O> {
     where
         O: Clone,
     {
-        redundancy_core::patterns::run_technique_span(ctx, "recovery-blocks", |ctx| {
-            if let Some((process, slot)) = &self.checkpoint_setup {
-                *slot
-                    .lock()
-                    .expect("recovery-block state lock is never poisoned") = Some(
-                    process
+        run_technique_span(
+            ctx,
+            "recovery-blocks",
+            |ctx| {
+                if let Some((process, slot)) = &self.checkpoint_setup {
+                    *slot
                         .lock()
-                        .expect("recovery-block state lock is never poisoned")
-                        .checkpoint(),
-                );
-                ctx.obs_emit(|| redundancy_core::obs::Point::Checkpoint {
-                    label: "sim-process",
-                });
-            }
-            self.pattern.run(input, ctx)
-        })
-    }
-}
-
-impl<I, O> Technique for RecoveryBlocks<I, O> {
-    fn name(&self) -> &'static str {
-        ENTRY.name
-    }
-
-    fn classification(&self) -> Classification {
-        ENTRY.classification
-    }
-
-    fn patterns(&self) -> &'static [ArchitecturalPattern] {
-        ENTRY.patterns
-    }
-
-    fn citations(&self) -> &'static [&'static str] {
-        ENTRY.citations
+                        .expect("recovery-block state lock is never poisoned") = Some(
+                        process
+                            .lock()
+                            .expect("recovery-block state lock is never poisoned")
+                            .checkpoint(),
+                    );
+                    ctx.obs_emit(|| redundancy_core::obs::Point::Checkpoint {
+                        label: "sim-process",
+                    });
+                }
+                self.pattern.run(input, ctx)
+            },
+            |report| verdict_status(&report.verdict),
+        )
     }
 }
 
@@ -279,10 +268,9 @@ mod tests {
             Adjudication::ReactiveExplicit
         );
         assert_eq!(ENTRY.classification.faults, FaultSet::DEVELOPMENT);
-        let rb: RecoveryBlocks<i64, i64> = RecoveryBlocks::new(nonneg());
-        assert_eq!(rb.name(), "Recovery blocks");
+        assert_eq!(ENTRY.name, "Recovery blocks");
         assert_eq!(
-            rb.patterns(),
+            ENTRY.patterns,
             &[ArchitecturalPattern::SequentialAlternatives]
         );
     }

@@ -18,7 +18,7 @@ use redundancy_core::rng::SplitMix64;
 use redundancy_core::taxonomy::{
     Adjudication, ArchitecturalPattern, Classification, FaultSet, Intention, RedundancyType,
 };
-use redundancy_core::technique::{Technique, TechniqueEntry};
+use redundancy_core::technique::TechniqueEntry;
 use redundancy_core::variant::{run_contained, BoxedVariant};
 use redundancy_faults::AgeHandle;
 
@@ -96,24 +96,6 @@ impl<I, O> Rejuvenator<I, O> {
         let outcome = run_contained(self.variant.as_ref(), input, &mut child);
         ctx.add_sequential_cost(outcome.cost);
         outcome
-    }
-}
-
-impl<I, O> Technique for Rejuvenator<I, O> {
-    fn name(&self) -> &'static str {
-        ENTRY.name
-    }
-
-    fn classification(&self) -> Classification {
-        ENTRY.classification
-    }
-
-    fn patterns(&self) -> &'static [ArchitecturalPattern] {
-        ENTRY.patterns
-    }
-
-    fn citations(&self) -> &'static [&'static str] {
-        ENTRY.citations
     }
 }
 
@@ -320,8 +302,6 @@ mod tests {
         assert_eq!(ENTRY.classification.redundancy, RedundancyType::Environment);
         assert_eq!(ENTRY.classification.adjudication, Adjudication::Preventive);
         assert_eq!(ENTRY.classification.faults, FaultSet::HEISENBUGS);
-        let (variant, age) = aging_variant();
-        let r = Rejuvenator::new(variant, age, 1, 0);
-        assert_eq!(r.name(), "Rejuvenation");
+        assert_eq!(ENTRY.name, "Rejuvenation");
     }
 }

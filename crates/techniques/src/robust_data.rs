@@ -17,7 +17,7 @@ use redundancy_core::obs::{ObsHandle, Observer, Point};
 use redundancy_core::taxonomy::{
     Adjudication, ArchitecturalPattern, Classification, FaultSet, Intention, RedundancyType,
 };
-use redundancy_core::technique::{Technique, TechniqueEntry};
+use redundancy_core::technique::TechniqueEntry;
 
 /// Table 2 row for robust data structures and audits.
 pub const ENTRY: TechniqueEntry = TechniqueEntry {
@@ -400,24 +400,6 @@ impl<T> FromIterator<T> for RobustList<T> {
     }
 }
 
-impl<T> Technique for RobustList<T> {
-    fn name(&self) -> &'static str {
-        ENTRY.name
-    }
-
-    fn classification(&self) -> Classification {
-        ENTRY.classification
-    }
-
-    fn patterns(&self) -> &'static [ArchitecturalPattern] {
-        ENTRY.patterns
-    }
-
-    fn citations(&self) -> &'static [&'static str] {
-        ENTRY.citations
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -536,8 +518,7 @@ mod tests {
             ENTRY.classification.adjudication,
             Adjudication::ReactiveImplicit
         );
-        let list: RobustList<u8> = RobustList::new();
-        assert_eq!(list.name(), "Robust data structures, audits");
+        assert_eq!(ENTRY.name, "Robust data structures, audits");
     }
 
     mod properties {

@@ -12,10 +12,11 @@
 
 use redundancy_core::context::ExecContext;
 use redundancy_core::outcome::VariantFailure;
+use redundancy_core::patterns::run_technique_span;
 use redundancy_core::taxonomy::{
     Adjudication, ArchitecturalPattern, Classification, FaultSet, Intention, RedundancyType,
 };
-use redundancy_core::technique::{Technique, TechniqueEntry};
+use redundancy_core::technique::TechniqueEntry;
 use redundancy_core::variant::{run_contained, BoxedVariant};
 
 /// Table 2 row for exception handling and rule engines.
@@ -153,25 +154,23 @@ impl<I, O> RuleEngine<I, O> {
     /// Executes the primary; on a detectable failure, fires the first
     /// matching rule's recovery action.
     pub fn execute(&self, input: &I, ctx: &mut ExecContext) -> Handled<O> {
-        use redundancy_core::obs::{SpanKind, SpanStatus};
+        use redundancy_core::obs::SpanStatus;
 
-        let span = ctx.obs_begin(|| SpanKind::Technique {
-            name: "rule-engine",
-        });
-        let before = ctx.cost();
-        let result = self.execute_inner(input, ctx);
-        let status = match &result {
-            Handled::Primary(_) => SpanStatus::Ok,
-            Handled::Recovered { .. } => SpanStatus::Accepted {
-                support: 1,
-                dissent: 1,
+        run_technique_span(
+            ctx,
+            "rule-engine",
+            |ctx| self.execute_inner(input, ctx),
+            |result| match result {
+                Handled::Primary(_) => SpanStatus::Ok,
+                Handled::Recovered { .. } => SpanStatus::Accepted {
+                    support: 1,
+                    dissent: 1,
+                },
+                Handled::Unhandled(failure) => SpanStatus::Failed {
+                    kind: failure.kind(),
+                },
             },
-            Handled::Unhandled(failure) => SpanStatus::Failed {
-                kind: failure.kind(),
-            },
-        };
-        ctx.obs_end(span, status, ctx.cost().delta_since(before).snapshot());
-        result
+        )
     }
 
     fn execute_inner(&self, input: &I, ctx: &mut ExecContext) -> Handled<O> {
@@ -205,24 +204,6 @@ impl<I, O> RuleEngine<I, O> {
             }
         }
         Handled::Unhandled(failure)
-    }
-}
-
-impl<I, O> Technique for RuleEngine<I, O> {
-    fn name(&self) -> &'static str {
-        ENTRY.name
-    }
-
-    fn classification(&self) -> Classification {
-        ENTRY.classification
-    }
-
-    fn patterns(&self) -> &'static [ArchitecturalPattern] {
-        ENTRY.patterns
-    }
-
-    fn citations(&self) -> &'static [&'static str] {
-        ENTRY.citations
     }
 }
 
@@ -354,8 +335,8 @@ mod tests {
             Adjudication::ReactiveExplicit
         );
         assert_eq!(ENTRY.classification.faults, FaultSet::DEVELOPMENT);
+        assert_eq!(ENTRY.name, "Exception handling, rule engines");
         let engine: RuleEngine<i64, i64> = RuleEngine::new(pure_variant("p", 1, |x: &i64| *x));
-        assert_eq!(engine.name(), "Exception handling, rule engines");
         assert_eq!(engine.rules(), 0);
     }
 }

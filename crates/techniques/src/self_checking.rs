@@ -15,11 +15,14 @@ use redundancy_core::adjudicator::acceptance::{AcceptanceTest, BoxedAcceptance, 
 use redundancy_core::context::ExecContext;
 use redundancy_core::obs::Symbol;
 use redundancy_core::outcome::VariantFailure;
-use redundancy_core::patterns::{DecisionPolicy, ExecutionMode, ParallelSelection, PatternReport};
+use redundancy_core::patterns::{
+    run_technique_span, verdict_status, DecisionPolicy, ExecutionMode, ParallelSelection,
+    PatternReport,
+};
 use redundancy_core::taxonomy::{
     Adjudication, ArchitecturalPattern, Classification, FaultSet, Intention, RedundancyType,
 };
-use redundancy_core::technique::{Technique, TechniqueEntry};
+use redundancy_core::technique::TechniqueEntry;
 use redundancy_core::variant::{BoxedVariant, FnVariant, Variant};
 
 /// Table 2 row for self-checking programming.
@@ -185,9 +188,12 @@ where
         I: Sync,
         O: Send + Clone,
     {
-        redundancy_core::patterns::run_technique_span(ctx, "self-checking", |ctx| {
-            self.pattern.run(input, ctx)
-        })
+        run_technique_span(
+            ctx,
+            "self-checking",
+            |ctx| self.pattern.run(input, ctx),
+            |report| verdict_status(&report.verdict),
+        )
     }
 }
 
@@ -198,24 +204,6 @@ where
 {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl<I, O> Technique for SelfChecking<I, O> {
-    fn name(&self) -> &'static str {
-        ENTRY.name
-    }
-
-    fn classification(&self) -> Classification {
-        ENTRY.classification
-    }
-
-    fn patterns(&self) -> &'static [ArchitecturalPattern] {
-        ENTRY.patterns
-    }
-
-    fn citations(&self) -> &'static [&'static str] {
-        ENTRY.citations
     }
 }
 
@@ -364,8 +352,7 @@ mod tests {
         );
         assert_eq!(ENTRY.classification.faults, FaultSet::DEVELOPMENT);
         assert_eq!(ENTRY.patterns, &[ArchitecturalPattern::ParallelSelection]);
-        let sc: SelfChecking<i64, i64> = SelfChecking::new();
-        assert_eq!(sc.name(), "Self-checking programming");
+        assert_eq!(ENTRY.name, "Self-checking programming");
     }
 }
 

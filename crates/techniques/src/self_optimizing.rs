@@ -13,10 +13,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use redundancy_core::context::ExecContext;
 use redundancy_core::outcome::{VariantFailure, VariantOutcome};
+use redundancy_core::patterns::run_technique_span;
 use redundancy_core::taxonomy::{
     Adjudication, ArchitecturalPattern, Classification, FaultSet, Intention, RedundancyType,
 };
-use redundancy_core::technique::{Technique, TechniqueEntry};
+use redundancy_core::technique::TechniqueEntry;
 use redundancy_core::variant::{run_contained, BoxedVariant};
 
 /// Table 2 row for self-optimizing code.
@@ -110,24 +111,22 @@ impl<I, O> SelfOptimizing<I, O> {
     ///
     /// Panics if no implementation was added.
     pub fn call(&self, input: &I, ctx: &mut ExecContext) -> VariantOutcome<O> {
-        use redundancy_core::obs::{SpanKind, SpanStatus};
+        use redundancy_core::obs::SpanStatus;
         assert!(
             !self.implementations.is_empty(),
             "self-optimizing code needs implementations"
         );
-        let span = ctx.obs_begin(|| SpanKind::Technique {
-            name: "self-optimizing",
-        });
-        let before = ctx.cost();
-        let outcome = self.call_inner(input, ctx);
-        let status = match &outcome.result {
-            Ok(_) => SpanStatus::Ok,
-            Err(failure) => SpanStatus::Failed {
-                kind: failure.kind(),
+        run_technique_span(
+            ctx,
+            "self-optimizing",
+            |ctx| self.call_inner(input, ctx),
+            |outcome| match &outcome.result {
+                Ok(_) => SpanStatus::Ok,
+                Err(failure) => SpanStatus::Failed {
+                    kind: failure.kind(),
+                },
             },
-        };
-        ctx.obs_end(span, status, ctx.cost().delta_since(before).snapshot());
-        outcome
+        )
     }
 
     fn call_inner(&self, input: &I, ctx: &mut ExecContext) -> VariantOutcome<O> {
@@ -171,24 +170,6 @@ impl<I, O> SelfOptimizing<I, O> {
     /// Propagates the active implementation's [`VariantFailure`].
     pub fn call_output(&self, input: &I, ctx: &mut ExecContext) -> Result<O, VariantFailure> {
         self.call(input, ctx).result
-    }
-}
-
-impl<I, O> Technique for SelfOptimizing<I, O> {
-    fn name(&self) -> &'static str {
-        ENTRY.name
-    }
-
-    fn classification(&self) -> Classification {
-        ENTRY.classification
-    }
-
-    fn patterns(&self) -> &'static [ArchitecturalPattern] {
-        ENTRY.patterns
-    }
-
-    fn citations(&self) -> &'static [&'static str] {
-        ENTRY.citations
     }
 }
 
@@ -295,7 +276,6 @@ mod tests {
             ENTRY.classification.adjudication,
             Adjudication::ReactiveExplicit
         );
-        let so: SelfOptimizing<i64, i64> = SelfOptimizing::new(1.0);
-        assert_eq!(so.name(), "Self-optimizing code");
+        assert_eq!(ENTRY.name, "Self-optimizing code");
     }
 }

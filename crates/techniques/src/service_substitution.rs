@@ -13,10 +13,11 @@
 use std::sync::Arc;
 
 use redundancy_core::context::ExecContext;
+use redundancy_core::patterns::run_technique_span;
 use redundancy_core::taxonomy::{
     Adjudication, ArchitecturalPattern, Classification, FaultSet, Intention, RedundancyType,
 };
-use redundancy_core::technique::{Technique, TechniqueEntry};
+use redundancy_core::technique::TechniqueEntry;
 use redundancy_services::provider::ServiceError;
 use redundancy_services::registry::{InterfaceId, ServiceRegistry};
 use redundancy_services::value::Value;
@@ -91,23 +92,21 @@ impl<'r> DynamicSubstitution<'r> {
         args: &[Value],
         ctx: &mut ExecContext,
     ) -> Result<SubstitutionReport, ServiceError> {
-        use redundancy_core::obs::{SpanKind, SpanStatus};
+        use redundancy_core::obs::SpanStatus;
 
-        let span = ctx.obs_begin(|| SpanKind::Technique {
-            name: "service-substitution",
-        });
-        let before = ctx.cost();
-        let result = self.invoke_inner(interface, operation, args, ctx);
-        let status = match &result {
-            Ok(report) if report.substitutions == 0 => SpanStatus::Ok,
-            Ok(report) => SpanStatus::Accepted {
-                support: 1,
-                dissent: report.substitutions,
+        run_technique_span(
+            ctx,
+            "service-substitution",
+            |ctx| self.invoke_inner(interface, operation, args, ctx),
+            |result| match result {
+                Ok(report) if report.substitutions == 0 => SpanStatus::Ok,
+                Ok(report) => SpanStatus::Accepted {
+                    support: 1,
+                    dissent: report.substitutions,
+                },
+                Err(_) => SpanStatus::Failed { kind: "service" },
             },
-            Err(_) => SpanStatus::Failed { kind: "service" },
-        };
-        ctx.obs_end(span, status, ctx.cost().delta_since(before).snapshot());
-        result
+        )
     }
 
     fn invoke_inner(
@@ -202,24 +201,6 @@ impl<'r> DynamicSubstitution<'r> {
             );
         }
         ids
-    }
-}
-
-impl Technique for DynamicSubstitution<'_> {
-    fn name(&self) -> &'static str {
-        ENTRY.name
-    }
-
-    fn classification(&self) -> Classification {
-        ENTRY.classification
-    }
-
-    fn patterns(&self) -> &'static [ArchitecturalPattern] {
-        ENTRY.patterns
-    }
-
-    fn citations(&self) -> &'static [&'static str] {
-        ENTRY.citations
     }
 }
 
@@ -380,8 +361,6 @@ mod tests {
             ENTRY.classification.adjudication,
             Adjudication::ReactiveExplicit
         );
-        let registry = ServiceRegistry::new();
-        let sub = DynamicSubstitution::new(&registry);
-        assert_eq!(sub.name(), "Dynamic service substitution");
+        assert_eq!(ENTRY.name, "Dynamic service substitution");
     }
 }

@@ -17,7 +17,7 @@ use redundancy_core::obs::{ObsHandle, Observer, Point};
 use redundancy_core::taxonomy::{
     Adjudication, ArchitecturalPattern, Classification, FaultSet, Intention, RedundancyType,
 };
-use redundancy_core::technique::{Technique, TechniqueEntry};
+use redundancy_core::technique::TechniqueEntry;
 
 /// Table 2 row for automatic workarounds.
 pub const ENTRY: TechniqueEntry = TechniqueEntry {
@@ -225,24 +225,6 @@ impl<Op: Clone + PartialEq> WorkaroundEngine<Op> {
             });
         }
         Err(attempts)
-    }
-}
-
-impl<Op> Technique for WorkaroundEngine<Op> {
-    fn name(&self) -> &'static str {
-        ENTRY.name
-    }
-
-    fn classification(&self) -> Classification {
-        ENTRY.classification
-    }
-
-    fn patterns(&self) -> &'static [ArchitecturalPattern] {
-        ENTRY.patterns
-    }
-
-    fn citations(&self) -> &'static [&'static str] {
-        ENTRY.citations
     }
 }
 
@@ -460,7 +442,6 @@ mod tests {
         assert_eq!(ENTRY.classification.intention, Intention::Opportunistic);
         assert_eq!(ENTRY.classification.redundancy, RedundancyType::Code);
         assert_eq!(ENTRY.classification.faults, FaultSet::DEVELOPMENT);
-        let engine: WorkaroundEngine<Op> = WorkaroundEngine::new(vec![]);
-        assert_eq!(engine.name(), "Automatic workarounds");
+        assert_eq!(ENTRY.name, "Automatic workarounds");
     }
 }

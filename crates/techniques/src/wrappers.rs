@@ -32,7 +32,7 @@ use redundancy_core::taxonomy::{
     Adjudication, ArchitecturalPattern, Classification, FaultClass, FaultSet, Intention,
     RedundancyType,
 };
-use redundancy_core::technique::{Technique, TechniqueEntry};
+use redundancy_core::technique::TechniqueEntry;
 use redundancy_core::variant::{BoxedVariant, Variant};
 use redundancy_sandbox::memory::{MemoryFault, SegmentId, SimMemory};
 
@@ -243,24 +243,6 @@ impl HeapWrapper {
     }
 }
 
-impl Technique for HeapWrapper {
-    fn name(&self) -> &'static str {
-        ENTRY.name
-    }
-
-    fn classification(&self) -> Classification {
-        ENTRY.classification
-    }
-
-    fn patterns(&self) -> &'static [ArchitecturalPattern] {
-        ENTRY.patterns
-    }
-
-    fn citations(&self) -> &'static [&'static str] {
-        ENTRY.citations
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -411,7 +393,6 @@ mod tests {
         assert!(ENTRY.classification.faults.contains(FaultClass::Bohrbug));
         assert!(ENTRY.classification.faults.contains(FaultClass::Malicious));
         assert!(!ENTRY.classification.faults.contains(FaultClass::Heisenbug));
-        let hw = HeapWrapper::new(SimMemory::new(0, 16));
-        assert_eq!(hw.name(), "Wrappers");
+        assert_eq!(ENTRY.name, "Wrappers");
     }
 }

@@ -5,9 +5,10 @@
 //!
 //! Run with: `cargo run --example self_healing_server`
 
+use redundancy::core::adjudicator::acceptance::AcceptAll;
 use redundancy::core::context::ExecContext;
 use redundancy::core::rng::SplitMix64;
-use redundancy::faults::{Activation, DetectableFailures, FaultEffect, FaultSpec, FaultyVariant};
+use redundancy::faults::{Activation, FaultEffect, FaultSpec, FaultyVariant};
 use redundancy::techniques::env_perturbation::{Rx, RxOutcome};
 use redundancy::techniques::microreboot::{ComponentTree, RebootPolicy};
 use redundancy::techniques::rejuvenation::Rejuvenator;
@@ -51,7 +52,7 @@ fn main() {
         ))
         .build();
     let env = fragile.env_signature();
-    let rx = Rx::new(Box::new(fragile), env, DetectableFailures::new(), 5);
+    let rx = Rx::new(Box::new(fragile), env, AcceptAll, 5);
     let mut clean = 0u64;
     let mut healed = 0u64;
     let mut lost = 0u64;
