@@ -18,11 +18,15 @@ test:
 	$(CARGO) test -q --workspace
 
 # The concurrency-sensitive suites again, optimized: the threaded
-# pattern engine's cancellation, the worker arena's cross-thread splice,
-# the streaming merger's window and the worker pool's help-drain
-# interleave differently at release speed than in a debug build.
+# pattern engine's cancellation and in-order joins, the streaming
+# merger's window and the worker pool's help-drain interleave
+# differently at release speed than in a debug build. The root crate's
+# observability_trace binary adds traced campaigns over threaded
+# patterns and over nested regions, including one far longer than its
+# merge window.
 test-release:
 	$(CARGO) test --release -q -p redundancy-core -p redundancy-obs -p redundancy-sim
+	$(CARGO) test --release -q --test observability_trace
 
 build:
 	$(CARGO) build --release

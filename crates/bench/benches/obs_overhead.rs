@@ -2,9 +2,10 @@
 //!
 //! Three configurations of the same `ParallelEvaluation` run:
 //!
-//! - `bare` — no observer attached (the `Option<ObsHandle>` is `None`);
-//! - `noop` — a [`NoopObserver`] attached: the handle is present but its
-//!   cached `enabled` flag short-circuits event construction. The issue's
+//! - `bare` — no observer attached (the context's `Option<Trace>` is
+//!   `None`);
+//! - `noop` — a [`NoopObserver`] attached: a disabled observer is not
+//!   attached at all, so this must cost what `bare` costs. The
 //!   acceptance bar is ≤ ~1% overhead vs. `bare`;
 //! - `ring` — a [`RingBufferObserver`] actually recording, as the upper
 //!   reference point for what full capture costs.

@@ -8,17 +8,17 @@
 //! measured, so only adjacent measurements make a meaningful ratio.
 //!
 //! The traced path under test is the zero-allocation hot path: interned
-//! [`Symbol`]s for every dynamic label, `Copy` events, per-worker
-//! arenas ([`with_worker_arena`]: a pooled handle and a thread-local
-//! owner buffer recorded into without a lock), and the streaming
-//! merger's in-place merge, one sink batch per trial. The `trace_alloc`
+//! [`Symbol`]s for every dynamic label, `Copy` events, an owned
+//! [`Trace`] per worker (recycled across its trials, with forked
+//! contexts joined back into it), and the streaming merger's in-place
+//! merge, one sink batch per trial. The `trace_alloc`
 //! integration test pins the zero-allocations-per-event claim; this
 //! bench records what that buys in wall-clock terms. Run with
 //! `CRITERION_JSON_OUT=BENCH_campaign.json` (see `make bench-campaign`)
 //! to mirror the numbers into JSON.
 //!
 //! [`Symbol`]: redundancy_core::obs::Symbol
-//! [`with_worker_arena`]: redundancy_core::obs::with_worker_arena
+//! [`Trace`]: redundancy_core::obs::Trace
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use redundancy_core::adjudicator::voting::MajorityVoter;

@@ -37,8 +37,11 @@ fn main() {
         "\nchaos smoke: PASS — traced campaign survived {kills} scripted kill(s); \
          resumed summary and event stream byte-identical to the clean run"
     );
+    // Which kills the pool catches and which delays fire depend on the
+    // schedule, not on the results: stderr, so stdout stays one run's
+    // bytes for any run.
     let recorded = Telemetry::global().snapshot();
-    println!(
+    eprintln!(
         "flight recorder: {} worker kill(s), {} cancel fuse(s), {} injected delay(s); \
          pool caught {} panic(s), suppressed {} duplicate(s)",
         recorded.counter(Counter::ChaosKills),

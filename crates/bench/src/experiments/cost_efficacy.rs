@@ -126,6 +126,7 @@ pub fn single_point(trials: usize, seed: u64) -> CostPoint {
         let mut child = ctx.fork(0);
         let out = single.execute(x, &mut child).ok();
         ctx.add_sequential_cost(child.cost());
+        ctx.join(child);
         out
     })
 }

@@ -6,21 +6,24 @@
 //! which lets the framework exercise watchdog-style detection without real
 //! wall-clock waits.
 //!
-//! It also carries the optional observability handle: attach an
-//! [`Observer`] with [`ExecContext::with_observer`] and every pattern
-//! engine and technique running under this context emits structured
-//! [`redundancy_obs`] events — spans for technique/pattern/variant
-//! executions, points for verdicts, fuel exhaustion, checkpoints and the
-//! rest. With no observer attached (the default) the instrumentation is a
-//! single branch per site, and crucially it never touches the random
-//! stream or the fork counter, so traced and untraced runs are bitwise
-//! identical in behavior.
+//! It also carries the optional trace: attach an [`Observer`] with
+//! [`ExecContext::with_observer`] and every pattern engine and technique
+//! running under this context emits structured [`redundancy_obs`] events
+//! — spans for technique/pattern/variant executions, points for verdicts,
+//! fuel exhaustion, checkpoints and the rest. A forked context records
+//! into a trace of its own, which reaches the parent's when the parent
+//! [`join`](ExecContext::join)s it. With no observer attached (the
+//! default) the instrumentation is a single branch per site, and
+//! crucially it never touches the random stream or the fork counter, so
+//! traced and untraced runs are bitwise identical in behavior.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use redundancy_obs::{CostSnapshot, ObsHandle, Observer, Point, SpanKind, SpanStatus, SpanToken};
+use redundancy_obs::{
+    CostSnapshot, ObsHandle, Observer, Point, SpanKind, SpanStatus, SpanToken, Trace,
+};
 
 use crate::cost::Cost;
 use crate::rng::SplitMix64;
@@ -122,7 +125,7 @@ impl CancelToken {
 /// let coin = ctx.rng().chance(0.5); // deterministic for seed 42
 /// let _ = coin;
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ExecContext {
     rng: SplitMix64,
     cost: Cost,
@@ -132,8 +135,9 @@ pub struct ExecContext {
     /// that repeated forks (e.g. one per retry, or one per request in a
     /// campaign) get fresh, still-deterministic randomness.
     forks: std::cell::Cell<u64>,
-    /// Observability handle; `None` (the default) means untraced.
-    obs: Option<ObsHandle>,
+    /// The trace this context records into; `None` (the default) means
+    /// untraced. One pointer, so an untraced context stays small.
+    obs: Option<Trace>,
     /// Cancellation token; `None` (the default) means uncancellable.
     /// Inherited by forks so nested pattern runs stop too.
     cancel: Option<CancelToken>,
@@ -203,32 +207,42 @@ impl ExecContext {
     }
 
     /// Attaches an observer: every pattern engine and technique running
-    /// under this context (and its forks) will emit structured events.
+    /// under this context (and its joined forks) will emit structured
+    /// events. A disabled observer is not attached at all.
     #[must_use]
-    pub fn with_observer(mut self, observer: Arc<dyn Observer>) -> Self {
-        self.obs = Some(ObsHandle::new(observer));
-        self
+    pub fn with_observer(self, observer: Arc<dyn Observer>) -> Self {
+        self.with_obs_handle(ObsHandle::new(observer))
     }
 
     /// Attaches an already-built handle (shares its span-id allocator,
-    /// e.g. to parent new work under an existing span).
+    /// e.g. to number a campaign's trials in one id space). This
+    /// context's own events go straight to the handle; each joined fork's
+    /// events go to its observer as one batch.
     #[must_use]
     pub fn with_obs_handle(mut self, handle: ObsHandle) -> Self {
-        self.obs = Some(handle);
+        self.obs = handle.enabled().then(|| Trace::forwarding(handle));
         self
     }
 
-    /// Whether an enabled observer is attached. Instrumentation uses this
-    /// to skip building event payloads.
+    /// Records into `trace` — typically a buffering [`Trace`] recycled
+    /// across a campaign worker's trials. Take it back with
+    /// [`take_trace`](Self::take_trace).
     #[must_use]
-    pub fn observed(&self) -> bool {
-        self.obs.as_ref().is_some_and(ObsHandle::enabled)
+    pub fn with_trace(mut self, trace: Trace) -> Self {
+        self.obs = Some(trace);
+        self
     }
 
-    /// The attached observability handle, if any.
+    /// Detaches the trace, leaving this context untraced.
+    pub fn take_trace(&mut self) -> Option<Trace> {
+        self.obs.take()
+    }
+
+    /// Whether a trace is attached. Instrumentation uses this to skip
+    /// building event payloads.
     #[must_use]
-    pub fn obs_handle(&self) -> Option<&ObsHandle> {
-        self.obs.as_ref()
+    pub fn observed(&self) -> bool {
+        self.obs.is_some()
     }
 
     /// Opens an observability span at the current virtual time. Returns
@@ -236,26 +250,22 @@ impl ExecContext {
     /// traced.
     pub fn obs_begin(&mut self, kind: impl FnOnce() -> SpanKind) -> Option<SpanToken> {
         let clock = self.cost.virtual_ns;
-        self.obs
-            .as_mut()
-            .filter(|h| h.enabled())
-            .map(|h| h.begin_span(clock, kind))
+        self.obs.as_mut().map(|trace| trace.begin_span(clock, kind))
     }
 
     /// Closes a span opened by [`obs_begin`](Self::obs_begin), attributing
     /// `cost` (typically a [`Cost::delta_since`] of the span's start).
     pub fn obs_end(&mut self, token: Option<SpanToken>, status: SpanStatus, cost: CostSnapshot) {
-        if let (Some(token), Some(h)) = (token, self.obs.as_mut()) {
-            let clock = self.cost.virtual_ns;
-            h.end_span(token, clock, status, cost);
+        if let (Some(token), Some(trace)) = (token, self.obs.as_mut()) {
+            trace.end_span(token, self.cost.virtual_ns, status, cost);
         }
     }
 
     /// Emits a point event at the current virtual time; the closure only
     /// runs when traced.
     pub fn obs_emit(&mut self, point: impl FnOnce() -> Point) {
-        if let Some(h) = self.obs.as_ref().filter(|h| h.enabled()) {
-            h.emit(self.cost.virtual_ns, point);
+        if let Some(trace) = self.obs.as_mut() {
+            trace.emit(self.cost.virtual_ns, point);
         }
     }
 
@@ -342,6 +352,13 @@ impl ExecContext {
     /// sequence stays a pure function of the seed — results do not depend
     /// on thread scheduling, only on fork order, which pattern engines fix
     /// by forking before spawning.
+    ///
+    /// A traced context gives the child a trace of its own (recycled from
+    /// earlier joins), whose spans nest under the span this context is in.
+    /// **Join every traced fork:** pass the child to
+    /// [`join`](Self::join) after its last use and before this context
+    /// records again, or its events are lost. A debug build panics when a
+    /// child still holding events is dropped (unless it is unwinding).
     #[must_use]
     pub fn fork(&self, stream: u64) -> ExecContext {
         let n = self.forks.get();
@@ -352,20 +369,26 @@ impl ExecContext {
             fuel: self.initial_fuel,
             initial_fuel: self.initial_fuel,
             forks: std::cell::Cell::new(0),
-            // The child shares the observer and span-id allocator and
-            // inherits the parent's current span, so spans it opens nest
-            // correctly. A *disabled* handle is dropped instead of cloned:
-            // it could never record anything, and the Arc refcount bump
-            // per fork would be the only observability cost left on the
-            // untraced hot path. The fork counter and rng above are
-            // computed identically whether or not an observer is attached.
-            obs: self.obs.as_ref().filter(|h| h.enabled()).cloned(),
+            // The fork counter and rng above are computed identically
+            // whether or not a trace is attached.
+            obs: self.obs.as_ref().map(Trace::fork),
             // Children inherit the token so nested patterns stop too. A
             // threaded pattern engine then swaps in its own token, linked
             // to this one by `child_cancel_token`. The clone is a few Arc
             // refcount bumps, paid only by cancellable runs.
             cancel: self.cancel.clone(),
             cancelled: false,
+        }
+    }
+
+    /// Splices a [`fork`](Self::fork)ed child's events into this
+    /// context's trace, in program order, as if they had been recorded
+    /// here. Costs are not touched: charge them as the pattern's cost
+    /// model says (`add_sequential_cost`, `add_parallel_costs`). Free
+    /// when untraced.
+    pub fn join(&mut self, child: ExecContext) {
+        if let (Some(trace), Some(child)) = (self.obs.as_mut(), child.obs) {
+            trace.join(child);
         }
     }
 
@@ -504,11 +527,22 @@ mod tests {
         let mut child = ctx.fork(1);
         let inner = child.obs_begin(|| SpanKind::Variant { name: "v".into() });
         child.obs_end(inner, SpanStatus::Ok, Cost::ZERO.snapshot());
+        ctx.join(child);
         ctx.obs_end(outer, SpanStatus::Ok, ctx.cost().snapshot());
         let events = ring.events();
         assert_eq!(events.len(), 4);
         // The child's span is parented under the technique span.
         assert_eq!(events[1].parent, events[0].span);
+    }
+
+    #[test]
+    fn an_untraced_context_pays_one_pointer_for_its_trace() {
+        assert_eq!(
+            std::mem::size_of::<Option<Trace>>(),
+            std::mem::size_of::<usize>()
+        );
+        let quiet = ExecContext::new(1).with_observer(Arc::new(redundancy_obs::NoopObserver));
+        assert!(!quiet.observed(), "a disabled observer is not attached");
     }
 
     #[test]

@@ -21,9 +21,12 @@
 //!   an enclosing pattern's verdict stops these variants too.
 //!
 //! Determinism: the verdict only ever depends on outcomes fed in variant
-//! order, so it is reproducible across runs and thread schedules. Which
-//! stragglers got cancelled (vs. finished just in time) in threaded mode
-//! is inherently timing-dependent — the *verdict* is not.
+//! order, so it is reproducible across runs and thread schedules. Each
+//! variant's forked context is joined as its outcome is fed, so a traced
+//! threaded run records the sequential run's stream. Which stragglers got
+//! cancelled (vs. finished just in time) in threaded mode is inherently
+//! timing-dependent — the *verdict* is not, and neither is the stream
+//! apart from those stragglers' own events.
 
 use std::collections::BTreeMap;
 use std::sync::mpsc;
@@ -92,6 +95,7 @@ where
         }
         let mut child = ctx.fork(i as u64);
         let outcome = run_contained(variant.as_ref(), input, &mut child);
+        ctx.join(child);
         let decision = judge.feed(&outcome);
         outcomes.push(outcome);
         if decision.is_final() {
@@ -135,17 +139,19 @@ where
                 let outcome = run_contained(variant.as_ref(), input, &mut child);
                 // The receiver outlives the scope; a send can only fail if
                 // the main thread panicked, which already aborts the test.
-                let _ = tx.send((i, outcome));
+                let _ = tx.send((i, outcome, child));
             });
         }
         drop(tx);
-        // Buffer out-of-order arrivals and feed the judge strictly in
-        // variant order, so the verdict never depends on thread timing.
-        let mut pending: BTreeMap<usize, VariantOutcome<O>> = BTreeMap::new();
+        // Buffer out-of-order arrivals; join the children and feed the
+        // judge strictly in variant order, so neither the verdict nor the
+        // trace depends on thread timing.
+        let mut pending: BTreeMap<usize, (VariantOutcome<O>, ExecContext)> = BTreeMap::new();
         for _ in 0..total {
-            let (i, outcome) = rx.recv().expect("every variant thread sends once");
-            pending.insert(i, outcome);
-            while let Some(next) = pending.remove(&ordered.len()) {
+            let (i, outcome, child) = rx.recv().expect("every variant thread sends once");
+            pending.insert(i, (outcome, child));
+            while let Some((next, child)) = pending.remove(&ordered.len()) {
+                ctx.join(child);
                 ordered.push(next);
                 if verdict.is_none() {
                     let decision = judge.feed(&ordered[ordered.len() - 1]);

@@ -150,6 +150,7 @@ impl<I, O> SequentialAlternatives<I, O> {
             }
             let mut child = ctx.fork(i as u64);
             let outcome = run_contained(variant.as_ref(), input, &mut child);
+            ctx.join(child);
             ctx.add_sequential_cost(outcome.cost);
             let accepted = outcome.output().map(|out| self.test.accept(input, out));
             outcomes.push(outcome);

@@ -9,8 +9,8 @@
 //! pins that by carrying frozen copies of those engines (written against
 //! the public API) and comparing them against `ParallelEvaluation::run`
 //! and `ParallelSelection::run` outcome by outcome and event by event.
-//! Threaded runs are compared by report only: their variant threads
-//! interleave the event stream.
+//! Threaded runs join their variants' traces in variant order, so their
+//! streams are compared too.
 
 use redundancy_core::adjudicator::acceptance::{AcceptanceTest, BoxedAcceptance, FnAcceptance};
 use redundancy_core::adjudicator::voting::{MajorityVoter, MedianVoter};
@@ -30,18 +30,21 @@ const SEEDS: [u64; 6] = [0, 1, 7, 42, 0x5eed_2008, u64::MAX];
 type Component<I, O> = (BoxedVariant<I, O>, BoxedAcceptance<I, O>);
 
 /// The pre-refactor executor, frozen: fork each variant in order and run
-/// them all in the calling thread.
+/// them all in the calling thread (joining each traced fork, as every
+/// fork site must).
 fn reference_execute<I, O>(
     variants: &[&BoxedVariant<I, O>],
     input: &I,
-    ctx: &ExecContext,
+    ctx: &mut ExecContext,
 ) -> Vec<VariantOutcome<O>> {
     variants
         .iter()
         .enumerate()
         .map(|(i, variant)| {
             let mut child = ctx.fork(i as u64);
-            run_contained(variant.as_ref(), input, &mut child)
+            let outcome = run_contained(variant.as_ref(), input, &mut child);
+            ctx.join(child);
+            outcome
         })
         .collect()
 }
@@ -274,15 +277,17 @@ fn exhaustive_traced_streams_match_frozen_reference_on_fixed_seeds() {
         let mut ref_ctx = ExecContext::new(seed).with_observer(ref_ring.clone());
         let _ = reference_run(&variant_set(), &MedianVoter::new(), &5, &mut ref_ctx);
 
-        let ring = RingBufferObserver::shared(256);
-        let mut ctx = ExecContext::new(seed).with_observer(ring.clone());
-        let _ = evaluation(MedianVoter::new(), ExecutionMode::Sequential).run(&5, &mut ctx);
+        for mode in [ExecutionMode::Sequential, ExecutionMode::Threaded] {
+            let ring = RingBufferObserver::shared(256);
+            let mut ctx = ExecContext::new(seed).with_observer(ring.clone());
+            let _ = evaluation(MedianVoter::new(), mode).run(&5, &mut ctx);
 
-        assert_streams_match(
-            &ring.events(),
-            &ref_ring.events(),
-            &format!("seed {seed:#x}"),
-        );
+            assert_streams_match(
+                &ring.events(),
+                &ref_ring.events(),
+                &format!("{mode:?} seed {seed:#x}"),
+            );
+        }
     }
 }
 
@@ -327,15 +332,17 @@ fn exhaustive_selection_traced_streams_match_frozen_reference_on_fixed_seeds() {
         let mut ref_ctx = ExecContext::new(seed).with_observer(ref_ring.clone());
         let _ = reference_select(&component_set(), &4, &mut ref_ctx);
 
-        let ring = RingBufferObserver::shared(256);
-        let mut ctx = ExecContext::new(seed).with_observer(ring.clone());
-        let _ = selection(component_set(), ExecutionMode::Sequential).run(&4, &mut ctx);
+        for mode in [ExecutionMode::Sequential, ExecutionMode::Threaded] {
+            let ring = RingBufferObserver::shared(256);
+            let mut ctx = ExecContext::new(seed).with_observer(ring.clone());
+            let _ = selection(component_set(), mode).run(&4, &mut ctx);
 
-        assert_streams_match(
-            &ring.events(),
-            &ref_ring.events(),
-            &format!("seed {seed:#x}"),
-        );
+            assert_streams_match(
+                &ring.events(),
+                &ref_ring.events(),
+                &format!("{mode:?} seed {seed:#x}"),
+            );
+        }
     }
 }
 

@@ -11,21 +11,29 @@
 //! ## Design
 //!
 //! - **Zero cost when disabled.** Instrumented code holds an
-//!   `Option<ObsHandle>`; with no handle attached the per-event cost is
-//!   one branch. Attaching a disabled observer (the default
-//!   [`NoopObserver`] reports `enabled() == false`) short-circuits the
-//!   same way: event payloads are built inside closures that only run
-//!   when a consuming observer is attached.
+//!   `Option<Trace>`; with no trace attached the per-event cost is one
+//!   branch, and event payloads are built inside closures that only run
+//!   when a trace is attached. A disabled observer (the default
+//!   [`NoopObserver`] reports `enabled() == false`) is never attached.
+//! - **Owned recording.** A traced execution context owns its [`Trace`]:
+//!   recording an event is a `Vec` push, and a forked context gets a
+//!   recycled trace of its own, touching no shared state. Two rules
+//!   follow. *A forked traced context must be joined* into its parent,
+//!   after its last event and before the parent records again; a debug
+//!   build panics when a child holding events is dropped unjoined. And
+//!   since children that ran on other threads are joined in fork order,
+//!   *a `Threaded` pattern records the same stream as a `Sequential`
+//!   one*, apart from which stragglers an early verdict cancels.
 //! - **Dependency-free base crate.** This crate sits *below*
 //!   `redundancy-core` in the workspace graph so every layer can emit.
 //!   Domain enums are carried as `&'static str` labels
 //!   (`VariantFailure::kind()`, `RejectionReason::kind()`).
 //! - **Bounded capture.** [`RingBufferObserver`] keeps the most recent N
 //!   events and counts what it dropped; exporters tolerate truncation.
-//! - **Sharded capture.** Parallel campaigns record each trial into its
-//!   worker thread's arena ([`with_worker_arena`]), without a lock on
-//!   that thread; [`StreamingMerger`] stitches the trials back together
-//!   in trial order, renumbering span ids so the merged stream is
+//! - **Sharded capture.** Parallel campaigns record each trial into a
+//!   buffering [`Trace`] of its own, recycled across the worker's
+//!   trials; [`StreamingMerger`] stitches the trials back together in
+//!   trial order, renumbering span ids so the merged stream is
 //!   bit-for-bit identical to a serial recording ([`merge_shards`] is
 //!   the batch form).
 //! - **Lock-free telemetry.** The [`telemetry`] module keeps per-thread
@@ -75,6 +83,7 @@ mod observer;
 pub mod prometheus;
 mod shard;
 pub mod telemetry;
+mod trace;
 
 pub use event::{CostSnapshot, Event, EventKind, Point, SpanId, SpanKind, SpanStatus, ROOT_SPAN};
 pub use export::{
@@ -89,7 +98,7 @@ pub use observer::{
     FanoutObserver, NoopObserver, ObsHandle, Observer, RingBufferObserver, SpanToken,
 };
 pub use shard::{
-    forward_renumbered, merge_shards, renumber_in_place, with_worker_arena, CollectorObserver,
-    StreamingMerger, WorkerArena,
+    forward_renumbered, merge_shards, renumber_in_place, CollectorObserver, StreamingMerger,
 };
 pub use telemetry::{Telemetry, TelemetryShard, TelemetrySnapshot};
+pub use trace::Trace;

@@ -1,15 +1,14 @@
 //! Observers: where emitted events go.
 //!
 //! The [`Observer`] trait is the single sink interface. Instrumented code
-//! never calls it directly — it goes through [`ObsHandle`], which carries
-//! the observer, the span-id allocator and the current span, and is cheap
-//! to clone into forked execution contexts. When no handle is attached
-//! (the default) instrumentation is a single `Option` test; when a
-//! disabled observer (e.g. [`NoopObserver`]) is attached, the cached
-//! `enabled` flag still short-circuits event construction. Either way the
-//! hot path never allocates.
+//! never calls it directly — it goes through an execution context's
+//! [`Trace`](crate::Trace), which either buffers events or forwards them
+//! through an [`ObsHandle`]: the observer, the span-id allocator and the
+//! current span, shared by every clone. When no trace is attached (the
+//! default) instrumentation is a single `Option` test; a disabled
+//! observer (e.g. [`NoopObserver`]) is never attached, so event payloads
+//! are not even built. Either way the hot path never allocates.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -88,12 +87,39 @@ pub struct RingBufferObserver {
     inner: Mutex<Ring>,
 }
 
+/// The retained events in a fixed slab: until the slab first fills, the
+/// events are `slab` in order and `head` is 0; after that the slab stays
+/// `capacity` long, `head` indexes the oldest event and each record
+/// overwrites it.
 struct Ring {
-    buf: VecDeque<Event>,
+    slab: Vec<Event>,
+    head: usize,
     dropped: u64,
     /// The `seq` of the next recorded event. Assigned under the lock, so
     /// concurrent recorders store their events in `seq` order.
     seq: u64,
+}
+
+impl Ring {
+    /// The retained events, oldest first, as at most two slices.
+    fn as_slices(&self) -> (&[Event], &[Event]) {
+        let (newest, oldest) = self.slab.split_at(self.head);
+        (oldest, newest)
+    }
+
+    /// Copies `src` over the slab from slot `at`, numbering it from `seq`.
+    fn write(&mut self, at: usize, src: &[Event], seq: u64) {
+        let dst = &mut self.slab[at..at + src.len()];
+        dst.copy_from_slice(src);
+        number(dst, seq);
+    }
+}
+
+/// Numbers `events` consecutively from `first`.
+fn number(events: &mut [Event], first: u64) {
+    for (event, seq) in events.iter_mut().zip(first..) {
+        event.seq = seq;
+    }
 }
 
 impl RingBufferObserver {
@@ -108,7 +134,8 @@ impl RingBufferObserver {
         RingBufferObserver {
             capacity,
             inner: Mutex::new(Ring {
-                buf: VecDeque::with_capacity(capacity),
+                slab: Vec::with_capacity(capacity),
+                head: 0,
                 dropped: 0,
                 seq: 0,
             }),
@@ -130,13 +157,13 @@ impl RingBufferObserver {
     /// Number of currently retained events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.lock().buf.len()
+        self.lock().slab.len()
     }
 
     /// Whether no events are retained.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.lock().buf.is_empty()
+        self.lock().slab.is_empty()
     }
 
     /// Number of events evicted because the buffer was full.
@@ -155,7 +182,7 @@ impl RingBufferObserver {
     pub fn events(&self) -> Vec<Event> {
         let mut out = Vec::with_capacity(self.capacity);
         let inner = self.lock();
-        let (front, back) = inner.buf.as_slices();
+        let (front, back) = inner.as_slices();
         out.extend_from_slice(front);
         out.extend_from_slice(back);
         out
@@ -165,13 +192,19 @@ impl RingBufferObserver {
     /// counter and sequence numbering continue).
     #[must_use]
     pub fn take(&self) -> Vec<Event> {
-        self.lock().buf.drain(..).collect()
+        let mut inner = self.lock();
+        let (front, back) = inner.as_slices();
+        let taken = [front, back].concat();
+        inner.slab.clear();
+        inner.head = 0;
+        taken
     }
 
     /// Clears the buffer and the drop counter.
     pub fn clear(&self) {
         let mut inner = self.lock();
-        inner.buf.clear();
+        inner.slab.clear();
+        inner.head = 0;
         inner.dropped = 0;
     }
 
@@ -187,31 +220,51 @@ impl Observer for RingBufferObserver {
         let mut inner = self.lock();
         event.seq = inner.seq;
         inner.seq += 1;
-        if inner.buf.len() == self.capacity {
-            inner.buf.pop_front();
+        if inner.slab.len() < self.capacity {
+            inner.slab.push(event);
+        } else {
+            let head = inner.head;
+            inner.slab[head] = event;
+            inner.head = (head + 1) % self.capacity;
             inner.dropped += 1;
         }
-        inner.buf.push_back(event);
     }
 
     /// One lock and one `seq` range for the whole batch. Only the newest
     /// `capacity` events of a batch can survive it: the ones before them
-    /// are numbered and counted as dropped without being stored, and the
-    /// oldest retained events are evicted in one bulk drain.
+    /// are numbered and counted as dropped without being stored. The rest
+    /// land in at most two slice copies.
     fn record_batch(&self, events: &[Event]) {
-        let mut inner = self.lock();
+        let inner = &mut *self.lock();
         let skipped = events.len().saturating_sub(self.capacity);
         let kept = &events[skipped..];
-        let evicted = (inner.buf.len() + kept.len()).saturating_sub(self.capacity);
-        inner.buf.drain(..evicted);
-        inner.dropped += (skipped + evicted) as u64;
         let first = inner.seq + skipped as u64;
         inner.seq += events.len() as u64;
-        inner.buf.extend(
-            kept.iter()
-                .zip(first..)
-                .map(|(&event, seq)| Event { seq, ..event }),
-        );
+        inner.dropped += skipped as u64;
+        // First copy: into the free tail of a slab that has not filled
+        // yet, or over the oldest events from `head` to the slab's end.
+        let len = inner.slab.len();
+        let split = if len < self.capacity {
+            let split = (self.capacity - len).min(kept.len());
+            inner.slab.extend_from_slice(&kept[..split]);
+            number(&mut inner.slab[len..], first);
+            split
+        } else {
+            let head = inner.head;
+            let split = (self.capacity - head).min(kept.len());
+            inner.write(head, &kept[..split], first);
+            inner.head = (head + split) % self.capacity;
+            inner.dropped += split as u64;
+            split
+        };
+        // Second copy: what did not fit overwrites the oldest events from
+        // slot 0, since the first copy filled the slab or reached its end.
+        let rest = &kept[split..];
+        if !rest.is_empty() {
+            inner.write(0, rest, first + split as u64);
+            inner.head = rest.len();
+            inner.dropped += rest.len() as u64;
+        }
     }
 }
 
@@ -260,13 +313,15 @@ impl Observer for FanoutObserver {
     }
 }
 
-/// The instrumentation handle carried by execution contexts: an observer,
-/// the shared span-id allocator, and the current span.
+/// A shared recording handle: an observer, the shared span-id allocator,
+/// and the current span.
 ///
-/// Cloning (for forked contexts) shares the allocator and observer; the
-/// clone inherits the current span, so spans opened by a child are
-/// parented under the span the parent was in at fork time. Observer and
-/// allocator sit behind one `Arc`, so a clone costs one refcount bump.
+/// Clones share the allocator and observer and inherit the current span,
+/// so spans opened through a clone are parented under the span the
+/// original was in at clone time. Observer and allocator sit behind one
+/// `Arc`, so a clone costs one refcount bump. A forwarding
+/// [`Trace`](crate::Trace) records through one, e.g. every trial of a
+/// serial traced campaign into one id space.
 #[derive(Clone)]
 pub struct ObsHandle {
     shared: Arc<HandleShared>,
@@ -295,8 +350,8 @@ impl HandleShared {
 #[derive(Debug, Clone, Copy)]
 #[must_use = "end_span must be called with this token"]
 pub struct SpanToken {
-    span: SpanId,
-    previous: SpanId,
+    pub(crate) span: SpanId,
+    pub(crate) previous: SpanId,
 }
 
 impl ObsHandle {
@@ -311,22 +366,10 @@ impl ObsHandle {
         }
     }
 
-    /// A handle numbered like a fresh [`new`](Self::new) one — span ids
-    /// from 1, the root span current — on this handle's observer. When no
-    /// clone of this handle is alive, its allocation is reused and its
-    /// allocator reset in place, so a pooled handle restarts per trial
-    /// without allocating; otherwise a new allocator is made, and a live
-    /// clone never sees its ids reused.
-    pub(crate) fn restart(&mut self) -> ObsHandle {
-        match Arc::get_mut(&mut self.shared) {
-            Some(shared) => *shared.ids.get_mut() = 1,
-            None => self.shared = HandleShared::new(Arc::clone(&self.shared.observer)),
-        }
-        ObsHandle {
-            shared: Arc::clone(&self.shared),
-            current: ROOT_SPAN,
-            enabled: self.enabled,
-        }
+    /// Reserves `n` consecutive span ids, returning the first: the ids a
+    /// joined child trace's spans take (see [`Trace::join`](crate::Trace::join)).
+    pub(crate) fn reserve(&self, n: u64) -> SpanId {
+        self.shared.ids.fetch_add(n, Ordering::Relaxed)
     }
 
     /// Whether events are being consumed (cached at attach time).
@@ -572,34 +615,6 @@ mod tests {
             fan.record(tick(i));
         }
         assert_eq!(c.len(), 3);
-    }
-
-    #[test]
-    fn restarted_handles_number_spans_from_one() {
-        let ring = RingBufferObserver::shared(64);
-        let mut pooled = ObsHandle::new(ring.clone());
-        let record_span = |handle: &mut ObsHandle| {
-            let span = handle.begin_span(0, || SpanKind::Scope { name: "s" });
-            handle.end_span(span, 1, SpanStatus::Ok, CostSnapshot::ZERO);
-        };
-        let mut first = pooled.restart();
-        record_span(&mut first);
-        record_span(&mut first);
-        drop(first);
-        // No clone is alive: the pooled allocation is reused, its
-        // allocator reset to 1 — what a fresh handle would number.
-        let before = Arc::as_ptr(&pooled.shared);
-        let mut second = pooled.restart();
-        assert_eq!(Arc::as_ptr(&second.shared), before);
-        record_span(&mut second);
-        // A clone is still alive: restarting must not reset the ids it
-        // is still allocating from.
-        let mut third = pooled.restart();
-        assert_ne!(Arc::as_ptr(&third.shared), before);
-        record_span(&mut third);
-        record_span(&mut second);
-        let spans: Vec<_> = ring.events().iter().step_by(2).map(|e| e.span).collect();
-        assert_eq!(spans, vec![1, 2, 1, 1, 2]);
     }
 
     /// Splitmix steps: a deterministic source of batch sizes.

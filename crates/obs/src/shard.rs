@@ -1,37 +1,30 @@
 //! Sharded capture: record event streams on independent shards (one per
-//! trial or per worker) and merge them back into a single stream that is
+//! trial) and merge them back into a single stream that is
 //! indistinguishable from a serial recording.
 //!
-//! A parallel Monte-Carlo campaign cannot share one [`ObsHandle`] across
-//! worker threads without interleaving the streams of concurrent trials
-//! and allocating span ids in scheduling order — both of which destroy
-//! the deterministic-replay guarantee. Instead, every trial records into
-//! a shard of its own through its own handle (span ids start at 1 per
-//! shard), and [`merge_shards`] stitches the shards together in trial
-//! order, renumbering span ids exactly as one shared allocator would
-//! have assigned them. The merged stream is therefore *bit-for-bit
-//! identical* to what the serial traced run records, so every downstream
-//! consumer — `split_trials`, `TraceSummary`, exporters — works unchanged
-//! on parallel campaigns.
-//!
-//! The campaign engine's shards are per-thread [`WorkerArena`]s. The
-//! thread running a trial records its events into a thread-local buffer
-//! without a lock or an atomic read-modify-write; events from any other
-//! thread (variants run in `Threaded` mode) go to a locked side buffer,
-//! which the owner splices in before its next record. The
-//! [`StreamingMerger`] then forwards each finished trial to the sink in
-//! one [`Observer::record_batch`] call, straight from that buffer.
+//! A parallel Monte-Carlo campaign cannot share one span-id allocator
+//! across worker threads without interleaving the streams of concurrent
+//! trials and allocating span ids in scheduling order — both of which
+//! destroy the deterministic-replay guarantee. Instead, every trial
+//! records into a shard of its own (span ids start at 1 per shard: the
+//! campaign engine gives each trial a buffering [`Trace`]), and
+//! [`merge_shards`] stitches the shards together in trial order,
+//! renumbering span ids exactly as one shared allocator would have
+//! assigned them. The merged stream is therefore *bit-for-bit identical*
+//! to what the serial traced run records, so every downstream consumer —
+//! `split_trials`, `TraceSummary`, exporters — works unchanged on
+//! parallel campaigns. The [`StreamingMerger`] is the streaming form: it
+//! forwards each finished trial to the sink in one
+//! [`Observer::record_batch`] call, straight from the trial's buffer.
 //! [`CollectorObserver`] is the plain, locked shard for everything else.
 //!
-//! [`ObsHandle`]: crate::ObsHandle
+//! [`Trace`]: crate::Trace
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use crate::event::{Event, EventKind, ROOT_SPAN};
-use crate::observer::{ObsHandle, Observer};
+use crate::observer::Observer;
 
 /// Unbounded in-memory capture for one shard (one trial or worker).
 ///
@@ -86,24 +79,20 @@ impl CollectorObserver {
 
 impl Observer for CollectorObserver {
     fn record(&self, event: Event) {
-        push_numbered(&mut self.lock(), event);
+        self.record_batch(&[event]);
     }
 
+    /// Appends `events`, each with its position as `seq`.
     fn record_batch(&self, events: &[Event]) {
-        append_numbered(&mut self.lock(), events.iter().copied());
+        let mut collected = self.lock();
+        let first = collected.len() as u64;
+        collected.extend(
+            events
+                .iter()
+                .zip(first..)
+                .map(|(&event, seq)| Event { seq, ..event }),
+        );
     }
-}
-
-/// Appends `event` with its position as `seq`.
-fn push_numbered(events: &mut Vec<Event>, event: Event) {
-    let seq = events.len() as u64;
-    events.push(Event { seq, ..event });
-}
-
-/// Appends `more`, each event with its position as `seq`.
-fn append_numbered(events: &mut Vec<Event>, more: impl ExactSizeIterator<Item = Event>) {
-    let first = events.len() as u64;
-    events.extend(more.zip(first..).map(|(event, seq)| Event { seq, ..event }));
 }
 
 /// The number of span ids a shard's local allocator consumed: every
@@ -118,8 +107,8 @@ fn spans_allocated(events: &[Event]) -> u64 {
 /// Renumbers one shard's span ids into the campaign-wide id space and
 /// forwards its events to `sink` in order, as one batch.
 ///
-/// Shard-local handles allocate ids `1..=k` contiguously in span-start
-/// order (see [`ObsHandle::new`](crate::ObsHandle::new)), so the remap is
+/// Shard-local recorders allocate ids `1..=k` contiguously in span-start
+/// order (see [`Trace::new`](crate::Trace::new)), so the remap is
 /// the affine shift `local + offset` with `ROOT_SPAN` left untouched —
 /// exactly the ids a single shared allocator would have handed out had
 /// the shards been recorded one after another. Returns the number of ids
@@ -146,8 +135,8 @@ pub fn renumber_in_place(events: &mut [Event], offset: u64) -> u64 {
     allocated
 }
 
-/// Merges shard streams (each recorded through its own fresh
-/// [`ObsHandle`], ids starting at 1) into one flat stream, in shard
+/// Merges shard streams (each recorded with span ids starting at 1, as
+/// a fresh [`Trace`](crate::Trace) numbers them) into one flat stream, in shard
 /// order, renumbering span ids and sequence numbers as a single serial
 /// recording would have. See the module docs for why the result is
 /// bit-for-bit identical to the serial stream.
@@ -159,223 +148,6 @@ pub fn merge_shards(shards: Vec<Vec<Event>>) -> Vec<Event> {
         offset += forward_renumbered(shard, offset, &merged);
     }
     merged.into_events()
-}
-
-/// The observer behind a [`WorkerArena`]'s handles.
-///
-/// Records made on the thread that owns the shard go to that thread's
-/// owner buffer ([`PRIMARY`]) with no lock. Every other record — from
-/// another thread, into a re-entrant arena, or while the owner buffer is
-/// borrowed — goes to `side` under its lock, and `pending` tells the
-/// owner to splice `side` in before its next record. An owner record
-/// therefore lands after every foreign record that happened before it,
-/// and each event's `seq` is its position in the shard's stream.
-#[derive(Default)]
-struct TrialShard {
-    side: Mutex<Vec<Event>>,
-    /// Whether `side` holds events not yet spliced. Written only under
-    /// `side`'s lock; the owner reads it with a plain load per record.
-    pending: AtomicBool,
-}
-
-impl TrialShard {
-    fn lock_side(&self) -> MutexGuard<'_, Vec<Event>> {
-        self.side.lock().expect("shard side lock is never poisoned")
-    }
-
-    fn record_locked(&self, event: Event) {
-        let mut side = self.lock_side();
-        push_numbered(&mut side, event);
-        self.pending.store(true, Ordering::Release);
-    }
-
-    /// Moves the side buffer's events onto the end of `owned`.
-    fn splice_into(&self, owned: &mut Vec<Event>) {
-        let mut side = self.lock_side();
-        append_numbered(owned, side.drain(..));
-        self.pending.store(false, Ordering::Relaxed);
-    }
-
-    /// Splices the side buffer into `owned` if anything waits there.
-    fn catch_up(&self, owned: &mut Vec<Event>) {
-        if self.pending.load(Ordering::Acquire) {
-            self.splice_into(owned);
-        }
-    }
-
-    /// Records on the owner path; `false` when this thread may not.
-    fn record_owned(&self, event: Event) -> bool {
-        PRIMARY
-            .try_with(|primary| {
-                let Ok(mut primary) = primary.try_borrow_mut() else {
-                    return false;
-                };
-                let primary = &mut *primary;
-                if !primary.owns(self) {
-                    return false;
-                }
-                self.catch_up(&mut primary.events);
-                push_numbered(&mut primary.events, event);
-                true
-            })
-            .unwrap_or(false)
-    }
-}
-
-impl Observer for TrialShard {
-    fn record(&self, event: Event) {
-        if !self.record_owned(event) {
-            self.record_locked(event);
-        }
-    }
-}
-
-/// A thread's primary arena: the shard its trials record into, the
-/// pooled handle on it, and the owner buffer.
-struct Primary {
-    /// Created by the thread's first trial, then kept for its lifetime.
-    shard: Option<(Arc<TrialShard>, ObsHandle)>,
-    /// The running trial's events, in record order.
-    events: Vec<Event>,
-    /// Whether a trial is running on this arena. A trial that starts on
-    /// the thread meanwhile — a traced trial running a traced campaign,
-    /// or an outer trial the pool's help-drain runs while a trial waits
-    /// on a nested region — gets a re-entrant arena instead.
-    busy: bool,
-}
-
-impl Primary {
-    fn owns(&self, shard: &TrialShard) -> bool {
-        self.shard
-            .as_ref()
-            .is_some_and(|(own, _)| std::ptr::eq(&**own, shard))
-    }
-
-    /// Starts a trial: a handle numbering from 1, or `None` when a trial
-    /// is already running on this arena.
-    fn check_out(&mut self) -> Option<ObsHandle> {
-        if self.busy {
-            return None;
-        }
-        self.busy = true;
-        let (shard, pooled) = self.shard.get_or_insert_with(|| {
-            let shard = Arc::new(TrialShard::default());
-            let handle = ObsHandle::new(Arc::clone(&shard) as Arc<dyn Observer>);
-            (shard, handle)
-        });
-        // A panicked trial leaves its events behind; they are no part of
-        // this one.
-        self.events.clear();
-        if shard.pending.load(Ordering::Acquire) {
-            shard.lock_side().clear();
-            shard.pending.store(false, Ordering::Relaxed);
-        }
-        Some(pooled.restart())
-    }
-}
-
-thread_local! {
-    /// This thread's primary arena (see [`with_worker_arena`]).
-    static PRIMARY: RefCell<Primary> = const {
-        RefCell::new(Primary {
-            shard: None,
-            events: Vec::new(),
-            busy: false,
-        })
-    };
-}
-
-/// One traced trial's recording arena (see [`with_worker_arena`]).
-pub struct WorkerArena {
-    handle: ObsHandle,
-    /// `None` on the thread's primary arena, whose events live in the
-    /// thread-local owner buffer; a re-entrant arena's own shard, which
-    /// every record reaches through its lock, otherwise.
-    reentrant: Option<Arc<TrialShard>>,
-}
-
-impl WorkerArena {
-    fn reentrant() -> Self {
-        let shard = Arc::new(TrialShard::default());
-        WorkerArena {
-            handle: ObsHandle::new(Arc::clone(&shard) as Arc<dyn Observer>),
-            reentrant: Some(shard),
-        }
-    }
-
-    /// A handle recording into this arena: span ids from 1, the root span
-    /// current, exactly like a fresh [`ObsHandle::new`]. Clones of it
-    /// (forked contexts, `Threaded` variant threads) record here too.
-    #[must_use]
-    pub fn handle(&self) -> ObsHandle {
-        self.handle.clone()
-    }
-
-    /// Hands everything recorded so far to `merger` as trial `index`
-    /// (see [`StreamingMerger::submit`]), leaving the arena empty. On
-    /// the primary arena the merge reads the owner buffer in place, so
-    /// the buffer keeps its capacity for the thread's next trial.
-    pub fn submit(&mut self, merger: &StreamingMerger, index: usize) {
-        match &self.reentrant {
-            None => PRIMARY.with_borrow_mut(|primary| {
-                let (shard, _) = primary
-                    .shard
-                    .as_ref()
-                    .expect("a checked-out primary arena has its shard");
-                shard.catch_up(&mut primary.events);
-                merger.submit(index, &mut primary.events);
-            }),
-            Some(shard) => {
-                let mut events = std::mem::take(&mut *shard.lock_side());
-                merger.submit(index, &mut events);
-            }
-        }
-    }
-}
-
-impl Drop for WorkerArena {
-    fn drop(&mut self) {
-        if self.reentrant.is_none() {
-            // Runs on unwind too: a panicked trial frees the arena, and
-            // the next check-out clears what it left behind.
-            let _ = PRIMARY.try_with(|primary| {
-                if let Ok(mut primary) = primary.try_borrow_mut() {
-                    primary.busy = false;
-                }
-            });
-        }
-    }
-}
-
-/// Runs `f` — one traced trial — on this thread's pooled primary
-/// [`WorkerArena`], creating it on first use.
-///
-/// Worker threads are persistent (see the simulator's pool), so one
-/// arena per worker makes per-trial recording allocation-free: the
-/// handle's span-id allocator restarts in place and the owner buffer
-/// keeps its capacity. A trial that starts while another runs on this
-/// thread — a traced trial running a traced campaign, or the pool's
-/// help-drain running an outer trial while a trial waits on a nested
-/// region — gets a fresh re-entrant arena, which records through a lock
-/// and is dropped afterwards rather than replacing the primary.
-pub fn with_worker_arena<R>(f: impl FnOnce(&mut WorkerArena) -> R) -> R {
-    let handle = PRIMARY
-        .try_with(|primary| {
-            primary
-                .try_borrow_mut()
-                .ok()
-                .and_then(|mut primary| primary.check_out())
-        })
-        .ok()
-        .flatten();
-    let mut arena = match handle {
-        Some(handle) => WorkerArena {
-            handle,
-            reentrant: None,
-        },
-        None => WorkerArena::reentrant(),
-    };
-    f(&mut arena)
 }
 
 /// An observer of each trial's renumbered events at forward time
@@ -392,9 +164,13 @@ type TrialTap = Box<dyn Fn(usize, &[Event]) + Send + Sync>;
 /// memory is bounded by the *out-of-orderness* of the submitters (a
 /// window of in-flight trials), not by the campaign size. With
 /// [`with_window`](Self::with_window), submitters that run too far ahead
-/// block until the gap trial arrives, making the bound a hard guarantee;
-/// the submitter owning the gap trial can never block, so the window
-/// cannot deadlock (chunks are claimed in index order).
+/// block until the gap trial arrives, making the bound a hard guarantee
+/// for them; the submitter owning the gap trial can never block, so the
+/// window cannot deadlock (chunks are claimed in index order). A trial
+/// that runs above another on the same thread — the worker pool's
+/// help-drain can run one while a trial waits on a nested region —
+/// submits with [`submit_nested`](Self::submit_nested), which never
+/// waits: the trial it would wait for may be the one suspended below it.
 pub struct StreamingMerger {
     sink: Arc<dyn Observer>,
     window: Option<usize>,
@@ -408,12 +184,16 @@ struct MergeState {
     next: usize,
     /// Span-id offset accumulated over forwarded shards.
     offset: u64,
-    /// Shards submitted out of order, waiting for the gap to fill.
-    pending: BTreeMap<usize, Vec<Event>>,
+    /// Shards submitted out of order, waiting for the gap to fill, each
+    /// with whether it came from [`StreamingMerger::submit`] (as opposed
+    /// to `submit_nested`).
+    pending: BTreeMap<usize, (Vec<Event>, bool)>,
+    /// How many of `pending` came from `submit`.
+    windowed: usize,
     /// Emptied buffers of forwarded pending shards, handed to later
     /// out-of-order submitters in exchange for theirs.
     spare: Vec<Vec<Event>>,
-    /// High-water mark of `pending` (including the shard being merged).
+    /// High-water mark of `windowed`, counting the shard being submitted.
     peak_buffered: usize,
     /// Set by [`StreamingMerger::abort`]: a submitter is unwinding, so
     /// blocked submitters must wake and later submissions are discarded.
@@ -436,6 +216,7 @@ impl StreamingMerger {
                 next: 0,
                 offset: 0,
                 pending: BTreeMap::new(),
+                windowed: 0,
                 spare: Vec::new(),
                 peak_buffered: 0,
                 aborted: false,
@@ -500,7 +281,9 @@ impl StreamingMerger {
     }
 
     /// Submits trial `index`'s shard, forwarding it (and any unblocked
-    /// successors) if the merge frontier has reached it.
+    /// successors) if the merge frontier has reached it. With a window,
+    /// a submission `window` or more trials ahead of the frontier first
+    /// waits for it.
     ///
     /// The frontier trial is renumbered, tapped and forwarded straight
     /// from `events`, which is left empty with its capacity. Only an
@@ -510,8 +293,22 @@ impl StreamingMerger {
     /// Each index must be submitted exactly once; indices must cover
     /// `0..n` by the time the campaign ends or later shards stay queued.
     pub fn submit(&self, index: usize, events: &mut Vec<Event>) {
+        self.submit_within(index, events, true);
+    }
+
+    /// Like [`submit`](Self::submit), but never waits on the window: for
+    /// a trial running above another one, suspended on the same thread,
+    /// whose submission the window could make it wait for. Such a shard
+    /// does not count towards [`peak_buffered`](Self::peak_buffered).
+    pub fn submit_nested(&self, index: usize, events: &mut Vec<Event>) {
+        self.submit_within(index, events, false);
+    }
+
+    /// Submits as [`submit`](Self::submit) does, waiting on the window
+    /// only when `windowed`.
+    fn submit_within(&self, index: usize, events: &mut Vec<Event>, windowed: bool) {
         let mut state = self.state.lock().expect("merger lock never poisoned");
-        if let Some(window) = self.window {
+        if let Some(window) = self.window.filter(|_| windowed) {
             // Too far ahead: wait for the frontier. The submitter of the
             // frontier trial itself never enters this branch
             // (index == state.next fails the guard), so progress is
@@ -536,7 +333,9 @@ impl StreamingMerger {
             events.clear();
             return;
         }
-        state.peak_buffered = state.peak_buffered.max(state.pending.len() + 1);
+        if windowed {
+            state.peak_buffered = state.peak_buffered.max(state.windowed + 1);
+        }
         if index != state.next {
             // Nothing can be forwarded until the frontier trial arrives.
             let spare = state
@@ -545,7 +344,8 @@ impl StreamingMerger {
                 .unwrap_or_else(|| Vec::with_capacity(events.len()));
             state
                 .pending
-                .insert(index, std::mem::replace(events, spare));
+                .insert(index, (std::mem::replace(events, spare), windowed));
+            state.windowed += usize::from(windowed);
             return;
         }
         // In-order fast path: the frontier trial's shard never touches the
@@ -555,9 +355,10 @@ impl StreamingMerger {
         let mut forwarded = 1u64;
         loop {
             let next = state.next;
-            let Some(mut shard) = state.pending.remove(&next) else {
+            let Some((mut shard, windowed)) = state.pending.remove(&next) else {
                 break;
             };
+            state.windowed -= usize::from(windowed);
             self.forward(&mut state, &mut shard);
             state.spare.push(shard);
             forwarded += 1;
@@ -584,8 +385,9 @@ impl StreamingMerger {
         state.next += 1;
     }
 
-    /// High-water mark of simultaneously buffered shards (including the
-    /// one being merged at the time).
+    /// High-water mark of simultaneously buffered shards submitted with
+    /// [`submit`](Self::submit), counting the one being submitted at the
+    /// time. With a window, it never exceeds the window.
     #[must_use]
     pub fn peak_buffered(&self) -> usize {
         self.state
@@ -604,7 +406,7 @@ impl StreamingMerger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{CostSnapshot, Point, SpanKind, SpanStatus};
+    use crate::event::{CostSnapshot, SpanKind, SpanStatus};
     use crate::observer::{ObsHandle, RingBufferObserver};
     use std::sync::Arc;
 
@@ -1007,136 +809,26 @@ mod tests {
         assert_eq!(sink.take(), expected);
     }
 
-    /// Runs one trial on this thread's arena, submitting it to `merger`
-    /// as trial `index`; returns whether it ran on the primary arena.
-    fn arena_trial(merger: &StreamingMerger, index: u64) -> bool {
-        with_worker_arena(|arena| {
-            let mut handle = arena.handle();
-            record_trial(&mut handle, index);
-            arena.submit(merger, index as usize);
-            arena.reentrant.is_none()
-        })
-    }
-
-    /// Each tapped trial's events and the address of the buffer they
-    /// were forwarded from.
-    type Tapped = Arc<Mutex<Vec<(Vec<Event>, usize)>>>;
-
-    /// A merger whose tap keeps each trial's `(events, buffer address)`.
-    fn tapped_merger() -> (StreamingMerger, Tapped) {
-        let tapped = Arc::new(Mutex::new(Vec::new()));
-        let merger = {
-            let tapped = Arc::clone(&tapped);
-            StreamingMerger::new(Arc::new(CollectorObserver::new())).with_tap(move |_, events| {
-                tapped
-                    .lock()
-                    .unwrap()
-                    .push((events.to_vec(), events.as_ptr() as usize));
-            })
-        };
-        (merger, tapped)
-    }
-
     #[test]
-    fn worker_arena_is_reused_per_thread_and_fresh_when_reentered() {
-        let (merger, tapped) = tapped_merger();
-        assert!(arena_trial(&merger, 0));
-        assert!(arena_trial(&merger, 1));
-        // A trial started while one runs on this thread gets a re-entrant
-        // arena; its records stay out of the outer trial's stream.
-        let (inner_merger, inner_tapped) = tapped_merger();
-        with_worker_arena(|outer| {
-            assert!(outer.reentrant.is_none());
-            let mut handle = outer.handle();
-            let trial = handle.begin_span(0, || SpanKind::Trial { index: 2, seed: 2 });
-            assert!(!arena_trial(&inner_merger, 0), "nested arena is re-entrant");
-            handle.end_span(
-                trial,
-                1,
-                SpanStatus::Trial {
-                    disposition: "correct",
-                },
-                CostSnapshot::ZERO,
-            );
-            outer.submit(&merger, 2);
-        });
-        // The re-entrant arena was not cached over the primary.
-        assert!(arena_trial(&merger, 3));
-
-        let tapped = tapped.lock().unwrap();
-        let inner = inner_tapped.lock().unwrap();
-        assert_eq!(tapped.len(), 4);
-        assert_eq!(tapped[2].0.len(), 2, "outer trial kept only its own events");
-        assert_eq!(
-            inner[0].0,
-            recorded_shards(1)[0],
-            "inner trial recorded whole"
-        );
-        // Span ids restart at 1 for each trial's handle, so trials 0 and 1
-        // renumber into consecutive id ranges exactly as fresh handles
-        // would; and the primary arena merges from the same owner buffer
-        // every time.
-        let ids = |events: &[Event]| {
-            events
-                .iter()
-                .map(|e| (e.span, e.parent))
-                .collect::<Vec<_>>()
-        };
-        let stream: Vec<Event> = tapped[..2]
-            .iter()
-            .flat_map(|(events, _)| events.clone())
-            .collect();
-        assert_eq!(ids(&stream), ids(&merge_shards(recorded_shards(2))));
-        assert_eq!(tapped[0].1, tapped[1].1, "owner buffer reused");
-        assert_eq!(tapped[0].1, tapped[3].1, "owner buffer reused");
-    }
-
-    #[test]
-    fn a_panicked_trial_leaves_nothing_for_the_next() {
-        let result = std::panic::catch_unwind(|| {
-            with_worker_arena(|arena| {
-                let mut handle = arena.handle();
-                let _ = handle.begin_span(0, || SpanKind::Scope { name: "lost" });
-                // A record from another thread waits in the side buffer.
-                let foreign = handle.clone();
-                std::thread::scope(|scope| {
-                    scope.spawn(move || {
-                        foreign.emit(1, || Point::Custom {
-                            name: "lost",
-                            detail: "".into(),
-                        })
-                    });
-                });
-                panic!("trial bug");
-            })
-        });
-        assert!(result.is_err());
-        let (merger, tapped) = tapped_merger();
-        assert!(arena_trial(&merger, 0), "the arena is free again");
-        assert_eq!(tapped.lock().unwrap()[0].0, recorded_shards(1)[0]);
-    }
-
-    #[test]
-    fn a_record_while_the_owner_buffer_is_borrowed_takes_the_locked_path() {
-        let tick = |handle: &ObsHandle, clock| {
-            handle.emit(clock, || Point::Custom {
-                name: "tick",
-                detail: "".into(),
-            });
-        };
-        let (merger, tapped) = tapped_merger();
-        with_worker_arena(|arena| {
-            let handle = arena.handle();
-            tick(&handle, 0);
-            PRIMARY.with_borrow_mut(|_| tick(&handle, 1));
-            tick(&handle, 2);
-            arena.submit(&merger, 0);
-        });
-        let tapped = tapped.lock().unwrap();
-        let events = &tapped[0].0;
-        let fields = |f: fn(&Event) -> u64| events.iter().map(f).collect::<Vec<_>>();
-        assert_eq!(fields(|e| e.clock), [0, 1, 2]);
-        assert_eq!(fields(|e| e.seq), [0, 1, 2]);
+    fn nested_submissions_skip_the_window_and_the_peak() {
+        let shards = recorded_shards(6);
+        let expected = merge_shards(shards.clone());
+        let sink = Arc::new(CollectorObserver::new());
+        let merger = StreamingMerger::new(sink.clone()).with_window(2);
+        // Both sit at least a window past the frontier (0): a windowed
+        // submission would block this very thread forever.
+        merger.submit_nested(5, &mut shards[5].clone());
+        merger.submit_nested(3, &mut shards[3].clone());
+        assert_eq!(merger.forwarded(), 0);
+        assert_eq!(merger.peak_buffered(), 0, "nested shards are not counted");
+        merger.submit(1, &mut shards[1].clone());
+        assert_eq!(merger.peak_buffered(), 1);
+        for i in [0, 2, 4] {
+            merger.submit(i, &mut shards[i].clone());
+        }
+        assert_eq!(merger.forwarded(), 6);
+        assert!(merger.peak_buffered() <= 2);
+        assert_eq!(sink.take(), expected);
     }
 
     #[test]

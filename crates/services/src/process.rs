@@ -310,6 +310,7 @@ impl<'r> Engine<'r> {
                     let mut child = ctx.fork(i as u64);
                     let result = self.run(branch, vars, &mut child);
                     costs.push(child.cost());
+                    ctx.join(child);
                     if first_error.is_none() {
                         if let Err(e) = result {
                             first_error = Some(e);

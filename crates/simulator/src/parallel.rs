@@ -98,18 +98,25 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    parallel_indexed_chunked_hooked(jobs, n, chunk, |_| {}, f)
+    parallel_indexed_chunked_hooked(jobs, n, chunk, |_| {}, |(): &mut (), i| f(i))
 }
 
 /// Like [`parallel_indexed_chunked`] with a `before_chunk` hook invoked
 /// with the chunk index right after a worker claims it, before any of
-/// its items run. The simulator's chaos harness injects deterministic
-/// scheduling delays here ([`ChaosPlan::chunk_delay`]); the hook runs on
-/// the claiming worker's thread and must not panic the schedule apart —
-/// results are index-ordered regardless of how long any hook stalls.
+/// its items run, and a scratch value per participant. The simulator's
+/// chaos harness injects deterministic scheduling delays here
+/// ([`ChaosPlan::chunk_delay`]); the hook runs on the claiming worker's
+/// thread and must not panic the schedule apart — results are
+/// index-ordered regardless of how long any hook stalls.
+///
+/// Each participant — the calling thread, and each helper a pool worker
+/// runs — starts from `S::default()` and hands the same scratch to `f`
+/// for every index it runs, so buffers can be recycled across items with
+/// no lock and no thread-local. The traced campaign runner keeps each
+/// worker's trace there.
 ///
 /// [`ChaosPlan::chunk_delay`]: crate::chaos::ChaosPlan::chunk_delay
-pub fn parallel_indexed_chunked_hooked<T, F, H>(
+pub fn parallel_indexed_chunked_hooked<T, S, F, H>(
     jobs: usize,
     n: usize,
     chunk: usize,
@@ -118,7 +125,8 @@ pub fn parallel_indexed_chunked_hooked<T, F, H>(
 ) -> Vec<T>
 where
     T: Send,
-    F: Fn(usize) -> T + Sync,
+    S: Default,
+    F: Fn(&mut S, usize) -> T + Sync,
     H: Fn(usize) + Sync,
 {
     let jobs = jobs.clamp(1, n.max(1));
@@ -134,12 +142,13 @@ where
         // claim/complete counts and busy time keep the flight recorder's
         // utilization view consistent across the two paths.
         let mut out = Vec::with_capacity(n);
+        let mut scratch = S::default();
         for c in 0..n_chunks {
             telemetry::add(Counter::ChunksClaimed, 1);
             before_chunk(c);
             let run_timer = telemetry::timer_start();
             for i in c * chunk..((c + 1) * chunk).min(n) {
-                out.push(f(i));
+                out.push(f(&mut scratch, i));
             }
             if let Some(ns) = telemetry::timer_stop(Timer::ChunkRunNs, run_timer) {
                 telemetry::add(Counter::WorkerBusyNs, ns);
@@ -151,28 +160,31 @@ where
     let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
     let writer = SlotWriter(slots.as_mut_ptr());
     let cursor = AtomicUsize::new(0);
-    WorkerPool::global().run_region(helpers, &|| loop {
-        let claim_timer = telemetry::timer_start();
-        let c = cursor.fetch_add(1, Ordering::Relaxed);
-        if c >= n_chunks {
-            break;
+    WorkerPool::global().run_region(helpers, &|| {
+        let mut scratch = S::default();
+        loop {
+            let claim_timer = telemetry::timer_start();
+            let c = cursor.fetch_add(1, Ordering::Relaxed);
+            if c >= n_chunks {
+                break;
+            }
+            telemetry::timer_stop(Timer::ChunkClaimNs, claim_timer);
+            telemetry::add(Counter::ChunksClaimed, 1);
+            before_chunk(c);
+            let start = c * chunk;
+            let end = ((c + 1) * chunk).min(n);
+            let run_timer = telemetry::timer_start();
+            for i in start..end {
+                let value = f(&mut scratch, i);
+                // SAFETY: chunk `c` was claimed exactly once, so indices
+                // `start..end` are written by this worker alone, in bounds.
+                unsafe { writer.set(i, value) };
+            }
+            if let Some(ns) = telemetry::timer_stop(Timer::ChunkRunNs, run_timer) {
+                telemetry::add(Counter::WorkerBusyNs, ns);
+            }
+            telemetry::add(Counter::ChunksCompleted, 1);
         }
-        telemetry::timer_stop(Timer::ChunkClaimNs, claim_timer);
-        telemetry::add(Counter::ChunksClaimed, 1);
-        before_chunk(c);
-        let start = c * chunk;
-        let end = ((c + 1) * chunk).min(n);
-        let run_timer = telemetry::timer_start();
-        for i in start..end {
-            let value = f(i);
-            // SAFETY: chunk `c` was claimed exactly once, so indices
-            // `start..end` are written by this worker alone, in bounds.
-            unsafe { writer.set(i, value) };
-        }
-        if let Some(ns) = telemetry::timer_stop(Timer::ChunkRunNs, run_timer) {
-            telemetry::add(Counter::WorkerBusyNs, ns);
-        }
-        telemetry::add(Counter::ChunksCompleted, 1);
     });
     slots
         .into_iter()
@@ -334,13 +346,31 @@ mod tests {
                 10,
                 3,
                 |c| seen.lock().unwrap().push(c),
-                |i| i,
+                |(): &mut (), i| i,
             );
             assert_eq!(out, (0..10).collect::<Vec<_>>());
             let mut seen = seen.into_inner().unwrap();
             seen.sort_unstable();
             assert_eq!(seen, vec![0, 1, 2, 3], "jobs={jobs}");
         }
+    }
+
+    #[test]
+    fn each_participant_keeps_one_scratch_across_its_items() {
+        // Each item reports how many items its participant's scratch has
+        // seen, itself included: one participant numbers them all.
+        let count = |seen: &mut usize, _: usize| {
+            *seen += 1;
+            *seen
+        };
+        let inline = parallel_indexed_chunked_hooked(1, 10, 3, |_| {}, count);
+        assert_eq!(inline, (1..=10).collect::<Vec<_>>());
+        // Several participants: each scratch counts from 1 again, so the
+        // 1s count the participants that ran anything.
+        let pooled = parallel_indexed_chunked_hooked(4, 40, 1, |_| {}, count);
+        assert!(pooled.iter().all(|&n| (1..=40).contains(&n)));
+        let starts = pooled.iter().filter(|&&n| n == 1).count();
+        assert!((1..=4).contains(&starts), "{starts} fresh scratches");
     }
 
     #[test]

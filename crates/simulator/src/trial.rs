@@ -1,15 +1,14 @@
 //! Monte-Carlo campaigns: run a seeded trial many times, classify and
 //! summarize.
 
+use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use redundancy_core::context::{CancelToken, ExecContext};
 use redundancy_core::cost::Cost;
 use redundancy_core::obs::telemetry::{self, Counter, Timer};
-use redundancy_core::obs::{
-    with_worker_arena, ObsHandle, Observer, SpanKind, SpanStatus, StreamingMerger,
-};
+use redundancy_core::obs::{ObsHandle, Observer, SpanKind, SpanStatus, StreamingMerger, Trace};
 
 use crate::chaos::ChaosPlan;
 use crate::checkpoint::{self, CheckpointLog, CheckpointSpec, Resumed};
@@ -260,15 +259,17 @@ impl Campaign {
     /// - **`observer`**, when enabled, receives exactly the event stream
     ///   [`run_traced`](Self::run_traced) records. Concurrent trials
     ///   cannot share one span-id allocator without interleaving their
-    ///   streams, so every trial records into its worker thread's pooled
-    ///   arena ([`with_worker_arena`]) — lock-free on the worker's own
-    ///   thread — and as soon as every earlier trial has finished, the
-    ///   arena's events are forwarded to `observer` as one batch, with
-    ///   span ids renumbered into one campaign-wide sequence
-    ///   ([`StreamingMerger`]). Workers that run too far ahead of the
-    ///   merge frontier wait for it, so peak buffering is a small window
-    ///   of in-flight trials and a bounded `observer` (e.g. a ring
-    ///   buffer) bounds peak memory independent of campaign length.
+    ///   streams, so every trial records into a buffering [`Trace`] that
+    ///   its worker recycles across trials — touching no shared state —
+    ///   and as soon as every earlier trial has finished, the trace's
+    ///   events are forwarded to `observer` as one batch, with span ids
+    ///   renumbered into one campaign-wide sequence ([`StreamingMerger`]).
+    ///   Workers that run too far ahead of the merge frontier wait for it,
+    ///   so peak buffering is a small window of in-flight trials and a
+    ///   bounded `observer` (e.g. a ring buffer) bounds peak memory
+    ///   independent of campaign length. A trial that the worker pool's
+    ///   help-drain runs above another one on the same thread never
+    ///   waits: the trial it would wait for may be the one below it.
     ///   `None` or a disabled observer runs untraced.
     /// - **`checkpoint`** commits completed outcomes (and, traced, the
     ///   committed prefix of the merged stream) to the file in contiguous
@@ -458,7 +459,7 @@ impl Campaign {
             remaining,
             chunk,
             |c| delay_chunk(chaos, c),
-            |k| {
+            |(): &mut (), k| {
                 let i = start + k;
                 if let Some(plan) = chaos {
                     plan.before_trial(i);
@@ -496,6 +497,10 @@ impl Campaign {
     /// The traced per-trial loop of [`execute`](Self::execute): runs
     /// trials `start..trials`, streaming their merged shards into
     /// `observer` with span ids continuing from `span_offset`.
+    ///
+    /// Each worker keeps one [`Trace`], recycled across its trials: a
+    /// trial records into it, hands its events to the merger and leaves
+    /// it (with every child trace it recycled) for the next one.
     ///
     /// When a trial panics — a bug in the trial closure or a scripted
     /// chaos fault — the merger is aborted *before* the panic propagates,
@@ -536,49 +541,59 @@ impl Campaign {
             remaining,
             chunk,
             |c| delay_chunk(chaos, c),
-            |k| {
+            |worker_trace: &mut Option<Trace>, k| {
                 let i = start + k;
+                let below = TRACED_TRIALS.replace(TRACED_TRIALS.get() + 1);
                 let result = catch_unwind(AssertUnwindSafe(|| {
                     if let Some(plan) = chaos {
                         plan.before_trial(i);
                     }
                     let timed = trial_timer(i);
                     let seed = Self::trial_seed(campaign_seed, i);
-                    let outcome = with_worker_arena(|arena| {
-                        let mut ctx = ExecContext::new(seed).with_obs_handle(arena.handle());
-                        if let Some(checks) = chaos.and_then(|plan| plan.charge_fuse(i)) {
-                            ctx = ctx.with_cancel_token(CancelToken::cancel_after(checks));
-                        }
-                        let span = ctx.obs_begin(|| SpanKind::Trial {
-                            index: i as u64,
-                            seed,
-                        });
-                        let outcome = trial(&mut ctx, seed, i);
-                        if ctx.was_cancelled() {
-                            ChaosPlan::cancelled_trial(i);
-                        }
-                        ctx.obs_end(
-                            span,
-                            SpanStatus::Trial {
-                                disposition: outcome.disposition(),
-                            },
-                            outcome.cost().snapshot(),
-                        );
-                        if let Some(plan) = chaos {
-                            plan.after_trial(i);
-                        }
-                        // After the chaos hooks (as in the untraced loop);
-                        // before `submit` so the count never includes
-                        // merge stalls.
-                        record_trial(timed, &outcome);
-                        arena.submit(&merger, i);
-                        outcome
+                    let trace = worker_trace.take().unwrap_or_default();
+                    let mut ctx = ExecContext::new(seed).with_trace(trace);
+                    if let Some(checks) = chaos.and_then(|plan| plan.charge_fuse(i)) {
+                        ctx = ctx.with_cancel_token(CancelToken::cancel_after(checks));
+                    }
+                    let span = ctx.obs_begin(|| SpanKind::Trial {
+                        index: i as u64,
+                        seed,
                     });
+                    let outcome = trial(&mut ctx, seed, i);
+                    if ctx.was_cancelled() {
+                        ChaosPlan::cancelled_trial(i);
+                    }
+                    ctx.obs_end(
+                        span,
+                        SpanStatus::Trial {
+                            disposition: outcome.disposition(),
+                        },
+                        outcome.cost().snapshot(),
+                    );
+                    if let Some(plan) = chaos {
+                        plan.after_trial(i);
+                    }
+                    // After the chaos hooks (as in the untraced loop);
+                    // before the merge so the count never includes merge
+                    // stalls.
+                    record_trial(timed, &outcome);
+                    let mut trace = ctx.take_trace().unwrap_or_default();
+                    trace.hand_off(|events| {
+                        if below > 0 {
+                            // A trial suspended below this one on this
+                            // thread may be the one the window waits for.
+                            merger.submit_nested(i, events);
+                        } else {
+                            merger.submit(i, events);
+                        }
+                    });
+                    *worker_trace = Some(trace);
                     if let Some(log) = log {
                         log.record_outcome(i, &outcome);
                     }
                     outcome
                 }));
+                TRACED_TRIALS.set(below);
                 match result {
                     Ok(outcome) => outcome,
                     Err(payload) => {
@@ -590,10 +605,17 @@ impl Campaign {
         );
         debug_assert!(
             merger.peak_buffered() <= window,
-            "the merge window bounds buffered shards"
+            "the merge window bounds the shards of trials that were not nested"
         );
         outcomes
     }
+}
+
+thread_local! {
+    /// Traced campaign trials running on this thread: more than one when
+    /// the worker pool's help-drain runs a trial while another waits on a
+    /// nested region below it.
+    static TRACED_TRIALS: Cell<usize> = const { Cell::new(0) };
 }
 
 /// How [`Campaign::execute`] runs a campaign. The default runs untraced,
@@ -620,7 +642,9 @@ pub struct RunSpec<'a> {
 /// O(trials). Blocking on the window is deadlock-free: chunks are
 /// claimed in ascending index order, so the worker that owns the merge
 /// frontier's trial is never the one waiting (see
-/// [`StreamingMerger::with_window`]).
+/// [`StreamingMerger::with_window`]), and a trial running above another
+/// on the same thread never waits at all. Only those nested trials can
+/// buffer beyond the window.
 fn merge_window(remaining: usize, jobs: usize, chunk: usize) -> usize {
     (2 * jobs * chunk).max(16).min(remaining.max(1))
 }

@@ -4,23 +4,26 @@
 //! `#[global_allocator]`, and sharing the process with other tests would
 //! let their allocations race the measurement.
 //!
-//! The contract under test: once the per-worker arena and the ring sink
-//! are warm, recording a traced trial — restart the arena's pooled
-//! handle, open spans, emit points, close spans, and merge the owner
-//! buffer in place into the sink as one batch — performs **zero** heap
-//! allocations. Every dynamic string is an interned [`Symbol`], every
-//! event is `Copy`, the handle's span-id allocator is pooled with the
-//! arena, the owner buffer keeps its capacity across trials, and the
-//! in-order merge path never touches the pending map.
+//! The contract under test: once the worker's recycled trace and the
+//! ring sink are warm, recording a traced trial — open spans in the
+//! trial's context, fork a child context that records its own span and
+//! point, join it, close the trial span, and hand the trace's buffer to
+//! the merger, which forwards it in place into the sink as one batch —
+//! performs **zero** heap allocations. Every dynamic string is an
+//! interned [`Symbol`], every event is `Copy`, the fork reuses the child
+//! trace the previous trial's join recycled, the buffers keep their
+//! capacity across trials, and the in-order merge path never touches the
+//! pending map.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use redundancy_core::context::ExecContext;
+use redundancy_core::cost::Cost;
 use redundancy_core::obs::{
-    with_worker_arena, CostSnapshot, Observer, Point, RingBufferObserver, SpanKind, SpanStatus,
-    StreamingMerger, Symbol,
+    Observer, Point, RingBufferObserver, SpanKind, SpanStatus, StreamingMerger, Symbol, Trace,
 };
 
 /// Counts every allocation and reallocation made while the *current
@@ -69,32 +72,41 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 const EVENTS_PER_TRIAL: u64 = 5;
 
 /// One steady-state traced trial, exactly as the campaign driver runs
-/// it at jobs=1: spans and points recorded through the arena handle,
-/// then the arena submitted to the merger, which streams it to the sink
-/// in order.
-fn traced_trial(i: usize, variant: Symbol, rule: Symbol, merger: &StreamingMerger) {
-    with_worker_arena(|arena| {
-        let mut handle = arena.handle();
-        let trial = handle.begin_span(0, || SpanKind::Trial {
-            index: i as u64,
-            seed: i as u64,
-        });
-        let var = handle.begin_span(1, || SpanKind::Variant { name: variant });
-        handle.emit(2, || Point::Workaround {
-            rule,
-            applied: true,
-        });
-        handle.end_span(var, 3, SpanStatus::Ok, CostSnapshot::ZERO);
-        handle.end_span(
-            trial,
-            4,
-            SpanStatus::Trial {
-                disposition: "correct",
-            },
-            CostSnapshot::ZERO,
-        );
-        arena.submit(merger, i);
+/// it at jobs=1: the trial's context records into the worker's trace, a
+/// forked child records the variant span and is joined, and the trace's
+/// events go to the merger, which streams them to the sink in order.
+fn traced_trial(
+    trace: &mut Option<Trace>,
+    i: usize,
+    variant: Symbol,
+    rule: Symbol,
+    merger: &StreamingMerger,
+) {
+    let mut ctx = ExecContext::new(i as u64).with_trace(trace.take().unwrap_or_default());
+    let span = ctx.obs_begin(|| SpanKind::Trial {
+        index: i as u64,
+        seed: i as u64,
     });
+    let mut child = ctx.fork(0);
+    let var = child.obs_begin(|| SpanKind::Variant { name: variant });
+    child.charge(1).expect("no fuel budget");
+    child.obs_emit(|| Point::Workaround {
+        rule,
+        applied: true,
+    });
+    child.obs_end(var, SpanStatus::Ok, child.cost().snapshot());
+    ctx.add_sequential_cost(child.cost());
+    ctx.join(child);
+    ctx.obs_end(
+        span,
+        SpanStatus::Trial {
+            disposition: "correct",
+        },
+        Cost::ZERO.snapshot(),
+    );
+    let mut recorded = ctx.take_trace().expect("the trial's trace");
+    recorded.hand_off(|events| merger.submit(i, events));
+    *trace = Some(recorded);
 }
 
 #[test]
@@ -106,18 +118,19 @@ fn steady_state_traced_path_allocates_zero_per_event() {
     let sink = RingBufferObserver::shared(64);
     let merger = StreamingMerger::new(sink.clone() as Arc<dyn Observer>);
 
-    // Warmup: arena creation, first owner-buffer growth, ring fill,
-    // telemetry thread-locals — every one-time cost the steady state
-    // amortizes.
+    // Warmup: the trace and its first child, first buffer growth, ring
+    // fill, telemetry thread-locals — every one-time cost the steady
+    // state amortizes.
     const WARMUP: usize = 32;
     const MEASURED: usize = 512;
+    let mut trace = None;
     for i in 0..WARMUP {
-        traced_trial(i, variant, rule, &merger);
+        traced_trial(&mut trace, i, variant, rule, &merger);
     }
 
     MEASURING.with(|m| m.set(true));
     for i in WARMUP..WARMUP + MEASURED {
-        traced_trial(i, variant, rule, &merger);
+        traced_trial(&mut trace, i, variant, rule, &merger);
     }
     MEASURING.with(|m| m.set(false));
     let measured_allocations = ALLOCATIONS.load(Ordering::Relaxed);

@@ -129,6 +129,7 @@ impl<I, O> CheckpointRecovery<I, O> {
             let mut child = ctx.fork(u64::from(attempt));
             let outcome: VariantOutcome<O> =
                 run_contained(self.variant.as_ref(), input, &mut child);
+            ctx.join(child);
             ctx.add_sequential_cost(outcome.cost);
             last_failure = match outcome.result {
                 Ok(output) if self.test.accept(input, &output) => {

@@ -196,6 +196,7 @@ where
             }
             let mut child = ctx.fork(i as u64);
             let outcome: VariantOutcome<O> = run_contained(copy.as_ref(), input, &mut child);
+            ctx.join(child);
             ctx.add_sequential_cost(outcome.cost);
             if let Ok(output) = outcome.result {
                 if (self.accept)(input, &output) {

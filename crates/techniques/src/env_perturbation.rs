@@ -164,6 +164,7 @@ impl<I, O> Rx<I, O> {
         self.apply_env(&baseline);
         let mut child = ctx.fork(0);
         let outcome = run_contained(self.variant.as_ref(), input, &mut child);
+        ctx.join(child);
         ctx.add_sequential_cost(outcome.cost);
         let mut last_failure = match self.judge(input, outcome) {
             Ok(output) => return RxOutcome::CleanRun(output),
@@ -181,6 +182,7 @@ impl<I, O> Rx<I, O> {
             });
             let mut child = ctx.fork(u64::from(round) + 1);
             let retry = run_contained(self.variant.as_ref(), input, &mut child);
+            ctx.join(child);
             ctx.add_sequential_cost(retry.cost);
             last_failure = match self.judge(input, retry) {
                 Ok(output) => {

@@ -94,6 +94,7 @@ impl<I, O> Rejuvenator<I, O> {
         }
         let mut child = ctx.fork(n);
         let outcome = run_contained(self.variant.as_ref(), input, &mut child);
+        ctx.join(child);
         ctx.add_sequential_cost(outcome.cost);
         outcome
     }

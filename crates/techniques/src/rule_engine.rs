@@ -176,6 +176,7 @@ impl<I, O> RuleEngine<I, O> {
     fn execute_inner(&self, input: &I, ctx: &mut ExecContext) -> Handled<O> {
         let mut child = ctx.fork(0);
         let outcome = run_contained(self.primary.as_ref(), input, &mut child);
+        ctx.join(child);
         ctx.add_sequential_cost(outcome.cost);
         let failure = match outcome.result {
             Ok(output) => return Handled::Primary(output),
@@ -185,6 +186,7 @@ impl<I, O> RuleEngine<I, O> {
             if rule.kind.matches(&failure) {
                 let mut child = ctx.fork(1 + i as u64);
                 let recovery = run_contained(rule.action.as_ref(), input, &mut child);
+                ctx.join(child);
                 ctx.add_sequential_cost(recovery.cost);
                 let handled = match recovery.result {
                     Ok(output) => Handled::Recovered {

@@ -433,6 +433,7 @@ impl<I, O> SelfCheckingSystem<I, O> {
             let mut child = ctx.fork(idx as u64);
             let outcome =
                 redundancy_core::variant::run_contained(variant.as_ref(), input, &mut child);
+            ctx.join(child);
             ctx.add_sequential_cost(outcome.cost);
             let valid = outcome.output().is_some_and(|out| test.accept(input, out));
             if valid {

@@ -135,6 +135,7 @@ impl<I, O> SelfOptimizing<I, O> {
         let stream = idx as u64 ^ ctx.rng().next_u64();
         let mut child = ctx.fork(stream);
         let outcome = run_contained(variant.as_ref(), input, &mut child);
+        ctx.join(child);
         ctx.add_sequential_cost(outcome.cost);
         // Detectable failures count as worst-case latency.
         let latency = if outcome.is_ok() {
