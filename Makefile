@@ -4,7 +4,7 @@
 
 CARGO ?= cargo
 
-.PHONY: verify fmt clippy test test-release build bench bench-campaign bench-services bench-smoke chaos-smoke monitor-smoke services-smoke services-shard-smoke examples experiments-check perfbench-check perfbench-smoke
+.PHONY: verify fmt clippy test test-release build doc loc bench bench-campaign bench-services bench-smoke chaos-smoke monitor-smoke services-smoke services-shard-smoke examples experiments-check perfbench-check perfbench-smoke
 
 verify: fmt clippy test
 
@@ -30,6 +30,16 @@ test-release:
 
 build:
 	$(CARGO) build --release
+
+# Rustdoc gate: every intra-doc link must resolve, so deleting or
+# renaming an item cannot leave a dangling link behind.
+doc:
+	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --workspace --no-deps
+
+# Non-test Rust lines under crates/, per crate and in total: every line
+# of a .rs file outside tests/ directories and #[cfg(test)] items.
+loc:
+	@python3 scripts/loc.py
 
 bench:
 	$(CARGO) bench --workspace

@@ -112,10 +112,11 @@ pub fn sequential_alternatives(trials: usize, seed: u64, obs: Option<&ObsHandle>
 /// Builds the Figure 1 comparison table, with the three pattern rows
 /// measured across up to `jobs` worker threads and every request
 /// recorded to `observer` when one is given (what `exp_fig1 --trace`
-/// uses). Each row seeds its own context, so the table is identical for
-/// any `jobs`; but with `jobs > 1` an observer's event stream
-/// interleaves rows in scheduling order, so pass `jobs = 1` when
-/// capturing a stream for replay.
+/// uses): each pattern run reaches it as one unit, a single
+/// [`Observer::record_batch`]. Each row seeds its own context, so the
+/// table is identical for any `jobs`; but with `jobs > 1` the observer
+/// receives the rows' units interleaved in scheduling order, so pass
+/// `jobs = 1` when capturing a stream for replay.
 #[must_use]
 pub fn run(trials: usize, seed: u64, jobs: usize, observer: Option<Arc<dyn Observer>>) -> Table {
     let handle = observer.map(ObsHandle::new);

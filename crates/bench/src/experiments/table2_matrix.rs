@@ -10,11 +10,15 @@
 //! should, and does, agree with the paper's classification. `—` marks
 //! class/technique pairs the mechanism does not structurally address.
 
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 
 use redundancy_core::adjudicator::acceptance::{AcceptAll, FnAcceptance, OracleTest};
 use redundancy_core::context::ExecContext;
-use redundancy_core::obs::{MetricsObserver, MetricsRegistry, ObsHandle, Observer};
+use redundancy_core::obs::{
+    Event, EventKind, FanoutObserver, Histogram, ObsHandle, Observer, SpanKind, SpanStatus,
+    TICK_BUCKETS,
+};
 use redundancy_core::rng::SplitMix64;
 use redundancy_core::variant::Variant as _;
 use redundancy_core::variant::{pure_variant, BoxedVariant};
@@ -35,7 +39,7 @@ fn golden(x: &u64) -> u64 {
 }
 
 /// A scenario context, with the experiment's observer attached when one
-/// is supplied (so technique spans feed the metrics registry).
+/// is supplied (so technique spans feed the recovery-latency fold).
 fn mk_ctx(seed: u64, obs: Option<&ObsHandle>) -> ExecContext {
     match obs {
         Some(handle) => ExecContext::new(seed).with_obs_handle(handle.clone()),
@@ -548,19 +552,23 @@ fn microreboot(trials: usize, seed: u64) -> Row {
 }
 
 /// Builds the empirical Table 2 matrix, with the technique rows computed
-/// across up to `jobs` worker threads. Every scenario context carries a
-/// [`MetricsObserver`] (fanned out to `extra`, when given — e.g. a ring
-/// buffer for `--trace`), and the second table reports per-technique
-/// recovery latency: mean `SimClock` ticks of technique runs that
-/// *recovered* (accepted with dissent), straight from the
-/// `recovery_latency_ticks` histograms.
+/// across up to `jobs` worker threads, and the per-technique
+/// recovery-latency table: recoveries and mean `SimClock` ticks of the
+/// technique runs that *recovered* (accepted with dissent).
+///
+/// Every scenario context is attached to one observer that folds those
+/// technique spans into per-technique histograms, fanned out to `extra`
+/// when given (e.g. a ring buffer for `--trace`). An observer receives
+/// each unit a scenario context records — a technique or pattern run,
+/// or a point at the context's root — as one
+/// [`Observer::record_batch`], span ids taken from one shared
+/// allocator; a unit a panic unwinds through is dropped.
 ///
 /// Every row seeds its own contexts, so both tables are identical for
-/// any `jobs` — the metrics registry aggregates per-span histograms,
-/// which are insensitive to the order concurrent rows feed them — but
-/// the raw event *stream* an `extra` sink sees interleaves rows in
-/// scheduling order when `jobs > 1`; pass `jobs = 1` when capturing a
-/// stream for replay.
+/// any `jobs` — the fold sums per-span histograms, which are insensitive
+/// to the order concurrent rows deliver their units — but the stream an
+/// `extra` sink sees interleaves the rows' units in scheduling order
+/// when `jobs > 1`; pass `jobs = 1` when capturing a stream for replay.
 #[must_use]
 pub fn run(
     trials: usize,
@@ -568,42 +576,74 @@ pub fn run(
     jobs: usize,
     extra: Option<Arc<dyn Observer>>,
 ) -> (Table, Table) {
-    let registry = MetricsRegistry::shared();
-    let metrics: Arc<dyn Observer> = Arc::new(MetricsObserver::new(Arc::clone(&registry)));
-    let observer = match extra {
-        Some(sink) => Arc::new(redundancy_core::obs::FanoutObserver::new(vec![
-            metrics, sink,
-        ])) as Arc<dyn Observer>,
-        None => metrics,
+    let latency = Arc::new(RecoveryLatency::default());
+    let observer: Arc<dyn Observer> = match extra {
+        Some(sink) => Arc::new(FanoutObserver::new(vec![latency.clone(), sink])),
+        None => latency.clone(),
     };
     let handle = ObsHandle::new(observer);
-    let obs = Some(&handle);
-    let matrix = build_matrix(trials, seed, obs, jobs);
-    (matrix, recovery_latency_table(&registry))
+    let matrix = build_matrix(trials, seed, Some(&handle), jobs);
+    (matrix, latency.table())
 }
 
-/// Renders the per-technique recovery-latency table from a registry fed
-/// by a [`MetricsObserver`].
-#[must_use]
-pub fn recovery_latency_table(registry: &MetricsRegistry) -> Table {
-    let mut table = Table::new(&[
-        "Technique (span)",
-        "Recoveries",
-        "Mean latency (ticks)",
-        "p95 (ticks)",
-    ]);
-    for (key, hist) in registry.histograms() {
-        if key.name != "recovery_latency_ticks" {
-            continue;
-        }
-        table.row_owned(vec![
-            key.label.clone(),
-            hist.count().to_string(),
-            format!("{:.1}", hist.mean().unwrap_or(0.0)),
-            hist.quantile(0.95).unwrap_or(0).to_string(),
+/// Per-technique recovery latency, folded from delivered units: every
+/// `Technique` span that ends accepted with dissent adds its virtual
+/// time to its technique's histogram. A span starts and ends within one
+/// unit, so each batch is folded on its own.
+#[derive(Default)]
+struct RecoveryLatency(Mutex<BTreeMap<&'static str, Histogram>>);
+
+impl RecoveryLatency {
+    /// Renders one row per technique that recovered at least once.
+    fn table(&self) -> Table {
+        let mut table = Table::new(&[
+            "Technique (span)",
+            "Recoveries",
+            "Mean latency (ticks)",
+            "p95 (ticks)",
         ]);
+        for (name, hist) in self.0.lock().expect("latency lock never poisoned").iter() {
+            table.row_owned(vec![
+                (*name).to_owned(),
+                hist.count().to_string(),
+                format!("{:.1}", hist.mean().unwrap_or(0.0)),
+                hist.quantile(0.95).unwrap_or(0).to_string(),
+            ]);
+        }
+        table
     }
-    table
+}
+
+impl Observer for RecoveryLatency {
+    fn record(&self, event: Event) {
+        self.record_batch(&[event]);
+    }
+
+    fn record_batch(&self, events: &[Event]) {
+        let technique = |span| {
+            events.iter().find_map(|start| match start.kind {
+                EventKind::SpanStart {
+                    kind: SpanKind::Technique { name },
+                } if start.span == span => Some(name),
+                _ => None,
+            })
+        };
+        let recoveries = events.iter().filter_map(|end| match end.kind {
+            EventKind::SpanEnd {
+                status: SpanStatus::Accepted { dissent, .. },
+                cost,
+            } if dissent > 0 => Some((technique(end.span)?, cost.virtual_ns)),
+            _ => None,
+        });
+        let mut histograms = None;
+        for (name, ticks) in recoveries {
+            histograms
+                .get_or_insert_with(|| self.0.lock().expect("latency lock never poisoned"))
+                .entry(name)
+                .or_insert_with(|| Histogram::new(TICK_BUCKETS))
+                .record(ticks);
+        }
+    }
 }
 
 fn build_matrix(trials: usize, seed: u64, obs: Option<&ObsHandle>, jobs: usize) -> Table {

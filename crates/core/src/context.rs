@@ -10,8 +10,9 @@
 //! [`ExecContext::with_observer`] and every pattern engine and technique
 //! running under this context emits structured [`redundancy_obs`] events
 //! — spans for technique/pattern/variant executions, points for verdicts,
-//! fuel exhaustion, checkpoints and the rest. A forked context records
-//! into a trace of its own, which reaches the parent's when the parent
+//! fuel exhaustion, checkpoints and the rest — which the observer
+//! receives a whole unit at a time. A forked context records into a
+//! trace of its own, which reaches the parent's when the parent
 //! [`join`](ExecContext::join)s it. With no observer attached (the
 //! default) the instrumentation is a single branch per site, and
 //! crucially it never touches the random stream or the fork counter, so
@@ -207,20 +208,33 @@ impl ExecContext {
     }
 
     /// Attaches an observer: every pattern engine and technique running
-    /// under this context (and its joined forks) will emit structured
-    /// events. A disabled observer is not attached at all.
+    /// under this context (and its joined forks) records structured
+    /// events, which the observer receives a **unit** at a time: all
+    /// that this context records from when it leaves its root span until
+    /// it returns there, or a single point emitted at the root, arrives
+    /// as one [`Observer::record_batch`] as soon as the unit finishes.
+    /// Span ids are numbered from 1 across the context's life. A
+    /// disabled observer is not attached at all.
+    ///
+    /// A unit that a panic unwinds through is dropped with the context
+    /// and never delivered. A context whose panic was caught mid-unit
+    /// never returns to its root span, so nothing it records afterwards
+    /// is delivered either, and dropping it panics in a debug build: do
+    /// not reuse such a context.
     #[must_use]
     pub fn with_observer(self, observer: Arc<dyn Observer>) -> Self {
         self.with_obs_handle(ObsHandle::new(observer))
     }
 
-    /// Attaches an already-built handle (shares its span-id allocator,
-    /// e.g. to number a campaign's trials in one id space). This
-    /// context's own events go straight to the handle; each joined fork's
-    /// events go to its observer as one batch.
+    /// Attaches an already-built handle, whose span-id allocator every
+    /// context attached to a clone of it shares (e.g. to number a
+    /// campaign's trials in one id space). Units are delivered as
+    /// [`with_observer`](Self::with_observer) describes; each takes its
+    /// span ids from the shared allocator when it is delivered, so
+    /// contexts recording on several threads interleave unit by unit.
     #[must_use]
     pub fn with_obs_handle(mut self, handle: ObsHandle) -> Self {
-        self.obs = handle.enabled().then(|| Trace::forwarding(handle));
+        self.obs = handle.observer().enabled().then(|| Trace::attached(handle));
         self
     }
 

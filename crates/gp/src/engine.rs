@@ -84,19 +84,6 @@ impl Gp {
     /// mutants of it (repairs are usually near the original — Weimer et
     /// al.'s key observation), topped up with random trees for diversity.
     pub fn repair(&self, faulty: &Expr, suite: &TestSuite, rng: &mut SplitMix64) -> GpResult {
-        self.repair_observed(faulty, suite, rng, |_, _, _| {})
-    }
-
-    /// Like [`repair`](Self::repair), but calls `on_generation(generation,
-    /// best_fitness, total_cases)` after each generation's evaluation —
-    /// the hook observability layers use to trace search progress.
-    pub fn repair_observed(
-        &self,
-        faulty: &Expr,
-        suite: &TestSuite,
-        rng: &mut SplitMix64,
-        mut on_generation: impl FnMut(usize, usize, usize),
-    ) -> GpResult {
         let p = &self.params;
         let mut evaluations: u64 = 0;
         let mut population: Vec<Expr> = Vec::with_capacity(p.population);
@@ -120,7 +107,6 @@ impl Gp {
             .collect();
 
         let mut best_idx = argmax(&fitness);
-        on_generation(0, fitness[best_idx], suite.len());
         for generation in 0..p.generations {
             if fitness[best_idx] == suite.len() {
                 return GpResult {
@@ -166,7 +152,6 @@ impl Gp {
                 })
                 .collect();
             best_idx = argmax(&fitness);
-            on_generation(generation + 1, fitness[best_idx], suite.len());
         }
         GpResult {
             best: population[best_idx].clone(),

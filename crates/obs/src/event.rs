@@ -174,13 +174,6 @@ pub enum Point {
         /// Age counter before the reset.
         age_before: u64,
     },
-    /// A component (or component subtree) was rebooted.
-    Reboot {
-        /// Component name (interned).
-        component: Symbol,
-        /// Reboot escalation depth (0 = leaf micro-reboot).
-        depth: u32,
-    },
     /// A service call was rebound to a different provider.
     ServiceRebind {
         /// Interface being served (interned).
@@ -203,31 +196,6 @@ pub enum Point {
         knob: &'static str,
         /// Re-execution attempt number.
         attempt: u32,
-    },
-    /// A genetic-programming generation completed.
-    GpGeneration {
-        /// Generation index.
-        generation: u32,
-        /// Best fitness in the population (lower is better).
-        best_fitness: f64,
-    },
-    /// Replicated processes diverged (attack or fault detected).
-    ReplicaDivergence {
-        /// Human-readable description (interned).
-        detail: Symbol,
-    },
-    /// A structure audit ran.
-    Audit {
-        /// Whether the audit found the structure consistent.
-        clean: bool,
-        /// Number of inconsistencies found.
-        errors: u64,
-    },
-    /// A robust-structure repair concluded.
-    Repair {
-        /// Repair outcome label (e.g. `"full"`, `"partial"`,
-        /// `"unrepairable"`).
-        outcome: &'static str,
     },
     /// A workaround was applied in place of a failing sequence.
     Workaround {
@@ -274,14 +242,9 @@ impl Point {
             Point::Checkpoint { .. } => "checkpoint",
             Point::Rollback { .. } => "rollback",
             Point::Rejuvenation { .. } => "rejuvenation",
-            Point::Reboot { .. } => "reboot",
             Point::ServiceRebind { .. } => "service_rebind",
             Point::Reexpression { .. } => "reexpression",
             Point::Perturbation { .. } => "perturbation",
-            Point::GpGeneration { .. } => "gp_generation",
-            Point::ReplicaDivergence { .. } => "replica_divergence",
-            Point::Audit { .. } => "audit",
-            Point::Repair { .. } => "repair",
             Point::Workaround { .. } => "workaround",
             Point::Sanitized { .. } => "sanitized",
             Point::EarlyDecision { .. } => "early-decision",

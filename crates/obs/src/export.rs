@@ -304,11 +304,6 @@ mod jsonl {
             Point::Rejuvenation { age_before } => {
                 let _ = write!(out, ",\"age_before\":{age_before}");
             }
-            Point::Reboot { component, depth } => {
-                out.push_str(",\"component\":");
-                escape(component.resolve(), out);
-                let _ = write!(out, ",\"depth\":{depth}");
-            }
             Point::ServiceRebind {
                 interface,
                 from,
@@ -330,26 +325,6 @@ mod jsonl {
                 out.push_str(",\"knob\":");
                 escape(knob, out);
                 let _ = write!(out, ",\"attempt\":{attempt}");
-            }
-            Point::GpGeneration {
-                generation,
-                best_fitness,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"generation\":{generation},\"best_fitness\":{best_fitness}"
-                );
-            }
-            Point::ReplicaDivergence { detail } => {
-                out.push_str(",\"detail\":");
-                escape(detail.resolve(), out);
-            }
-            Point::Audit { clean, errors } => {
-                let _ = write!(out, ",\"clean\":{clean},\"errors\":{errors}");
-            }
-            Point::Repair { outcome } => {
-                out.push_str(",\"outcome\":");
-                escape(outcome, out);
             }
             Point::Workaround { rule, applied } => {
                 out.push_str(",\"rule\":");
@@ -856,10 +831,6 @@ mod jsonl {
             "rejuvenation" => Point::Rejuvenation {
                 age_before: num_field(fields, "age_before")?,
             },
-            "reboot" => Point::Reboot {
-                component: str_field(fields, "component")?.into(),
-                depth: num_field(fields, "depth")?,
-            },
             "service_rebind" => Point::ServiceRebind {
                 interface: str_field(fields, "interface")?.into(),
                 from: str_field(fields, "from")?.into(),
@@ -872,20 +843,6 @@ mod jsonl {
             "perturbation" => Point::Perturbation {
                 knob: Symbol::intern(str_field(fields, "knob")?).resolve(),
                 attempt: num_field(fields, "attempt")?,
-            },
-            "gp_generation" => Point::GpGeneration {
-                generation: num_field(fields, "generation")?,
-                best_fitness: num_field(fields, "best_fitness")?,
-            },
-            "replica_divergence" => Point::ReplicaDivergence {
-                detail: str_field(fields, "detail")?.into(),
-            },
-            "audit" => Point::Audit {
-                clean: bool_field(fields, "clean")?,
-                errors: num_field(fields, "errors")?,
-            },
-            "repair" => Point::Repair {
-                outcome: Symbol::intern(str_field(fields, "outcome")?).resolve(),
             },
             "workaround" => Point::Workaround {
                 rule: str_field(fields, "rule")?.into(),
@@ -1100,7 +1057,8 @@ mod tests {
             span: 1,
             parent: 0,
             clock: 0,
-            kind: EventKind::Point(Point::ReplicaDivergence {
+            kind: EventKind::Point(Point::Custom {
+                name: "escapes",
                 detail: "quote \" backslash \\ newline \n".into(),
             }),
         };
@@ -1137,7 +1095,10 @@ mod tests {
             },
             EventKind::SpanEnd {
                 status: SpanStatus::Ok,
-                cost: CostSnapshot::ZERO,
+                cost: CostSnapshot {
+                    design_cost: 0.25,
+                    ..CostSnapshot::ZERO
+                },
             },
             EventKind::SpanEnd {
                 status: SpanStatus::Accepted {
@@ -1183,10 +1144,6 @@ mod tests {
             EventKind::Point(Point::Checkpoint { label: "process" }),
             EventKind::Point(Point::Rollback { label: "process" }),
             EventKind::Point(Point::Rejuvenation { age_before: 12 }),
-            EventKind::Point(Point::Reboot {
-                component: "cache".into(),
-                depth: 2,
-            }),
             EventKind::Point(Point::ServiceRebind {
                 interface: "store".into(),
                 from: "a".into(),
@@ -1200,18 +1157,6 @@ mod tests {
                 knob: "memory-layout",
                 attempt: 3,
             }),
-            EventKind::Point(Point::GpGeneration {
-                generation: 7,
-                best_fitness: 0.25,
-            }),
-            EventKind::Point(Point::ReplicaDivergence {
-                detail: "control\u{1} char".into(),
-            }),
-            EventKind::Point(Point::Audit {
-                clean: false,
-                errors: 4,
-            }),
-            EventKind::Point(Point::Repair { outcome: "partial" }),
             EventKind::Point(Point::Workaround {
                 rule: "swap-args".into(),
                 applied: true,
@@ -1228,7 +1173,7 @@ mod tests {
             }),
             EventKind::Point(Point::Custom {
                 name: "my_event",
-                detail: "unicode: é λ \u{1f600}".into(),
+                detail: "unicode: é λ \u{1f600}, control\u{1} char".into(),
             }),
         ];
         kinds
@@ -1280,9 +1225,14 @@ mod tests {
         let err = from_jsonl("{\"seq\":0}\n").expect_err("missing fields");
         let msg = err.to_string();
         assert!(msg.contains("line 1"), "{msg}");
-        let err = from_jsonl("{\"seq\":0,\"span\":1,\"parent\":0,\"clock\":0,\"point\":{\"name\":\"audit\",\"clean\":true}}")
-            .expect_err("missing errors field");
-        assert!(err.to_string().contains("errors"), "{err}");
+        let err = from_jsonl("{\"seq\":0,\"span\":1,\"parent\":0,\"clock\":0,\"point\":{\"name\":\"workaround\",\"rule\":\"r\"}}")
+            .expect_err("missing applied field");
+        assert!(err.to_string().contains("applied"), "{err}");
+        // A point name no variant has is read as a custom point, which
+        // must carry a detail: a removed point type is refused.
+        let err = from_jsonl("{\"seq\":0,\"span\":1,\"parent\":0,\"clock\":0,\"point\":{\"name\":\"audit\",\"clean\":true,\"errors\":4}}")
+            .expect_err("unknown point name");
+        assert!(err.to_string().contains("detail"), "{err}");
         let err = event_from_json("not json").expect_err("garbage");
         assert!(!err.to_string().is_empty());
         // Torn tail: a truncated line is an error, not a silent skip.

@@ -1,12 +1,12 @@
-//! # redundancy-obs — structured tracing, metrics and trial forensics
+//! # redundancy-obs — structured tracing, telemetry and trial forensics
 //!
 //! Observability for the redundancy framework: every layer of the stack
 //! (the core pattern engines, the 17 technique modules, the Monte-Carlo
 //! simulator) emits structured [`Event`]s describing what happened —
 //! variant executions and their failures, adjudicator verdicts and
 //! rejection reasons, fuel consumption, checkpoints and rollbacks,
-//! rejuvenations, reboots, service rebinds, GP generations — and this
-//! crate provides the places those events go.
+//! rejuvenations, service rebinds, re-expressions, workarounds — and
+//! this crate provides the places those events go.
 //!
 //! ## Design
 //!
@@ -15,7 +15,7 @@
 //!   branch, and event payloads are built inside closures that only run
 //!   when a trace is attached. A disabled observer (the default
 //!   [`NoopObserver`] reports `enabled() == false`) is never attached.
-//! - **Owned recording.** A traced execution context owns its [`Trace`]:
+//! - **One recorder.** A traced execution context owns its [`Trace`]:
 //!   recording an event is a `Vec` push, and a forked context gets a
 //!   recycled trace of its own, touching no shared state. Two rules
 //!   follow. *A forked traced context must be joined* into its parent,
@@ -24,6 +24,13 @@
 //!   since children that ran on other threads are joined in fork order,
 //!   *a `Threaded` pattern records the same stream as a `Sequential`
 //!   one*, apart from which stragglers an early verdict cancels.
+//! - **Whole units, not events.** An [`Observer`] receives events in
+//!   batches. A root trace attached to an [`ObsHandle`] hands it each
+//!   finished unit — everything recorded from when the trace leaves its
+//!   root span until it returns there, or one point emitted at the root
+//!   — and the handle numbers the unit's span ids from its shared
+//!   allocator and delivers it as one [`Observer::record_batch`]. A unit
+//!   that a panic unwinds through is dropped, never delivered.
 //! - **Dependency-free base crate.** This crate sits *below*
 //!   `redundancy-core` in the workspace graph so every layer can emit.
 //!   Domain enums are carried as `&'static str` labels
@@ -45,32 +52,31 @@
 //!
 //! ## Worked example
 //!
+//! Instrumented code records through an execution context
+//! (`redundancy_core::context::ExecContext`): attach an observer, and a
+//! pattern run on that context reaches it as one unit, delivered whole
+//! when the run's pattern span closes.
+//!
 //! ```
-//! use std::sync::Arc;
-//! use redundancy_obs::{
-//!     CostSnapshot, ObsHandle, Point, RingBufferObserver, SpanKind, SpanStatus, TraceSummary,
-//! };
+//! use redundancy_core::adjudicator::voting::MajorityVoter;
+//! use redundancy_core::context::ExecContext;
+//! use redundancy_core::patterns::ParallelEvaluation;
+//! use redundancy_core::variant::pure_variant;
+//! use redundancy_obs::{RingBufferObserver, TraceSummary};
+//!
+//! let mut nvp = ParallelEvaluation::new(MajorityVoter::new());
+//! nvp.push_variant(pure_variant("a", 3, |x: &u64| x * 2));
+//! nvp.push_variant(pure_variant("b", 3, |x: &u64| x * 2));
+//! nvp.push_variant(pure_variant("c", 3, |x: &u64| x + 1)); // a faulty version
 //!
 //! let ring = RingBufferObserver::shared(1024);
-//! let mut obs = ObsHandle::new(ring.clone());
-//!
-//! let technique = obs.begin_span(0, || SpanKind::Technique { name: "n-version" });
-//! obs.emit(30, || Point::Verdict {
-//!     accepted: true,
-//!     support: 2,
-//!     dissent: 1,
-//!     rejection: None,
-//! });
-//! obs.end_span(
-//!     technique,
-//!     30,
-//!     SpanStatus::Accepted { support: 2, dissent: 1 },
-//!     CostSnapshot { virtual_ns: 30, work_units: 9, invocations: 3, design_cost: 3.0 },
-//! );
+//! let mut ctx = ExecContext::new(7).with_observer(ring.clone());
+//! assert_eq!(nvp.run(&21, &mut ctx).into_output(), Some(42));
 //!
 //! let summary = TraceSummary::from_events(&ring.events());
-//! assert_eq!(summary.accepted, 1);
-//! assert_eq!(summary.total_cost.virtual_ns, 30);
+//! assert_eq!(summary.accepted, 1, "the vote accepted 2 of 3");
+//! assert_eq!(summary.spans_closed, 4, "the pattern span and three variants");
+//! assert_eq!(summary.total_cost.work_units, 9);
 //! ```
 
 #![warn(missing_docs)]
@@ -91,14 +97,10 @@ pub use export::{
     write_event_json, ParseError, TraceSummary,
 };
 pub use intern::Symbol;
-pub use metrics::{
-    Histogram, MetricKey, MetricsObserver, MetricsRegistry, FUEL_BUCKETS, TICK_BUCKETS,
-};
-pub use observer::{
-    FanoutObserver, NoopObserver, ObsHandle, Observer, RingBufferObserver, SpanToken,
-};
+pub use metrics::{Histogram, TICK_BUCKETS};
+pub use observer::{FanoutObserver, NoopObserver, ObsHandle, Observer, RingBufferObserver};
 pub use shard::{
     forward_renumbered, merge_shards, renumber_in_place, CollectorObserver, StreamingMerger,
 };
 pub use telemetry::{Telemetry, TelemetryShard, TelemetrySnapshot};
-pub use trace::Trace;
+pub use trace::{SpanToken, Trace};

@@ -1,26 +1,11 @@
-//! Metrics: labeled counters and fixed-bucket histograms.
-//!
-//! The [`MetricsRegistry`] aggregates what the event stream reports into
-//! queryable numbers: how many technique runs were accepted per technique,
-//! how recovery latency (in SimClock ticks) distributes, how much fuel
-//! hung executions burned, how often each point event fired. Attach a
-//! [`MetricsObserver`] anywhere an [`Observer`] is accepted and the
-//! registry fills itself; or drive a registry directly from code.
-
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
-use std::sync::{Arc, Mutex, MutexGuard};
-
-use crate::event::{Event, EventKind, Point, SpanKind, SpanStatus};
-use crate::observer::Observer;
+//! Fixed-bucket histograms: the latency distributions the telemetry
+//! shards aggregate, the Prometheus exporter renders, and experiments
+//! fold from delivered traces.
 
 /// Fixed upper bucket bounds for virtual-time (SimClock tick) histograms.
 pub const TICK_BUCKETS: &[u64] = &[
     10, 30, 100, 300, 1_000, 3_000, 10_000, 30_000, 100_000, 300_000, 1_000_000,
 ];
-
-/// Fixed upper bucket bounds for fuel (work-unit) histograms.
-pub const FUEL_BUCKETS: &[u64] = &[1, 4, 16, 64, 256, 1_024, 4_096, 16_384, 65_536];
 
 /// A fixed-bucket histogram over `u64` samples.
 ///
@@ -182,326 +167,9 @@ impl Histogram {
     }
 }
 
-/// A metric identity: a static metric name plus a free-form label (the
-/// technique name, fault-class, rejection reason, ...).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct MetricKey {
-    /// Metric family name (e.g. `"technique_runs"`).
-    pub name: &'static str,
-    /// Label value; empty for unlabeled metrics.
-    pub label: String,
-}
-
-impl MetricKey {
-    fn new(name: &'static str, label: impl Into<String>) -> Self {
-        MetricKey {
-            name,
-            label: label.into(),
-        }
-    }
-
-    /// Renders as `name{label}` (or bare `name` when unlabeled).
-    #[must_use]
-    pub fn render(&self) -> String {
-        if self.label.is_empty() {
-            self.name.to_owned()
-        } else {
-            format!("{}{{{}}}", self.name, self.label)
-        }
-    }
-}
-
-/// Thread-safe registry of labeled counters and histograms.
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    counters: Mutex<BTreeMap<MetricKey, u64>>,
-    histograms: Mutex<BTreeMap<MetricKey, Histogram>>,
-}
-
-impl MetricsRegistry {
-    /// Creates an empty registry.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Convenience: a new registry behind an `Arc`.
-    #[must_use]
-    pub fn shared() -> Arc<Self> {
-        Arc::new(Self::new())
-    }
-
-    /// Adds `delta` to the counter `name{label}`.
-    pub fn add(&self, name: &'static str, label: &str, delta: u64) {
-        *self
-            .lock_counters()
-            .entry(MetricKey::new(name, label))
-            .or_insert(0) += delta;
-    }
-
-    /// Increments the counter `name{label}` by one.
-    pub fn inc(&self, name: &'static str, label: &str) {
-        self.add(name, label, 1);
-    }
-
-    /// Records `value` into the histogram `name{label}`, creating it with
-    /// the given bucket bounds on first use.
-    pub fn observe(&self, name: &'static str, label: &str, bounds: &[u64], value: u64) {
-        self.lock_histograms()
-            .entry(MetricKey::new(name, label))
-            .or_insert_with(|| Histogram::new(bounds))
-            .record(value);
-    }
-
-    /// Reads a counter (0 if absent).
-    #[must_use]
-    pub fn counter(&self, name: &'static str, label: &str) -> u64 {
-        self.lock_counters()
-            .get(&MetricKey::new(name, label))
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Reads a histogram snapshot, if it exists.
-    #[must_use]
-    pub fn histogram(&self, name: &'static str, label: &str) -> Option<Histogram> {
-        self.lock_histograms()
-            .get(&MetricKey::new(name, label))
-            .cloned()
-    }
-
-    /// All counters, sorted by key.
-    #[must_use]
-    pub fn counters(&self) -> Vec<(MetricKey, u64)> {
-        self.lock_counters()
-            .iter()
-            .map(|(k, v)| (k.clone(), *v))
-            .collect()
-    }
-
-    /// All histograms, sorted by key.
-    #[must_use]
-    pub fn histograms(&self) -> Vec<(MetricKey, Histogram)> {
-        self.lock_histograms()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
-    }
-
-    /// Renders every metric as aligned text, one per line.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for (key, value) in self.counters() {
-            let _ = writeln!(out, "{:<56} {value}", key.render());
-        }
-        for (key, hist) in self.histograms() {
-            let mean = hist.mean().unwrap_or(0.0);
-            let _ = writeln!(
-                out,
-                "{:<56} count={} mean={:.1} min={} max={} p95<={}",
-                key.render(),
-                hist.count(),
-                mean,
-                hist.min().unwrap_or(0),
-                hist.max().unwrap_or(0),
-                hist.quantile(0.95).unwrap_or(0),
-            );
-        }
-        out
-    }
-
-    fn lock_counters(&self) -> MutexGuard<'_, BTreeMap<MetricKey, u64>> {
-        self.counters
-            .lock()
-            .expect("metrics counter lock is never poisoned")
-    }
-
-    fn lock_histograms(&self) -> MutexGuard<'_, BTreeMap<MetricKey, Histogram>> {
-        self.histograms
-            .lock()
-            .expect("metrics histogram lock is never poisoned")
-    }
-}
-
-/// An [`Observer`] that folds the event stream into a [`MetricsRegistry`].
-///
-/// Technique spans drive the headline metrics: every `SpanEnd` of a
-/// technique span counts into `technique_runs` plus one of
-/// `technique_accepted` / `technique_rejected` / `technique_failed`, and
-/// its virtual-time delta lands in the `technique_ticks` histogram. An
-/// acceptance with dissent (some variants failed or disagreed but the
-/// adjudicator still produced an output) is a *recovery*: it counts into
-/// `recoveries` and its latency into `recovery_latency_ticks`.
-///
-/// To label metrics per fault class or scenario, give each scenario its
-/// own `MetricsObserver` via [`with_scope`](Self::with_scope): the scope
-/// is appended to every label as `label/scope`.
-pub struct MetricsObserver {
-    registry: Arc<MetricsRegistry>,
-    scope: String,
-    /// Open spans this observer has seen (span id -> technique/variant
-    /// label), so `SpanEnd` events can be attributed.
-    open: Mutex<BTreeMap<u64, OpenSpan>>,
-}
-
-#[derive(Debug, Clone)]
-enum OpenSpan {
-    Technique(&'static str),
-    Variant(crate::intern::Symbol),
-    Trial,
-    Other,
-}
-
-impl MetricsObserver {
-    /// Creates an observer feeding `registry`, with no scope suffix.
-    #[must_use]
-    pub fn new(registry: Arc<MetricsRegistry>) -> Self {
-        MetricsObserver {
-            registry,
-            scope: String::new(),
-            open: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    /// Appends `/scope` to every label this observer writes (e.g. the
-    /// fault-class being simulated), so one registry can hold per-scenario
-    /// breakdowns.
-    #[must_use]
-    pub fn with_scope(mut self, scope: impl Into<String>) -> Self {
-        self.scope = scope.into();
-        self
-    }
-
-    /// The registry this observer feeds.
-    #[must_use]
-    pub fn registry(&self) -> &Arc<MetricsRegistry> {
-        &self.registry
-    }
-
-    fn label(&self, base: &str) -> String {
-        if self.scope.is_empty() {
-            base.to_owned()
-        } else if base.is_empty() {
-            self.scope.clone()
-        } else {
-            format!("{base}/{}", self.scope)
-        }
-    }
-
-    fn lock_open(&self) -> MutexGuard<'_, BTreeMap<u64, OpenSpan>> {
-        self.open
-            .lock()
-            .expect("metrics open-span lock is never poisoned")
-    }
-}
-
-impl Observer for MetricsObserver {
-    fn record(&self, event: Event) {
-        let reg = &self.registry;
-        match event.kind {
-            EventKind::SpanStart { kind } => {
-                let open = match kind {
-                    SpanKind::Technique { name } => OpenSpan::Technique(name),
-                    SpanKind::Variant { name } => OpenSpan::Variant(name),
-                    SpanKind::Trial { .. } => OpenSpan::Trial,
-                    SpanKind::Pattern { .. } | SpanKind::Scope { .. } => OpenSpan::Other,
-                };
-                self.lock_open().insert(event.span, open);
-            }
-            EventKind::SpanEnd { status, cost } => {
-                let open = self.lock_open().remove(&event.span);
-                match open {
-                    Some(OpenSpan::Technique(name)) => {
-                        let label = self.label(name);
-                        reg.inc("technique_runs", &label);
-                        reg.observe("technique_ticks", &label, TICK_BUCKETS, cost.virtual_ns);
-                        match status {
-                            SpanStatus::Accepted { dissent, .. } => {
-                                reg.inc("technique_accepted", &label);
-                                if dissent > 0 {
-                                    reg.inc("recoveries", &label);
-                                    reg.observe(
-                                        "recovery_latency_ticks",
-                                        &label,
-                                        TICK_BUCKETS,
-                                        cost.virtual_ns,
-                                    );
-                                }
-                            }
-                            SpanStatus::Rejected { reason } => {
-                                reg.inc("technique_rejected", &label);
-                                reg.inc("rejections", &self.label(reason));
-                            }
-                            SpanStatus::Failed { kind } => {
-                                reg.inc("technique_failed", &label);
-                                reg.inc("failures", &self.label(kind));
-                            }
-                            SpanStatus::Ok | SpanStatus::Trial { .. } => {
-                                reg.inc("technique_accepted", &label);
-                            }
-                        }
-                    }
-                    Some(OpenSpan::Variant(name)) => {
-                        match status {
-                            SpanStatus::Failed { kind } => {
-                                reg.inc("variant_failures", &self.label(kind));
-                                let _ = name;
-                            }
-                            _ => reg.inc("variant_ok", &self.label("")),
-                        }
-                        reg.observe(
-                            "variant_ticks",
-                            &self.label(""),
-                            TICK_BUCKETS,
-                            cost.virtual_ns,
-                        );
-                    }
-                    Some(OpenSpan::Trial) => {
-                        if let SpanStatus::Trial { disposition } = status {
-                            reg.inc("trials", &self.label(disposition));
-                        }
-                        reg.observe(
-                            "trial_ticks",
-                            &self.label(""),
-                            TICK_BUCKETS,
-                            cost.virtual_ns,
-                        );
-                    }
-                    Some(OpenSpan::Other) | None => {}
-                }
-            }
-            EventKind::Point(point) => {
-                match &point {
-                    Point::Verdict {
-                        accepted,
-                        rejection,
-                        ..
-                    } => {
-                        if *accepted {
-                            reg.inc("verdicts", &self.label("accepted"));
-                        } else {
-                            reg.inc("verdicts", &self.label("rejected"));
-                            if let Some(reason) = rejection {
-                                reg.inc("rejections", &self.label(reason));
-                            }
-                        }
-                    }
-                    Point::FuelExhausted { consumed } => {
-                        reg.observe("fuel_exhausted", &self.label(""), FUEL_BUCKETS, *consumed);
-                    }
-                    _ => {}
-                }
-                reg.inc("points", &self.label(point.name()));
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::CostSnapshot;
 
     #[test]
     fn histogram_bucket_boundaries_are_inclusive_upper() {
@@ -589,20 +257,6 @@ mod tests {
     }
 
     #[test]
-    fn registry_render_handles_empty_and_overflow_histograms() {
-        let reg = MetricsRegistry::new();
-        assert_eq!(reg.render(), "", "empty registry renders nothing");
-        reg.observe("lag", "ck", &[10], 99); // overflow-bucket-only
-        let rendered = reg.render();
-        assert!(rendered.contains("lag{ck}"));
-        assert!(rendered.contains("count=1"));
-        assert!(
-            rendered.contains("p95<=99"),
-            "p95 uses observed max: {rendered}"
-        );
-    }
-
-    #[test]
     fn from_parts_round_trips_a_recorded_histogram() {
         let mut recorded = Histogram::new(&[10, 100]);
         for v in [1, 50, 5_000] {
@@ -613,88 +267,5 @@ mod tests {
         // Empty parts normalise min/max to the empty sentinels.
         let empty = Histogram::from_parts(&[10, 100], vec![0, 0], 0, 0, u64::MAX, 0);
         assert_eq!(empty, Histogram::new(&[10, 100]));
-    }
-
-    #[test]
-    fn registry_counters_and_render() {
-        let reg = MetricsRegistry::new();
-        reg.inc("runs", "nvp");
-        reg.inc("runs", "nvp");
-        reg.add("runs", "rb", 5);
-        assert_eq!(reg.counter("runs", "nvp"), 2);
-        assert_eq!(reg.counter("runs", "rb"), 5);
-        assert_eq!(reg.counter("runs", "missing"), 0);
-        reg.observe("lat", "nvp", TICK_BUCKETS, 42);
-        let rendered = reg.render();
-        assert!(rendered.contains("runs{nvp}"));
-        assert!(rendered.contains("lat{nvp}"));
-        assert!(rendered.contains("count=1"));
-    }
-
-    #[test]
-    fn metrics_observer_counts_recoveries() {
-        let reg = MetricsRegistry::shared();
-        let obs = MetricsObserver::new(Arc::clone(&reg));
-        // Technique span that accepts with dissent -> one recovery.
-        obs.record(Event {
-            seq: 0,
-            span: 1,
-            parent: 0,
-            clock: 0,
-            kind: EventKind::SpanStart {
-                kind: SpanKind::Technique { name: "nvp" },
-            },
-        });
-        obs.record(Event {
-            seq: 1,
-            span: 1,
-            parent: 0,
-            clock: 30,
-            kind: EventKind::SpanEnd {
-                status: SpanStatus::Accepted {
-                    support: 2,
-                    dissent: 1,
-                },
-                cost: CostSnapshot {
-                    virtual_ns: 30,
-                    ..CostSnapshot::ZERO
-                },
-            },
-        });
-        assert_eq!(reg.counter("technique_runs", "nvp"), 1);
-        assert_eq!(reg.counter("technique_accepted", "nvp"), 1);
-        assert_eq!(reg.counter("recoveries", "nvp"), 1);
-        let lat = reg.histogram("recovery_latency_ticks", "nvp").unwrap();
-        assert_eq!(lat.count(), 1);
-        assert_eq!(lat.sum(), 30);
-    }
-
-    #[test]
-    fn metrics_observer_scope_suffixes_labels() {
-        let reg = MetricsRegistry::shared();
-        let obs = MetricsObserver::new(Arc::clone(&reg)).with_scope("crash-fault");
-        obs.record(Event {
-            seq: 0,
-            span: 1,
-            parent: 0,
-            clock: 0,
-            kind: EventKind::SpanStart {
-                kind: SpanKind::Technique { name: "rb" },
-            },
-        });
-        obs.record(Event {
-            seq: 1,
-            span: 1,
-            parent: 0,
-            clock: 9,
-            kind: EventKind::SpanEnd {
-                status: SpanStatus::Rejected {
-                    reason: "no_quorum",
-                },
-                cost: CostSnapshot::ZERO,
-            },
-        });
-        assert_eq!(reg.counter("technique_runs", "rb/crash-fault"), 1);
-        assert_eq!(reg.counter("rejections", "no_quorum/crash-fault"), 1);
     }
 }

@@ -1,20 +1,20 @@
-//! Observers: where emitted events go.
+//! Observers: where recorded events go.
 //!
 //! The [`Observer`] trait is the single sink interface. Instrumented code
-//! never calls it directly — it goes through an execution context's
-//! [`Trace`](crate::Trace), which either buffers events or forwards them
-//! through an [`ObsHandle`]: the observer, the span-id allocator and the
-//! current span, shared by every clone. When no trace is attached (the
-//! default) instrumentation is a single `Option` test; a disabled
-//! observer (e.g. [`NoopObserver`]) is never attached, so event payloads
-//! are not even built. Either way the hot path never allocates.
+//! never calls it directly: it records into an execution context's
+//! [`Trace`](crate::Trace), which buffers events and hands them over
+//! whole — a root trace attached to an [`ObsHandle`] delivers each
+//! finished unit as one [`Observer::record_batch`], and the campaign
+//! engine's merger delivers one batch per trial. When no trace is
+//! attached (the default) instrumentation is a single `Option` test; a
+//! disabled observer (e.g. [`NoopObserver`]) is never attached, so event
+//! payloads are not even built. Either way the hot path never allocates.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::event::{
-    CostSnapshot, Event, EventKind, Point, SpanId, SpanKind, SpanStatus, ROOT_SPAN,
-};
+use crate::event::Event;
+use crate::shard::renumber_in_place;
 
 /// A sink for [`Event`]s.
 ///
@@ -34,8 +34,9 @@ pub trait Observer: Send + Sync {
     /// [`record`](Self::record) on each of them in turn: the same `seq`
     /// values, the same retained events, the same drop counts. The
     /// default does just that; sinks override it to pay their locking
-    /// once per batch instead of once per event. The campaign engine's
-    /// merge hands every sink one batch per trial.
+    /// once per batch instead of once per event. Traced contexts hand
+    /// every sink their events in batches: one per unit of a root trace,
+    /// one per trial from the campaign engine's merge.
     fn record_batch(&self, events: &[Event]) {
         for &event in events {
             self.record(event);
@@ -268,12 +269,10 @@ impl Observer for RingBufferObserver {
     }
 }
 
-/// Broadcasts every event to several sinks (e.g. a [`MetricsObserver`]
-/// aggregating and a [`RingBufferObserver`] capturing the raw stream).
+/// Broadcasts every event to several sinks (e.g. an aggregating observer
+/// and a [`RingBufferObserver`] capturing the raw stream).
 ///
 /// Enabled iff any sink is enabled; disabled sinks are skipped per event.
-///
-/// [`MetricsObserver`]: crate::metrics::MetricsObserver
 pub struct FanoutObserver {
     sinks: Vec<Arc<dyn Observer>>,
 }
@@ -313,21 +312,17 @@ impl Observer for FanoutObserver {
     }
 }
 
-/// A shared recording handle: an observer, the shared span-id allocator,
-/// and the current span.
+/// A shared delivery point for root traces: an observer and the span-id
+/// allocator of one id space.
 ///
-/// Clones share the allocator and observer and inherit the current span,
-/// so spans opened through a clone are parented under the span the
-/// original was in at clone time. Observer and allocator sit behind one
-/// `Arc`, so a clone costs one refcount bump. A forwarding
-/// [`Trace`](crate::Trace) records through one, e.g. every trial of a
-/// serial traced campaign into one id space.
+/// Every root [`Trace`](crate::Trace) [`attached`](crate::Trace::attached)
+/// to a clone of one handle hands it finished units; the handle takes each
+/// unit's span ids from the shared allocator, so all of them number their
+/// spans in one sequence (e.g. every trial of a serial traced campaign),
+/// and delivers the unit as one [`Observer::record_batch`]. Observer and
+/// allocator sit behind one `Arc`, so a clone costs one refcount bump.
 #[derive(Clone)]
-pub struct ObsHandle {
-    shared: Arc<HandleShared>,
-    current: SpanId,
-    enabled: bool,
-}
+pub struct ObsHandle(Arc<HandleShared>);
 
 /// What every clone of one [`ObsHandle`] shares.
 struct HandleShared {
@@ -336,127 +331,35 @@ struct HandleShared {
     ids: AtomicU64,
 }
 
-impl HandleShared {
-    fn new(observer: Arc<dyn Observer>) -> Arc<Self> {
-        Arc::new(HandleShared {
-            observer,
-            ids: AtomicU64::new(1),
-        })
-    }
-}
-
-/// Token returned by [`ObsHandle::begin_span`]; hand it back to
-/// [`ObsHandle::end_span`]. Carries the previous span to restore.
-#[derive(Debug, Clone, Copy)]
-#[must_use = "end_span must be called with this token"]
-pub struct SpanToken {
-    pub(crate) span: SpanId,
-    pub(crate) previous: SpanId,
-}
-
 impl ObsHandle {
-    /// Wraps an observer, caching its `enabled` flag. Span ids start at 1.
+    /// Wraps an observer. Span ids start at 1.
     #[must_use]
     pub fn new(observer: Arc<dyn Observer>) -> Self {
-        let enabled = observer.enabled();
-        ObsHandle {
-            shared: HandleShared::new(observer),
-            current: ROOT_SPAN,
-            enabled,
-        }
-    }
-
-    /// Reserves `n` consecutive span ids, returning the first: the ids a
-    /// joined child trace's spans take (see [`Trace::join`](crate::Trace::join)).
-    pub(crate) fn reserve(&self, n: u64) -> SpanId {
-        self.shared.ids.fetch_add(n, Ordering::Relaxed)
-    }
-
-    /// Whether events are being consumed (cached at attach time).
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.enabled
+        ObsHandle(Arc::new(HandleShared {
+            observer,
+            ids: AtomicU64::new(1),
+        }))
     }
 
     /// The observer this handle feeds.
     #[must_use]
     pub fn observer(&self) -> &Arc<dyn Observer> {
-        &self.shared.observer
+        &self.0.observer
     }
 
-    /// The span new events are attributed to.
-    #[must_use]
-    pub fn current_span(&self) -> SpanId {
-        self.current
-    }
-
-    /// Opens a span; `kind` is only evaluated when enabled.
-    pub fn begin_span(&mut self, clock: u64, kind: impl FnOnce() -> SpanKind) -> SpanToken {
-        if !self.enabled {
-            return SpanToken {
-                span: ROOT_SPAN,
-                previous: ROOT_SPAN,
-            };
-        }
-        let span = self.shared.ids.fetch_add(1, Ordering::Relaxed);
-        let token = SpanToken {
-            span,
-            previous: self.current,
-        };
-        self.shared.observer.record(Event {
-            seq: 0,
-            span,
-            parent: self.current,
-            clock,
-            kind: EventKind::SpanStart { kind: kind() },
-        });
-        self.current = span;
-        token
-    }
-
-    /// Closes a span opened by [`begin_span`](Self::begin_span), restoring
-    /// the previous current span.
-    pub fn end_span(
-        &mut self,
-        token: SpanToken,
-        clock: u64,
-        status: SpanStatus,
-        cost: CostSnapshot,
-    ) {
-        if !self.enabled {
-            return;
-        }
-        self.shared.observer.record(Event {
-            seq: 0,
-            span: token.span,
-            parent: token.previous,
-            clock,
-            kind: EventKind::SpanEnd { status, cost },
-        });
-        self.current = token.previous;
-    }
-
-    /// Emits a point event in the current span; `point` is only evaluated
-    /// when enabled.
-    pub fn emit(&self, clock: u64, point: impl FnOnce() -> Point) {
-        if !self.enabled {
-            return;
-        }
-        self.shared.observer.record(Event {
-            seq: 0,
-            span: self.current,
-            parent: self.current,
-            clock,
-            kind: EventKind::Point(point()),
-        });
+    /// Delivers one finished unit — `spans` span ids numbered from 1 —
+    /// with its ids shifted to the next `spans` ids of the allocator.
+    pub(crate) fn deliver(&self, unit: &mut [Event], spans: u64) {
+        let first = self.0.ids.fetch_add(spans, Ordering::Relaxed);
+        renumber_in_place(unit, first - 1);
+        self.0.observer.record_batch(unit);
     }
 }
 
 impl std::fmt::Debug for ObsHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ObsHandle")
-            .field("current", &self.current)
-            .field("enabled", &self.enabled)
+            .field("next_span", &self.0.ids.load(Ordering::Relaxed))
             .finish_non_exhaustive()
     }
 }
@@ -464,6 +367,7 @@ impl std::fmt::Debug for ObsHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::{CostSnapshot, EventKind, Point, SpanKind, SpanStatus, ROOT_SPAN};
 
     fn tick(clock: u64) -> Event {
         Event {
@@ -532,45 +436,58 @@ mod tests {
         let _ = RingBufferObserver::new(0);
     }
 
+    /// A root trace on `observer`, through a handle of its own.
+    fn attached(observer: Arc<dyn Observer>) -> crate::Trace {
+        crate::Trace::attached(ObsHandle::new(observer))
+    }
+
     #[test]
     fn span_nesting_restores_parent() {
         let ring = RingBufferObserver::shared(64);
-        let mut handle = ObsHandle::new(ring.clone());
-        let outer = handle.begin_span(0, || SpanKind::Scope { name: "outer" });
-        assert_eq!(handle.current_span(), 1);
-        let inner = handle.begin_span(1, || SpanKind::Scope { name: "inner" });
-        assert_eq!(handle.current_span(), 2);
-        handle.emit(2, || Point::Custom {
+        let mut trace = attached(ring.clone());
+        let outer = trace.begin_span(0, || SpanKind::Scope { name: "outer" });
+        let inner = trace.begin_span(1, || SpanKind::Scope { name: "inner" });
+        trace.emit(2, || Point::Custom {
             name: "inside",
             detail: "".into(),
         });
-        handle.end_span(inner, 3, SpanStatus::Ok, CostSnapshot::ZERO);
-        assert_eq!(handle.current_span(), 1);
-        handle.end_span(outer, 4, SpanStatus::Ok, CostSnapshot::ZERO);
-        assert_eq!(handle.current_span(), ROOT_SPAN);
+        trace.end_span(inner, 3, SpanStatus::Ok, CostSnapshot::ZERO);
+        assert!(ring.is_empty(), "the unit is still open");
+        trace.end_span(outer, 4, SpanStatus::Ok, CostSnapshot::ZERO);
 
         let events = ring.events();
         assert_eq!(events.len(), 5);
-        // The point is attributed to the inner span; parents chain up.
+        // The point is attributed to the inner span; parents chain up,
+        // and the end of each span restores its parent.
         assert_eq!(events[2].span, 2);
         assert!(matches!(events[1].kind, EventKind::SpanStart { .. }));
         assert_eq!(events[1].parent, 1);
+        assert_eq!((events[3].span, events[3].parent), (2, 1));
+        assert_eq!((events[4].span, events[4].parent), (1, ROOT_SPAN));
         assert_eq!(events[0].parent, ROOT_SPAN);
     }
 
     #[test]
-    fn forked_handles_share_allocator_and_parent() {
+    fn handle_clones_share_one_allocator() {
         let ring = RingBufferObserver::shared(64);
-        let mut parent = ObsHandle::new(ring.clone());
-        let outer = parent.begin_span(0, || SpanKind::Scope { name: "outer" });
-        let mut child = parent.clone();
+        let handle = ObsHandle::new(ring.clone());
+        let mut first = crate::Trace::attached(handle.clone());
+        let mut second = crate::Trace::attached(handle);
+        let outer = first.begin_span(0, || SpanKind::Scope { name: "outer" });
+        let span = second.begin_span(0, || SpanKind::Scope { name: "other" });
+        second.end_span(span, 1, SpanStatus::Ok, CostSnapshot::ZERO);
+        let mut child = first.fork();
         let child_span = child.begin_span(0, || SpanKind::Scope { name: "child" });
         child.end_span(child_span, 1, SpanStatus::Ok, CostSnapshot::ZERO);
-        parent.end_span(outer, 2, SpanStatus::Ok, CostSnapshot::ZERO);
+        first.join(child);
+        first.end_span(outer, 2, SpanStatus::Ok, CostSnapshot::ZERO);
         let events = ring.events();
-        // Child span got a fresh id (2) and is parented under outer (1).
-        assert_eq!(events[1].span, 2);
-        assert_eq!(events[1].parent, 1);
+        // Units take their ids when delivered: the second trace's unit
+        // finished first and took id 1, the first trace's took 2 and 3,
+        // its child's span parented under the fork-time span.
+        assert_eq!((events[0].span, events[0].parent), (1, ROOT_SPAN));
+        assert_eq!((events[2].span, events[2].parent), (2, ROOT_SPAN));
+        assert_eq!((events[3].span, events[3].parent), (3, 2));
     }
 
     #[test]
@@ -583,9 +500,9 @@ mod tests {
             b.clone() as Arc<dyn Observer>,
         ]);
         assert!(fan.enabled());
-        let mut handle = ObsHandle::new(Arc::new(fan));
-        let span = handle.begin_span(0, || SpanKind::Scope { name: "s" });
-        handle.end_span(span, 1, SpanStatus::Ok, CostSnapshot::ZERO);
+        let mut trace = attached(Arc::new(fan));
+        let span = trace.begin_span(0, || SpanKind::Scope { name: "s" });
+        trace.end_span(span, 1, SpanStatus::Ok, CostSnapshot::ZERO);
         assert_eq!(a.len(), 2);
         assert_eq!(b.len(), 2);
         assert!(!FanoutObserver::new(vec![Arc::new(NoopObserver)]).enabled());
@@ -723,15 +640,5 @@ mod tests {
             let newest: Vec<u64> = (total - seqs.len() as u64..total).collect();
             assert_eq!(seqs, newest, "capacity {capacity}");
         }
-    }
-
-    #[test]
-    fn disabled_observer_records_nothing() {
-        let mut handle = ObsHandle::new(Arc::new(NoopObserver));
-        assert!(!handle.enabled());
-        let token = handle.begin_span(0, || panic!("kind must not be evaluated"));
-        handle.emit(0, || panic!("point must not be evaluated"));
-        handle.end_span(token, 0, SpanStatus::Ok, CostSnapshot::ZERO);
-        assert_eq!(handle.current_span(), ROOT_SPAN);
     }
 }

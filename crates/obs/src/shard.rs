@@ -408,15 +408,17 @@ mod tests {
     use super::*;
     use crate::event::{CostSnapshot, SpanKind, SpanStatus};
     use crate::observer::{ObsHandle, RingBufferObserver};
+    use crate::trace::Trace;
     use std::sync::Arc;
 
-    /// Records `trials` two-span "trials" through one shared handle (the
-    /// serial shape) or one handle per trial (the sharded shape).
-    fn record_trial(handle: &mut ObsHandle, index: u64) {
-        let trial = handle.begin_span(0, || SpanKind::Trial { index, seed: index });
-        let inner = handle.begin_span(0, || SpanKind::Scope { name: "work" });
-        handle.end_span(inner, 5, SpanStatus::Ok, CostSnapshot::ZERO);
-        handle.end_span(
+    /// Records a two-span "trial" through a root trace attached to one
+    /// shared handle (the serial shape) or a buffering trace per trial
+    /// (the sharded shape).
+    fn record_trial(trace: &mut Trace, index: u64) {
+        let trial = trace.begin_span(0, || SpanKind::Trial { index, seed: index });
+        let inner = trace.begin_span(0, || SpanKind::Scope { name: "work" });
+        trace.end_span(inner, 5, SpanStatus::Ok, CostSnapshot::ZERO);
+        trace.end_span(
             trial,
             5,
             SpanStatus::Trial {
@@ -426,22 +428,24 @@ mod tests {
         );
     }
 
+    /// Trial `index`'s shard, recorded on a buffering trace of its own.
+    fn recorded_shard(index: u64) -> Vec<Event> {
+        let mut trace = Trace::new();
+        record_trial(&mut trace, index);
+        let mut events = Vec::new();
+        trace.hand_off(|buffered| events.append(buffered));
+        events
+    }
+
     #[test]
     fn merged_shards_match_a_serial_recording() {
         let serial_ring = RingBufferObserver::shared(64);
-        let mut serial = ObsHandle::new(serial_ring.clone());
+        let mut serial = Trace::attached(ObsHandle::new(serial_ring.clone()));
         for i in 0..3 {
             record_trial(&mut serial, i);
         }
 
-        let shards: Vec<Vec<Event>> = (0..3)
-            .map(|i| {
-                let collector = Arc::new(CollectorObserver::new());
-                let mut handle = ObsHandle::new(collector.clone());
-                record_trial(&mut handle, i);
-                collector.take()
-            })
-            .collect();
+        let shards: Vec<Vec<Event>> = (0..3).map(recorded_shard).collect();
 
         assert_eq!(merge_shards(shards), serial_ring.events());
     }
@@ -449,8 +453,8 @@ mod tests {
     #[test]
     fn collector_assigns_contiguous_seq_and_takes() {
         let c = Arc::new(CollectorObserver::new());
-        let mut handle = ObsHandle::new(c.clone());
-        record_trial(&mut handle, 0);
+        let mut trace = Trace::attached(ObsHandle::new(c.clone()));
+        record_trial(&mut trace, 0);
         assert_eq!(c.len(), 4);
         let events = c.take();
         assert!(c.is_empty());
@@ -462,11 +466,8 @@ mod tests {
 
     #[test]
     fn forward_renumbered_reports_allocated_ids() {
-        let c = Arc::new(CollectorObserver::new());
-        let mut handle = ObsHandle::new(c.clone());
-        record_trial(&mut handle, 0);
         let sink = CollectorObserver::new();
-        let allocated = forward_renumbered(c.take(), 10, &sink);
+        let allocated = forward_renumbered(recorded_shard(0), 10, &sink);
         assert_eq!(allocated, 2);
         let events = sink.into_events();
         // Local ids 1 and 2 shifted to 11 and 12; ROOT parents untouched.
@@ -484,14 +485,7 @@ mod tests {
 
     /// Produces one recorded shard per trial, for feeding mergers.
     fn recorded_shards(n: u64) -> Vec<Vec<Event>> {
-        (0..n)
-            .map(|i| {
-                let collector = Arc::new(CollectorObserver::new());
-                let mut handle = ObsHandle::new(collector.clone());
-                record_trial(&mut handle, i);
-                collector.take()
-            })
-            .collect()
+        (0..n).map(recorded_shard).collect()
     }
 
     #[test]
@@ -851,10 +845,7 @@ mod tests {
         let sink = Arc::new(CollectorObserver::new());
         let merger = StreamingMerger::new(sink.clone());
         for i in 0..8 {
-            let collector = Arc::new(CollectorObserver::new());
-            let mut handle = ObsHandle::new(collector.clone());
-            record_trial(&mut handle, i);
-            merger.submit(i as usize, &mut collector.take());
+            merger.submit(i as usize, &mut recorded_shard(i));
         }
         assert_eq!(merger.forwarded(), 8);
         assert_eq!(

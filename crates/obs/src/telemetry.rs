@@ -4,9 +4,7 @@
 //! merge, checkpoints, chaos) needs counters and latency histograms that
 //! can be bumped from the hottest paths in the workspace — inside trials
 //! that cost a few hundred nanoseconds — without a `Mutex` anywhere near
-//! the write side. [`MetricsRegistry`](crate::MetricsRegistry) locks a
-//! `BTreeMap` per write and is therefore the wrong tool inside workers;
-//! this module is the replacement:
+//! the write side. This module provides them:
 //!
 //! - every recording thread owns an `Arc<`[`TelemetryShard`]`>` of
 //!   relaxed atomics (registered once, cached in a thread-local) that
@@ -457,7 +455,7 @@ impl AtomicHistogram {
 /// is written **only by the thread that registered it** (the free
 /// functions below enforce this via a thread-local cache), readers sum
 /// across all registered shards. That single-writer discipline is what
-/// lets the write path use plain relaxed load + store ([`bump`]) instead
+/// lets the write path use plain relaxed load + store (`bump`) instead
 /// of locked read-modify-writes, and relaxed ordering is sufficient —
 /// every metric is a commutative sum, so a snapshot is "some recent
 /// total" rather than a linearizable cut, which is all a monitor needs.
@@ -475,9 +473,9 @@ impl TelemetryShard {
         }
     }
 
-    /// Adds `delta` to `counter` (relaxed single-writer load + store;
-    /// see [`bump`] — a shard must only ever be written by the thread
-    /// that registered it).
+    /// Adds `delta` to `counter` (relaxed single-writer load + store:
+    /// a shard must only ever be written by the thread that registered
+    /// it).
     #[inline]
     pub fn add(&self, counter: Counter, delta: u64) {
         bump(&self.counters[counter as usize], delta);

@@ -1,6 +1,6 @@
 //! Owned trace recording: each traced execution context owns its
-//! [`Trace`], and a forked context's events reach its parent when the
-//! parent joins it.
+//! [`Trace`], a forked context's events reach its parent when the parent
+//! joins it, and a root trace hands finished units to its observer.
 
 use std::cell::Cell;
 use std::fmt;
@@ -8,35 +8,50 @@ use std::fmt;
 use crate::event::{
     CostSnapshot, Event, EventKind, Point, SpanId, SpanKind, SpanStatus, ROOT_SPAN,
 };
-use crate::observer::{ObsHandle, SpanToken};
+use crate::observer::ObsHandle;
+
+/// Token returned by [`Trace::begin_span`]; hand it back to
+/// [`Trace::end_span`]. Carries the previous span to restore.
+#[derive(Debug, Clone, Copy)]
+#[must_use = "end_span must be called with this token"]
+pub struct SpanToken {
+    span: SpanId,
+    previous: SpanId,
+}
 
 /// One execution context's trace recorder.
 ///
-/// A trace either **buffers** its events — a plain `Vec` push per event,
-/// span ids counted from 1 within the trace — or **forwards** them to a
-/// shared [`ObsHandle`] as they happen. [`fork`](Self::fork) hands a
-/// child a buffering trace, recycled from the parent's earlier joins,
-/// whose local root stands for the span the parent was in at fork time.
-/// [`join`](Self::join) splices the child's events back into the
-/// parent, in program order: span ids are shifted past the ids the
-/// parent has allocated (a forwarding parent reserves them from its
-/// handle's allocator) and the local root is mapped back to the
-/// fork-time span. A forwarding parent hands the joined events to its
-/// observer as one [`Observer::record_batch`](crate::Observer::record_batch).
+/// A trace buffers its events — a plain `Vec` push per event, span ids
+/// counted from 1 within the trace. [`fork`](Self::fork) hands a child a
+/// trace recycled from the parent's earlier joins, whose local root
+/// stands for the span the parent was in at fork time.
+/// [`join`](Self::join) splices the child's events back into the parent,
+/// in program order: span ids are shifted past the ids the parent has
+/// allocated and the local root is mapped back to the fork-time span.
 ///
-/// The rule that makes the spliced stream the one a shared handle would
-/// have recorded: **join each child after its last event and before the
-/// parent records again.** The child's spans then take exactly the ids a
-/// shared allocator would have handed out, in the same order. Children
-/// run on other threads (threaded patterns) are joined in fork order, so
-/// the stream does not depend on the schedule.
+/// The rule that makes the spliced stream the one a single shared
+/// allocator would have recorded: **join each child after its last event
+/// and before the parent records again.** The child's spans then take
+/// exactly the ids a shared allocator would have handed out, in the same
+/// order. Children run on other threads (threaded patterns) are joined in
+/// fork order, so the stream does not depend on the schedule.
 ///
 /// Recording touches no shared state: no lock, no atomic, no refcount.
-/// The simulator's traced campaigns give each trial a buffering root
-/// trace and hand its events to a
-/// [`StreamingMerger`](crate::StreamingMerger) with
-/// [`hand_off`](Self::hand_off), recycling the trace — and every child
-/// trace it recycled — for the worker's next trial.
+/// The buffered events leave a root trace in one of two ways:
+///
+/// - [`hand_off`](Self::hand_off) gives them to the caller, recycling the
+///   trace — and every child trace it recycled — for the next trial. The
+///   simulator's traced campaigns hand each trial to a
+///   [`StreamingMerger`](crate::StreamingMerger) this way.
+/// - A root trace [`attached`](Self::attached) to an [`ObsHandle`] hands
+///   the handle each **unit** as soon as it finishes: everything recorded
+///   from when the trace leaves its root span until it returns there, or
+///   a single point emitted at the root. The handle numbers the unit's
+///   span ids from its shared allocator and delivers the unit to its
+///   observer as one [`Observer::record_batch`](crate::Observer::record_batch).
+///
+/// A unit that a panic unwinds through is dropped with its trace, never
+/// delivered.
 ///
 /// # Examples
 ///
@@ -71,8 +86,8 @@ struct Recorder {
     /// What the local root stands for in the trace this one was forked
     /// from: that trace's current span at fork time.
     root: SpanId,
-    /// Set on a forwarding trace: its own events go straight to the
-    /// handle, and joined children go to the handle's observer.
+    /// Set on a root trace attached to a handle: each finished unit goes
+    /// to it.
     handle: Option<ObsHandle>,
     /// Emptied traces of joined children, handed out again by `fork`.
     /// A `Cell` so forking needs only a shared borrow.
@@ -90,6 +105,19 @@ impl Recorder {
             kind,
         });
     }
+
+    /// Delivers the buffered unit to the attached handle once the trace
+    /// stands at its root again.
+    fn unit_done(&mut self) {
+        if self.current != ROOT_SPAN || self.events.is_empty() {
+            return;
+        }
+        if let Some(handle) = &self.handle {
+            handle.deliver(&mut self.events, self.spans);
+            self.events.clear();
+            self.spans = 0;
+        }
+    }
 }
 
 impl Trace {
@@ -99,32 +127,19 @@ impl Trace {
         Self::default()
     }
 
-    /// A trace that sends its own events straight to `handle` — span ids
-    /// from the handle's allocator, parented under its current span — and
-    /// forwards each joined child to the handle's observer as one batch.
+    /// A root trace that hands each finished unit to `handle`, span ids
+    /// taken from the handle's allocator (see the type docs).
     #[must_use]
-    pub fn forwarding(handle: ObsHandle) -> Self {
+    pub fn attached(handle: ObsHandle) -> Self {
         Trace(Box::new(Recorder {
             handle: Some(handle),
             ..Recorder::default()
         }))
     }
 
-    /// The span new events are attributed to: a local id on a buffering
-    /// trace, the handle's current span on a forwarding one.
-    fn current_span(&self) -> SpanId {
-        match &self.0.handle {
-            Some(handle) => handle.current_span(),
-            None => self.0.current,
-        }
-    }
-
     /// Opens a span; `kind` is evaluated once.
     pub fn begin_span(&mut self, clock: u64, kind: impl FnOnce() -> SpanKind) -> SpanToken {
         let recorder = &mut *self.0;
-        if let Some(handle) = &mut recorder.handle {
-            return handle.begin_span(clock, kind);
-        }
         recorder.spans += 1;
         let token = SpanToken {
             span: recorder.spans,
@@ -150,9 +165,6 @@ impl Trace {
         cost: CostSnapshot,
     ) {
         let recorder = &mut *self.0;
-        if let Some(handle) = &mut recorder.handle {
-            return handle.end_span(token, clock, status, cost);
-        }
         recorder.push(
             token.span,
             token.previous,
@@ -160,83 +172,61 @@ impl Trace {
             EventKind::SpanEnd { status, cost },
         );
         recorder.current = token.previous;
+        recorder.unit_done();
     }
 
     /// Emits a point event in the current span; `point` is evaluated once.
     pub fn emit(&mut self, clock: u64, point: impl FnOnce() -> Point) {
         let recorder = &mut *self.0;
-        if let Some(handle) = &recorder.handle {
-            return handle.emit(clock, point);
-        }
         let current = recorder.current;
         recorder.push(current, current, clock, EventKind::Point(point()));
+        recorder.unit_done();
     }
 
-    /// A buffering child trace whose local root stands for this trace's
-    /// current span. It is recycled from an earlier [`join`](Self::join)
-    /// when one is available, so a warm trace forks without allocating.
+    /// A child trace whose local root stands for this trace's current
+    /// span. It is recycled from an earlier [`join`](Self::join) when one
+    /// is available, so a warm trace forks without allocating.
     ///
     /// Join the child after its last event and before this trace records
     /// again. Dropping a child that still holds events is a bug, caught
     /// by a debug assertion.
     #[must_use]
     pub fn fork(&self) -> Trace {
-        let root = self.current_span();
         let mut spare = self.0.spare.take();
         let child = spare.pop();
         self.0.spare.set(spare);
         let mut child = child.unwrap_or_default();
-        child.0.root = root;
+        child.0.root = self.0.current;
         child
     }
 
     /// Splices `child` — a trace [`fork`](Self::fork)ed from this one —
     /// back in: its span ids shifted past the ones this trace allocated,
-    /// its local root mapped to the fork-time span. A buffering trace
-    /// appends the events; a forwarding one hands them to its observer as
-    /// one batch. The emptied child is kept for the next fork.
+    /// its local root mapped to the fork-time span. The emptied child is
+    /// kept for the next fork.
     pub fn join(&mut self, mut child: Trace) {
         let recorder = &mut *self.0;
         let joined = &mut *child.0;
         if !joined.events.is_empty() {
-            let shift = match &recorder.handle {
-                Some(handle) => handle.reserve(joined.spans) - 1,
-                None => {
-                    let shift = recorder.spans;
-                    recorder.spans += joined.spans;
-                    shift
-                }
-            };
+            let shift = recorder.spans;
+            recorder.spans += joined.spans;
             let root = joined.root;
             let map = |id: SpanId| if id == ROOT_SPAN { root } else { id + shift };
-            match &recorder.handle {
-                Some(handle) => {
-                    for event in &mut joined.events {
-                        event.span = map(event.span);
-                        event.parent = map(event.parent);
-                    }
-                    handle.observer().record_batch(&joined.events);
-                }
-                None => {
-                    let first = recorder.events.len() as u64;
-                    recorder
-                        .events
-                        .extend(joined.events.iter().zip(first..).map(|(event, seq)| Event {
-                            seq,
-                            span: map(event.span),
-                            parent: map(event.parent),
-                            ..*event
-                        }));
-                }
-            }
+            let first = recorder.events.len() as u64;
+            recorder
+                .events
+                .extend(joined.events.iter().zip(first..).map(|(event, seq)| Event {
+                    seq,
+                    span: map(event.span),
+                    parent: map(event.parent),
+                    ..*event
+                }));
             joined.events.clear();
             joined.spans = 0;
             joined.current = ROOT_SPAN;
+            recorder.unit_done();
         }
-        // A forwarding trace has nothing to splice and is no fork's spare.
-        if joined.handle.is_none() {
-            recorder.spare.get_mut().push(child);
-        }
+        recorder.spare.get_mut().push(child);
     }
 
     /// Hands the buffered events to `take` — typically
@@ -256,14 +246,15 @@ impl Trace {
 
 /// Losing buffered events silently would drop part of a trace, so a
 /// debug build panics. Never while unwinding: a second panic would abort
-/// the process, and the unwinding trial's trace is abandoned anyway.
+/// the process, and the unwinding unit is abandoned anyway.
 impl Drop for Trace {
     fn drop(&mut self) {
         let unjoined = self.0.events.len();
         if cfg!(debug_assertions) && unjoined > 0 && !std::thread::panicking() {
             panic!(
                 "a trace was dropped with {unjoined} buffered event(s) never joined into its \
-                 parent: join every forked context, and hand a root trace's events off"
+                 parent or delivered: join every forked context, hand a root trace's events \
+                 off, and close every span a root attached to an observer opens"
             );
         }
     }
@@ -273,8 +264,8 @@ impl fmt::Debug for Trace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Trace")
             .field("buffered", &self.0.events.len())
-            .field("current", &self.current_span())
-            .field("forwarding", &self.0.handle.is_some())
+            .field("current", &self.0.current)
+            .field("attached", &self.0.handle.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -308,6 +299,58 @@ mod tests {
             trace.hand_off(|events| trial.append(events));
         }
         assert_eq!(trials[0], trials[1], "ids and seqs restart at hand-off");
+    }
+
+    /// Records the size of every batch it receives.
+    #[derive(Default)]
+    struct Batches(std::sync::Mutex<Vec<usize>>);
+
+    impl crate::Observer for Batches {
+        fn record(&self, _event: Event) {
+            panic!("a trace delivers whole units, never single events");
+        }
+
+        fn record_batch(&self, events: &[Event]) {
+            self.0.lock().unwrap().push(events.len());
+        }
+    }
+
+    #[test]
+    fn an_attached_root_delivers_each_unit_when_it_returns_to_its_root() {
+        let batches = std::sync::Arc::new(Batches::default());
+        let mut trace = Trace::attached(ObsHandle::new(batches.clone()));
+        let delivered = || batches.0.lock().unwrap().clone();
+        // A point at the root is a unit of its own.
+        trace.emit(0, || Point::Custom {
+            name: "p",
+            detail: "".into(),
+        });
+        assert_eq!(delivered(), [1]);
+        // A span is delivered whole, with what its forks recorded.
+        let outer = trace.begin_span(0, || SpanKind::Scope { name: "outer" });
+        let mut child = trace.fork();
+        scope(&mut child, 0);
+        trace.join(child);
+        assert_eq!(delivered(), [1], "the unit is still open");
+        trace.end_span(outer, 2, SpanStatus::Ok, CostSnapshot::ZERO);
+        assert_eq!(delivered(), [1, 5]);
+        // A child forked and joined at the root is a unit too; an empty
+        // one delivers nothing.
+        let child = trace.fork();
+        trace.join(child);
+        let mut child = trace.fork();
+        scope(&mut child, 0);
+        trace.join(child);
+        assert_eq!(delivered(), [1, 5, 3]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "never joined")]
+    fn dropping_an_attached_root_mid_unit_panics_in_debug_builds() {
+        let mut trace = Trace::attached(ObsHandle::new(std::sync::Arc::new(Batches::default())));
+        let _open = trace.begin_span(0, || SpanKind::Scope { name: "open" });
+        drop(trace);
     }
 
     #[test]

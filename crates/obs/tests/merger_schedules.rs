@@ -22,24 +22,23 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use redundancy_obs::{
-    merge_shards, CollectorObserver, CostSnapshot, Event, ObsHandle, SpanKind, SpanStatus,
-    StreamingMerger,
+    merge_shards, CollectorObserver, CostSnapshot, Event, SpanKind, SpanStatus, StreamingMerger,
+    Trace,
 };
 
 /// How long a case waits for its submitters before calling one lost.
 const JOIN_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Trial `index`'s shard: a trial span around `inner` nested spans,
-/// recorded through its own handle (span ids start at 1 per shard).
+/// recorded on a trace of its own (span ids start at 1 per shard).
 fn shard(index: u64, inner: u64) -> Vec<Event> {
-    let collector = Arc::new(CollectorObserver::new());
-    let mut handle = ObsHandle::new(collector.clone());
-    let trial = handle.begin_span(0, || SpanKind::Trial { index, seed: index });
+    let mut trace = Trace::new();
+    let trial = trace.begin_span(0, || SpanKind::Trial { index, seed: index });
     for _ in 0..inner {
-        let span = handle.begin_span(1, || SpanKind::Scope { name: "work" });
-        handle.end_span(span, 2, SpanStatus::Ok, CostSnapshot::ZERO);
+        let span = trace.begin_span(1, || SpanKind::Scope { name: "work" });
+        trace.end_span(span, 2, SpanStatus::Ok, CostSnapshot::ZERO);
     }
-    handle.end_span(
+    trace.end_span(
         trial,
         3,
         SpanStatus::Trial {
@@ -47,7 +46,9 @@ fn shard(index: u64, inner: u64) -> Vec<Event> {
         },
         CostSnapshot::ZERO,
     );
-    collector.take()
+    let mut events = Vec::new();
+    trace.hand_off(|buffered| events.append(buffered));
+    events
 }
 
 /// One splitmix64 step: per-trial delays derived from the case seed.

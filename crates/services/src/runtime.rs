@@ -40,8 +40,7 @@
 //!   `(end_ns, id)`, a total order independent of event interleaving,
 //!   so merged shard ledgers hash identically to the single loop's.
 //!
-//! Optionally each provider sits behind a per-run
-//! [`CircuitBreaker`](crate::breaker::CircuitBreaker)
+//! Optionally each provider sits behind a per-run [`CircuitBreaker`]
 //! ([`RuntimeConfig::breaker`]): Open providers are skipped by hedges
 //! and failover rotations, and a request arriving while *every*
 //! provider is Open is shed at the front door.

@@ -5,7 +5,8 @@
 //! every event on a single thread; this module is the scale-out layer
 //! the ROADMAP calls "past one node": [`ShardedRuntime`] splits one
 //! open-loop workload across `N` per-shard deterministic event loops,
-//! runs them on the persistent campaign [`WorkerPool`] (via
+//! runs them on the persistent campaign
+//! [`WorkerPool`](redundancy_sim::WorkerPool) (via
 //! [`parallel_tasks`], the jobs-invariant scheduler from PRs 2–3), and
 //! merges the per-shard ledgers back into one report.
 //!

@@ -81,7 +81,7 @@ impl ChaosPlan {
     /// Cancels trial `index` on its `checks`-th fuel charge (clamped to
     /// at least 1) via a [`CancelToken::cancel_after`] fuse.
     ///
-    /// [`CancelToken::cancel_after`]: redundancy_core::CancelToken::cancel_after
+    /// [`CancelToken::cancel_after`]: redundancy_core::context::CancelToken::cancel_after
     #[must_use]
     pub fn cancel_at_charge(mut self, index: usize, checks: u64) -> Self {
         self.cancel_at.insert(index, checks.max(1));

@@ -20,7 +20,7 @@
 //!   campaign seed, trial count and whether the run is traced — resuming
 //!   with different parameters is refused ([`Error::Mismatch`]);
 //! - for traced runs, raw event lines (exactly
-//!   [`redundancy_obs::event_to_json`] output) carrying trial `i`'s
+//!   [`event_to_json`](redundancy_core::obs::event_to_json) output) carrying trial `i`'s
 //!   slice of the merged stream, renumbered into campaign-wide span ids;
 //! - an outcome line (`{"kind":"trial",...}`) per committed trial, in
 //!   index order, closing that trial's group.
@@ -151,7 +151,7 @@ pub struct Resumed {
     /// Span ids the replayed prefix consumed
     /// (for [`StreamingMerger::with_start`]).
     ///
-    /// [`StreamingMerger::with_start`]: redundancy_obs::StreamingMerger::with_start
+    /// [`StreamingMerger::with_start`]: redundancy_core::obs::StreamingMerger::with_start
     pub span_offset: u64,
 }
 
@@ -341,7 +341,7 @@ impl CheckpointLog {
     /// Records trial `index`'s slice of the merged event stream
     /// (installed as the [`StreamingMerger`] tap by the traced runner).
     ///
-    /// [`StreamingMerger`]: redundancy_obs::StreamingMerger
+    /// [`StreamingMerger`]: redundancy_core::obs::StreamingMerger
     pub fn record_events(&self, index: usize, events: &[Event]) {
         self.record(index, Half::Events, |out| {
             for event in events {
@@ -736,14 +736,12 @@ mod tests {
 
     #[test]
     fn traced_log_pairs_events_with_outcomes() {
-        use redundancy_core::obs::{CollectorObserver, ObsHandle, SpanKind, SpanStatus};
-        use std::sync::Arc;
+        use redundancy_core::obs::{SpanKind, SpanStatus, Trace};
 
         let record = |i: u64| -> Vec<Event> {
-            let collector = Arc::new(CollectorObserver::new());
-            let mut handle = ObsHandle::new(collector.clone());
-            let span = handle.begin_span(0, || SpanKind::Trial { index: i, seed: i });
-            handle.end_span(
+            let mut trace = Trace::new();
+            let span = trace.begin_span(0, || SpanKind::Trial { index: i, seed: i });
+            trace.end_span(
                 span,
                 5,
                 SpanStatus::Trial {
@@ -751,7 +749,9 @@ mod tests {
                 },
                 redundancy_core::obs::CostSnapshot::ZERO,
             );
-            collector.take()
+            let mut events = Vec::new();
+            trace.hand_off(|buffered| events.append(buffered));
+            events
         };
 
         let path = temp_path("traced");

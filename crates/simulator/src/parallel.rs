@@ -36,7 +36,7 @@ pub fn available_jobs() -> usize {
 }
 
 /// The chunk length [`parallel_indexed`] claims per cursor hit: sized
-/// adaptively from `n / jobs` so each worker sees ~[`CHUNKS_PER_WORKER`]
+/// adaptively from `n / jobs` so each worker sees ~`CHUNKS_PER_WORKER`
 /// chunks, never below 1.
 #[must_use]
 pub fn chunk_size(n: usize, jobs: usize) -> usize {

@@ -200,7 +200,11 @@ impl Campaign {
     ///
     /// All trials share one span-id allocator, so the recorded stream can
     /// be split back into per-trial traces with
-    /// [`crate::forensics::split_trials`].
+    /// [`crate::forensics::split_trials`]. Each trial span is one unit of
+    /// its context's trace (see [`ExecContext::with_observer`]):
+    /// `observer` receives every trial as one
+    /// [`Observer::record_batch`] when the trial ends. A trial that panics is dropped with its
+    /// context, and the panic propagates.
     pub fn run_traced<F>(
         &self,
         campaign_seed: u64,

@@ -19,6 +19,7 @@ use proptest::prelude::*;
 use redundancy_core::cost::Cost;
 use redundancy_core::obs::{
     CollectorObserver, CostSnapshot, Event, EventKind, ObsHandle, SpanKind, SpanStatus, Symbol,
+    Trace,
 };
 use redundancy_core::rng::SplitMix64;
 use redundancy_sim::{CheckpointLog, CheckpointSpec, TrialOutcome};
@@ -103,19 +104,19 @@ fn outcome(i: usize) -> TrialOutcome {
 /// the merger tap hands them over), of varying length.
 fn trial_events(trials: usize) -> Vec<Vec<Event>> {
     let collector = Arc::new(CollectorObserver::new());
-    let mut handle = ObsHandle::new(collector.clone());
+    let mut trace = Trace::attached(ObsHandle::new(collector.clone()));
     let name = Symbol::intern("model-variant");
     (0..trials)
         .map(|i| {
-            let trial = handle.begin_span(0, || SpanKind::Trial {
+            let trial = trace.begin_span(0, || SpanKind::Trial {
                 index: i as u64,
                 seed: i as u64,
             });
             for k in 0..i % 3 {
-                let variant = handle.begin_span(k as u64, || SpanKind::Variant { name });
-                handle.end_span(variant, k as u64 + 1, SpanStatus::Ok, CostSnapshot::ZERO);
+                let variant = trace.begin_span(k as u64, || SpanKind::Variant { name });
+                trace.end_span(variant, k as u64 + 1, SpanStatus::Ok, CostSnapshot::ZERO);
             }
-            handle.end_span(
+            trace.end_span(
                 trial,
                 9,
                 SpanStatus::Trial {

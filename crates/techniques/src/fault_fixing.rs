@@ -10,9 +10,6 @@
 //! Classification (Table 2): opportunistic / code / reactive-explicit /
 //! Bohrbugs.
 
-use std::sync::Arc;
-
-use redundancy_core::obs::{ObsHandle, Observer, Point};
 use redundancy_core::rng::SplitMix64;
 use redundancy_core::taxonomy::{
     Adjudication, ArchitecturalPattern, Classification, FaultSet, Intention, RedundancyType,
@@ -53,34 +50,16 @@ pub struct FixReport {
 }
 
 /// The fault-fixing runtime.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct FaultFixer {
     params: GpParams,
-    obs: Option<ObsHandle>,
-}
-
-impl std::fmt::Debug for FaultFixer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FaultFixer")
-            .field("params", &self.params)
-            .field("observed", &self.obs.is_some())
-            .finish()
-    }
 }
 
 impl FaultFixer {
     /// Creates a fixer with the given GP parameters.
     #[must_use]
     pub fn new(params: GpParams) -> Self {
-        Self { params, obs: None }
-    }
-
-    /// Attaches an observer; each GP generation emits a
-    /// [`Point::GpGeneration`] reporting search progress.
-    #[must_use]
-    pub fn with_observer(mut self, observer: Arc<dyn Observer>) -> Self {
-        self.obs = Some(ObsHandle::new(observer));
-        self
+        Self { params }
     }
 
     /// Attempts to fix `faulty` (over `arity` inputs) against `suite`.
@@ -109,17 +88,7 @@ impl FaultFixer {
             total_cases,
             generations_used,
             ..
-        } = gp.repair_observed(faulty, suite, rng, |generation, passed, total| {
-            if let Some(obs) = &self.obs {
-                obs.emit(u64::try_from(generation).unwrap_or(u64::MAX), || {
-                    Point::GpGeneration {
-                        generation: u32::try_from(generation).unwrap_or(u32::MAX),
-                        // Lower is better: fraction of the suite still failing.
-                        best_fitness: (total - passed) as f64 / total.max(1) as f64,
-                    }
-                });
-            }
-        });
+        } = gp.repair(faulty, suite, rng);
         FixReport {
             bug_manifested: true,
             fixed: best_fitness == total_cases,

@@ -12,9 +12,7 @@
 //! reactive-explicit / Heisenbugs.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use redundancy_core::obs::{ObsHandle, Observer, Point, Symbol};
 use redundancy_core::rng::SplitMix64;
 use redundancy_core::taxonomy::{
     Adjudication, ArchitecturalPattern, Classification, FaultSet, Intention, RedundancyType,
@@ -38,9 +36,6 @@ pub const ENTRY: TechniqueEntry = TechniqueEntry {
 #[derive(Debug, Clone)]
 struct Component {
     name: String,
-    /// The name interned once at insertion, so reboot events copy a
-    /// symbol instead of cloning the `String`.
-    symbol: Symbol,
     parent: Option<usize>,
     children: Vec<usize>,
     /// Restart cost of this component alone (its children add theirs).
@@ -78,7 +73,6 @@ pub struct RecoveryRecord {
 pub struct ComponentTree {
     components: Vec<Component>,
     index: HashMap<String, usize>,
-    obs: Option<ObsHandle>,
 }
 
 impl ComponentTree {
@@ -86,21 +80,6 @@ impl ComponentTree {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Attaches an observer; every reboot emits a [`Point::Reboot`]
-    /// recording the rebooted component and the escalation depth.
-    #[must_use]
-    pub fn with_observer(mut self, observer: Arc<dyn Observer>) -> Self {
-        self.obs = Some(ObsHandle::new(observer));
-        self
-    }
-
-    fn emit_reboot(&self, idx: usize, depth: u32, clock: u64) {
-        if let Some(obs) = &self.obs {
-            let component = self.components[idx].symbol;
-            obs.emit(clock, move || Point::Reboot { component, depth });
-        }
     }
 
     /// Adds a root component.
@@ -136,7 +115,6 @@ impl ComponentTree {
         );
         let idx = self.components.len();
         self.components.push(Component {
-            symbol: Symbol::intern(&name),
             name: name.clone(),
             parent,
             children: Vec::new(),
@@ -237,7 +215,6 @@ impl ComponentTree {
             RebootPolicy::Full => {
                 let root = self.root_of(observed);
                 let time = self.reboot_subtree(root);
-                self.emit_reboot(root, 0, time);
                 RecoveryRecord {
                     recovery_time: time,
                     reboots: 1,
@@ -246,7 +223,6 @@ impl ComponentTree {
             }
             RebootPolicy::MicroOnly => {
                 let time = self.reboot_subtree(observed);
-                self.emit_reboot(observed, 0, time);
                 RecoveryRecord {
                     recovery_time: time,
                     reboots: 1,
@@ -259,7 +235,6 @@ impl ComponentTree {
                 let mut scope = observed;
                 loop {
                     time += self.reboot_subtree(scope);
-                    self.emit_reboot(scope, reboots, time);
                     reboots += 1;
                     if !self.any_corrupted() {
                         return RecoveryRecord {

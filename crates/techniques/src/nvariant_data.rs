@@ -89,13 +89,12 @@ impl Encoding {
 #[derive(Debug, Clone)]
 pub struct NVariantCell {
     variants: Vec<(Encoding, u64)>,
-    obs: Option<redundancy_core::obs::ObsHandle>,
     policy: DecisionPolicy,
 }
 
 impl PartialEq for NVariantCell {
     fn eq(&self, other: &Self) -> bool {
-        // Value equality; an attached observer is not part of the cell.
+        // Value equality; the decision policy is not part of the cell.
         self.variants == other.variants
     }
 }
@@ -124,7 +123,6 @@ impl NVariantCell {
         }
         Self {
             variants,
-            obs: None,
             policy: DecisionPolicy::Exhaustive,
         }
     }
@@ -145,17 +143,6 @@ impl NVariantCell {
     #[must_use]
     pub fn policy(&self) -> DecisionPolicy {
         self.policy
-    }
-
-    /// Attaches an observer; detected corruption emits a
-    /// [`redundancy_core::obs::Point::ReplicaDivergence`] point.
-    #[must_use]
-    pub fn with_observer(
-        mut self,
-        observer: std::sync::Arc<dyn redundancy_core::obs::Observer>,
-    ) -> Self {
-        self.obs = Some(redundancy_core::obs::ObsHandle::new(observer));
-        self
     }
 
     /// Number of variants.
@@ -193,14 +180,6 @@ impl NVariantCell {
         if disagreeing == 0 {
             Ok(first)
         } else {
-            if let Some(obs) = &self.obs {
-                obs.emit(0, || redundancy_core::obs::Point::ReplicaDivergence {
-                    detail: redundancy_core::obs::Symbol::intern(&format!(
-                        "{disagreeing} of {} encodings disagree",
-                        self.variants.len()
-                    )),
-                });
-            }
             Err(AttackDetected { disagreeing })
         }
     }

@@ -12,9 +12,6 @@
 //! Classification (Table 2): deliberate / environment / reactive-implicit
 //! / malicious.
 
-use std::sync::Arc;
-
-use redundancy_core::obs::{ObsHandle, Observer, Point};
 use redundancy_core::patterns::DecisionPolicy;
 use redundancy_core::taxonomy::{
     Adjudication, ArchitecturalPattern, Classification, FaultSet, Intention, RedundancyType,
@@ -118,7 +115,6 @@ pub struct ProcessReplicas {
     replicas: Vec<Replica>,
     /// Bytes each replica allocates at start (a victim buffer).
     victim_len: u64,
-    obs: Option<ObsHandle>,
     policy: DecisionPolicy,
 }
 
@@ -149,7 +145,6 @@ impl ProcessReplicas {
         Self {
             replicas,
             victim_len,
-            obs: None,
             policy: DecisionPolicy::Exhaustive,
         }
     }
@@ -169,14 +164,6 @@ impl ProcessReplicas {
     #[must_use]
     pub fn policy(&self) -> DecisionPolicy {
         self.policy
-    }
-
-    /// Attaches an observer; replica divergence emits a
-    /// [`Point::ReplicaDivergence`] carrying the per-replica observations.
-    #[must_use]
-    pub fn with_observer(mut self, observer: Arc<dyn Observer>) -> Self {
-        self.obs = Some(ObsHandle::new(observer));
-        self
     }
 
     /// Number of replicas.
@@ -199,11 +186,10 @@ impl ProcessReplicas {
     pub fn execute(&mut self, request: &Request) -> ReplicaVerdict {
         let n = self.replicas.len();
         let policy = self.policy;
-        let obs = self.obs.as_ref();
         match request {
             Request::Compute { program, args } => {
                 let replicas = &self.replicas;
-                streamed_comparison(policy, obs, n, |i| {
+                streamed_comparison(policy, n, |i| {
                     let r = &replicas[i];
                     let tagged: Vec<Instr> = tag_program(program, r.tag);
                     r.vm.execute(&tagged, args).map_err(|e| e.to_string())
@@ -211,7 +197,7 @@ impl ProcessReplicas {
             }
             Request::MemoryAttack { addr, len } => {
                 let replicas = &mut self.replicas;
-                streamed_comparison(policy, obs, n, |i| {
+                streamed_comparison(policy, n, |i| {
                     replicas[i]
                         .memory
                         .write_absolute(*addr, *len)
@@ -226,7 +212,7 @@ impl ProcessReplicas {
                 position,
             } => {
                 let replicas = &self.replicas;
-                streamed_comparison(policy, obs, n, |i| {
+                streamed_comparison(policy, n, |i| {
                     let r = &replicas[i];
                     let mut tagged: Vec<Instr> = tag_program(program, r.tag);
                     let injected: Vec<Instr> = tag_program(payload, 0); // attacker tag
@@ -248,7 +234,6 @@ impl ProcessReplicas {
 /// recorded as skipped observations.
 fn streamed_comparison(
     policy: DecisionPolicy,
-    obs: Option<&ObsHandle>,
     n: usize,
     mut run: impl FnMut(usize) -> Result<i64, String>,
 ) -> ReplicaVerdict {
@@ -290,12 +275,6 @@ fn streamed_comparison(
             observations.push(format!(
                 "skipped: attack already detected after {executed} of {n} replicas"
             ));
-        }
-        if let Some(obs) = obs {
-            // Divergence is the rare (attack) path, so interning the
-            // joined observation report here is off the hot loop.
-            let detail = redundancy_core::obs::Symbol::intern(&observations.join(" | "));
-            obs.emit(0, move || Point::ReplicaDivergence { detail });
         }
         ReplicaVerdict::AttackDetected { observations }
     }

@@ -11,9 +11,6 @@
 //! Classification (Table 2): deliberate / data / reactive-implicit /
 //! development.
 
-use std::sync::Arc;
-
-use redundancy_core::obs::{ObsHandle, Observer, Point};
 use redundancy_core::taxonomy::{
     Adjudication, ArchitecturalPattern, Classification, FaultSet, Intention, RedundancyType,
 };
@@ -83,7 +80,7 @@ pub enum RepairOutcome {
 /// assert_eq!(list.to_vec(), vec![&1, &2]);
 /// assert!(list.audit().is_clean());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RobustList<T> {
     nodes: Vec<Option<Node<T>>>,
     head: Option<usize>,
@@ -91,22 +88,7 @@ pub struct RobustList<T> {
     /// Redundant element count.
     count: usize,
     next_id: u64,
-    obs: Option<ObsHandle>,
 }
-
-impl<T: PartialEq> PartialEq for RobustList<T> {
-    fn eq(&self, other: &Self) -> bool {
-        // Structural equality; an attached observer is not part of the
-        // list's value.
-        self.nodes == other.nodes
-            && self.head == other.head
-            && self.tail == other.tail
-            && self.count == other.count
-            && self.next_id == other.next_id
-    }
-}
-
-impl<T: Eq> Eq for RobustList<T> {}
 
 impl<T> RobustList<T> {
     /// Creates an empty list.
@@ -118,16 +100,7 @@ impl<T> RobustList<T> {
             tail: None,
             count: 0,
             next_id: 0,
-            obs: None,
         }
-    }
-
-    /// Attaches an observer; audits emit [`Point::Audit`] and repairs
-    /// emit [`Point::Repair`].
-    #[must_use]
-    pub fn with_observer(mut self, observer: Arc<dyn Observer>) -> Self {
-        self.obs = Some(ObsHandle::new(observer));
-        self
     }
 
     /// Appends a value.
@@ -282,13 +255,6 @@ impl<T> RobustList<T> {
             }
             Err(problem) => findings.push(problem),
         }
-        if let Some(obs) = &self.obs {
-            let errors = findings.len() as u64;
-            obs.emit(0, move || Point::Audit {
-                clean: errors == 0,
-                errors,
-            });
-        }
         AuditReport { findings }
     }
 
@@ -298,19 +264,6 @@ impl<T> RobustList<T> {
     /// intact forward chain, the count is recomputed; prev-pointer damage
     /// is rebuilt from an intact forward chain.
     pub fn repair(&mut self) -> RepairOutcome {
-        let outcome = self.repair_inner();
-        if let Some(obs) = &self.obs {
-            let label = match outcome {
-                RepairOutcome::CleanAlready => "clean-already",
-                RepairOutcome::Repaired => "full",
-                RepairOutcome::Unrepairable => "unrepairable",
-            };
-            obs.emit(0, || Point::Repair { outcome: label });
-        }
-        outcome
-    }
-
-    fn repair_inner(&mut self) -> RepairOutcome {
         if self.audit().is_clean() {
             return RepairOutcome::CleanAlready;
         }

@@ -11,9 +11,7 @@
 //! development.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
-use redundancy_core::obs::{ObsHandle, Observer, Point};
 use redundancy_core::taxonomy::{
     Adjudication, ArchitecturalPattern, Classification, FaultSet, Intention, RedundancyType,
 };
@@ -76,23 +74,11 @@ pub struct Workaround<Op> {
 
 /// The workaround engine: a set of rewrite rules over an operation
 /// alphabet.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct WorkaroundEngine<Op> {
     rules: Vec<RewriteRule<Op>>,
     max_candidates: usize,
     max_depth: usize,
-    obs: Option<ObsHandle>,
-}
-
-impl<Op: std::fmt::Debug> std::fmt::Debug for WorkaroundEngine<Op> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkaroundEngine")
-            .field("rules", &self.rules)
-            .field("max_candidates", &self.max_candidates)
-            .field("max_depth", &self.max_depth)
-            .field("observed", &self.obs.is_some())
-            .finish()
-    }
 }
 
 impl<Op: Clone + PartialEq> WorkaroundEngine<Op> {
@@ -103,16 +89,7 @@ impl<Op: Clone + PartialEq> WorkaroundEngine<Op> {
             rules,
             max_candidates: 200,
             max_depth: 4,
-            obs: None,
         }
-    }
-
-    /// Attaches an observer; each workaround search emits a
-    /// [`Point::Workaround`] with its outcome.
-    #[must_use]
-    pub fn with_observer(mut self, observer: Arc<dyn Observer>) -> Self {
-        self.obs = Some(ObsHandle::new(observer));
-        self
     }
 
     /// Caps the number of candidate sequences generated (default 200).
@@ -203,26 +180,11 @@ impl<Op: Clone + PartialEq> WorkaroundEngine<Op> {
         for candidate in self.equivalent_sequences(seq) {
             attempts += 1;
             if system.execute(&candidate).is_ok() {
-                if let Some(obs) = &self.obs {
-                    obs.emit(0, || Point::Workaround {
-                        rule: redundancy_core::obs::Symbol::intern(&format!(
-                            "bfs-candidate-{}",
-                            attempts - 1
-                        )),
-                        applied: true,
-                    });
-                }
                 return Ok(Workaround {
                     sequence: candidate,
                     attempts: attempts - 1,
                 });
             }
-        }
-        if let Some(obs) = &self.obs {
-            obs.emit(0, || Point::Workaround {
-                rule: redundancy_core::obs::Symbol::intern(&format!("exhausted-after-{attempts}")),
-                applied: false,
-            });
         }
         Err(attempts)
     }

@@ -157,7 +157,6 @@ where
 pub struct HeapWrapper {
     memory: SimMemory,
     prevented: u64,
-    obs: Option<redundancy_core::obs::ObsHandle>,
 }
 
 impl HeapWrapper {
@@ -167,19 +166,7 @@ impl HeapWrapper {
         Self {
             memory,
             prevented: 0,
-            obs: None,
         }
-    }
-
-    /// Attaches an observer; every prevented smash emits a
-    /// [`redundancy_core::obs::Point::Sanitized`] point.
-    #[must_use]
-    pub fn with_observer(
-        mut self,
-        observer: std::sync::Arc<dyn redundancy_core::obs::Observer>,
-    ) -> Self {
-        self.obs = Some(redundancy_core::obs::ObsHandle::new(observer));
-        self
     }
 
     /// Allocates a buffer.
@@ -213,11 +200,6 @@ impl HeapWrapper {
             Err(fault) => {
                 if matches!(fault, MemoryFault::BoundsViolation { .. }) {
                     self.prevented += 1;
-                    if let Some(obs) = &self.obs {
-                        obs.emit(0, || redundancy_core::obs::Point::Sanitized {
-                            action: "refused-write",
-                        });
-                    }
                 }
                 Err(fault)
             }
