@@ -11,7 +11,8 @@
 //! [`Symbol`]s for every dynamic label, `Copy` events, an owned
 //! [`Trace`] per worker (recycled across its trials, with forked
 //! contexts joined back into it), and the streaming merger's in-place
-//! merge, one sink batch per trial. The `trace_alloc`
+//! merge, one sink batch per run of up to
+//! [`RUN_TRIALS`](redundancy_sim::trial::RUN_TRIALS) trials. The `trace_alloc`
 //! integration test pins the zero-allocations-per-event claim; this
 //! bench records what that buys in wall-clock terms. Run with
 //! `CRITERION_JSON_OUT=BENCH_campaign.json` (see `make bench-campaign`)

@@ -151,6 +151,7 @@ pub struct ExecContext {
 impl ExecContext {
     /// Creates a context with unlimited fuel.
     #[must_use]
+    #[inline]
     pub fn new(seed: u64) -> Self {
         Self {
             rng: SplitMix64::new(seed),
@@ -203,6 +204,7 @@ impl ExecContext {
     /// Whether a fired cancellation token interrupted this context (as
     /// opposed to genuine fuel exhaustion).
     #[must_use]
+    #[inline]
     pub fn was_cancelled(&self) -> bool {
         self.cancelled
     }
@@ -242,12 +244,14 @@ impl ExecContext {
     /// across a campaign worker's trials. Take it back with
     /// [`take_trace`](Self::take_trace).
     #[must_use]
+    #[inline]
     pub fn with_trace(mut self, trace: Trace) -> Self {
         self.obs = Some(trace);
         self
     }
 
     /// Detaches the trace, leaving this context untraced.
+    #[inline]
     pub fn take_trace(&mut self) -> Option<Trace> {
         self.obs.take()
     }
@@ -255,6 +259,7 @@ impl ExecContext {
     /// Whether a trace is attached. Instrumentation uses this to skip
     /// building event payloads.
     #[must_use]
+    #[inline]
     pub fn observed(&self) -> bool {
         self.obs.is_some()
     }
@@ -262,6 +267,7 @@ impl ExecContext {
     /// Opens an observability span at the current virtual time. Returns
     /// `None` (for free) when untraced; the kind closure only runs when
     /// traced.
+    #[inline]
     pub fn obs_begin(&mut self, kind: impl FnOnce() -> SpanKind) -> Option<SpanToken> {
         let clock = self.cost.virtual_ns;
         self.obs.as_mut().map(|trace| trace.begin_span(clock, kind))
@@ -269,6 +275,7 @@ impl ExecContext {
 
     /// Closes a span opened by [`obs_begin`](Self::obs_begin), attributing
     /// `cost` (typically a [`Cost::delta_since`] of the span's start).
+    #[inline]
     pub fn obs_end(&mut self, token: Option<SpanToken>, status: SpanStatus, cost: CostSnapshot) {
         if let (Some(token), Some(trace)) = (token, self.obs.as_mut()) {
             trace.end_span(token, self.cost.virtual_ns, status, cost);
@@ -277,6 +284,7 @@ impl ExecContext {
 
     /// Emits a point event at the current virtual time; the closure only
     /// runs when traced.
+    #[inline]
     pub fn obs_emit(&mut self, point: impl FnOnce() -> Point) {
         if let Some(trace) = self.obs.as_mut() {
             trace.emit(self.cost.virtual_ns, point);
@@ -284,6 +292,7 @@ impl ExecContext {
     }
 
     /// The deterministic random stream of this context.
+    #[inline]
     pub fn rng(&mut self) -> &mut SplitMix64 {
         &mut self.rng
     }
@@ -294,6 +303,7 @@ impl ExecContext {
     ///
     /// Returns [`FuelExhausted`] when a fuel budget is configured and the
     /// charge does not fit in the remaining budget.
+    #[inline]
     pub fn charge(&mut self, units: u64) -> Result<(), FuelExhausted> {
         if let Some(token) = &self.cancel {
             if token.is_cancelled() {
@@ -328,6 +338,7 @@ impl ExecContext {
     }
 
     /// Records one variant invocation with the given design cost.
+    #[inline]
     pub fn record_invocation(&mut self, design_cost: f64) {
         self.cost.invocations += 1;
         self.cost.design_cost += design_cost;
@@ -335,6 +346,7 @@ impl ExecContext {
 
     /// Cost accumulated so far.
     #[must_use]
+    #[inline]
     pub fn cost(&self) -> Cost {
         self.cost
     }
@@ -353,6 +365,7 @@ impl ExecContext {
     }
 
     /// Takes the accumulated cost out of the context, leaving zero.
+    #[inline]
     pub fn take_cost(&mut self) -> Cost {
         std::mem::replace(&mut self.cost, Cost::ZERO)
     }
@@ -414,6 +427,7 @@ impl ExecContext {
 
     /// Adds several costs as *parallel* contributions: work and invocations
     /// sum, virtual time takes the critical path.
+    #[inline]
     pub fn add_parallel_costs<I: IntoIterator<Item = Cost>>(&mut self, costs: I) {
         let mut combined = Cost::ZERO;
         for cost in costs {

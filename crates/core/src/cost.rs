@@ -54,6 +54,7 @@ impl Cost {
     /// Combines costs of activities that ran *in parallel*: work and
     /// invocations add, virtual time takes the maximum (critical path).
     #[must_use]
+    #[inline]
     pub fn parallel(self, other: Cost) -> Cost {
         Cost {
             invocations: self.invocations + other.invocations,
@@ -65,6 +66,7 @@ impl Cost {
 
     /// Combines costs of activities that ran *one after another*.
     #[must_use]
+    #[inline]
     pub fn sequential(self, other: Cost) -> Cost {
         self + other
     }
@@ -74,6 +76,7 @@ impl Cost {
     /// Used to attribute per-span costs when the underlying
     /// [`ExecContext`](crate::context::ExecContext) meter is cumulative.
     #[must_use]
+    #[inline]
     pub fn delta_since(self, earlier: Cost) -> Cost {
         Cost {
             invocations: self.invocations.saturating_sub(earlier.invocations),
@@ -86,6 +89,7 @@ impl Cost {
     /// Converts to the dependency-free snapshot carried by observability
     /// events.
     #[must_use]
+    #[inline]
     pub fn snapshot(self) -> redundancy_obs::CostSnapshot {
         redundancy_obs::CostSnapshot {
             invocations: self.invocations,
@@ -99,6 +103,7 @@ impl Cost {
 impl Add for Cost {
     type Output = Cost;
 
+    #[inline]
     fn add(self, rhs: Cost) -> Cost {
         Cost {
             invocations: self.invocations + rhs.invocations,

@@ -94,10 +94,10 @@ where
             continue;
         }
         let mut child = ctx.fork(i as u64);
-        let outcome = run_contained(variant.as_ref(), input, &mut child);
+        // Pushed where it is produced: the judge reads it in place.
+        outcomes.push(run_contained(variant.as_ref(), input, &mut child));
         ctx.join(child);
-        let decision = judge.feed(&outcome);
-        outcomes.push(outcome);
+        let decision = judge.feed(&outcomes[i]);
         if decision.is_final() {
             verdict = Some(conclude(ctx, judge, decision, &outcomes, total));
         }

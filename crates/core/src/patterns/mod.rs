@@ -212,41 +212,38 @@ impl<O> PatternReport<O> {
             .filter(|o| matches!(&o.result, Err(f) if f.is_early_exit()))
             .count()
     }
+}
 
-    /// Mirrors this run into the flight recorder (pattern runs plus
-    /// executed/skipped/cancelled variant counts) and returns the report.
-    /// Every engine calls this on its way out, so live telemetry sees
-    /// pattern activity even from harnesses that never touch a
-    /// `Campaign`; one relaxed load when the recorder is off. With it
-    /// on, the cost is one thread-local lookup, a single pass over the
-    /// outcomes, and two shard adds (four when early exit fired) — this
-    /// sits inside every trial of a monitored campaign, so it shares
-    /// the recorder's few-ns-per-trial budget.
-    pub(crate) fn recorded(self) -> Self {
-        use crate::outcome::VariantFailure;
-        use redundancy_obs::telemetry::{self, Counter};
-        if let Some(shard) = telemetry::active_shard() {
-            let mut skipped = 0u64;
-            let mut cancelled = 0u64;
-            for outcome in &self.outcomes {
-                match &outcome.result {
-                    Err(VariantFailure::Skipped) => skipped += 1,
-                    Err(VariantFailure::Cancelled) => cancelled += 1,
-                    _ => {}
-                }
-            }
-            shard.add(Counter::PatternRuns, 1);
-            shard.add(
-                Counter::VariantsExecuted,
-                self.outcomes.len() as u64 - skipped,
-            );
-            if skipped > 0 {
-                shard.add(Counter::VariantsSkipped, skipped);
-            }
-            if cancelled > 0 {
-                shard.add(Counter::VariantsCancelled, cancelled);
+/// Mirrors a pattern run's outcomes into the flight recorder (pattern
+/// runs plus executed/skipped/cancelled variant counts). Every engine
+/// calls this on its way out, before it builds its report, so live
+/// telemetry sees pattern activity even from harnesses that never touch
+/// a `Campaign`; one relaxed load when the recorder is off. With it on,
+/// the cost is one thread-local lookup, a single pass over the outcomes,
+/// and two shard adds (four when early exit fired) — this sits inside
+/// every trial of a monitored campaign, so it shares the recorder's
+/// few-ns-per-trial budget. It borrows the outcomes: moving the whole
+/// report in and out just to count them would copy it twice.
+pub(crate) fn record_pattern_run<O>(outcomes: &[VariantOutcome<O>]) {
+    use crate::outcome::VariantFailure;
+    use redundancy_obs::telemetry::{self, Counter};
+    if let Some(shard) = telemetry::active_shard() {
+        let mut skipped = 0u64;
+        let mut cancelled = 0u64;
+        for outcome in outcomes {
+            match &outcome.result {
+                Err(VariantFailure::Skipped) => skipped += 1,
+                Err(VariantFailure::Cancelled) => cancelled += 1,
+                _ => {}
             }
         }
-        self
+        shard.add(Counter::PatternRuns, 1);
+        shard.add(Counter::VariantsExecuted, outcomes.len() as u64 - skipped);
+        if skipped > 0 {
+            shard.add(Counter::VariantsSkipped, skipped);
+        }
+        if cancelled > 0 {
+            shard.add(Counter::VariantsCancelled, cancelled);
+        }
     }
 }

@@ -8,7 +8,9 @@ use crate::adjudicator::Adjudicator;
 use crate::context::ExecContext;
 use crate::outcome::{RejectionReason, VariantOutcome, Verdict};
 use crate::patterns::engine;
-use crate::patterns::{emit_verdict, verdict_status, DecisionPolicy, ExecutionMode, PatternReport};
+use crate::patterns::{
+    emit_verdict, record_pattern_run, verdict_status, DecisionPolicy, ExecutionMode, PatternReport,
+};
 use crate::variant::BoxedVariant;
 
 /// The judge of Figure 1(b): validates each outcome with its component's
@@ -182,6 +184,7 @@ impl<I, O> ParallelEvaluation<I, O> {
             verdict_status(&verdict),
             ctx.cost().delta_since(before).snapshot(),
         );
+        record_pattern_run(&outcomes);
         PatternReport {
             verdict,
             cost: ctx.cost().delta_since(before),
@@ -190,7 +193,6 @@ impl<I, O> ParallelEvaluation<I, O> {
             // component is "selected".
             selected: None,
         }
-        .recorded()
     }
 }
 
@@ -301,13 +303,13 @@ impl<I, O> ParallelSelection<I, O> {
             verdict_status(&verdict),
             ctx.cost().delta_since(before).snapshot(),
         );
+        record_pattern_run(&outcomes);
         PatternReport {
             verdict,
             cost: ctx.cost().delta_since(before),
             selected: judge.selected.map(|idx| outcomes[idx].variant.to_string()),
             outcomes,
         }
-        .recorded()
     }
 }
 

@@ -11,7 +11,7 @@ use redundancy_obs::{Point, SpanKind};
 use crate::adjudicator::acceptance::{AcceptanceTest, BoxedAcceptance};
 use crate::context::ExecContext;
 use crate::outcome::{RejectionReason, Verdict};
-use crate::patterns::{emit_verdict, verdict_status, PatternReport};
+use crate::patterns::{emit_verdict, record_pattern_run, verdict_status, PatternReport};
 use crate::variant::{run_contained, BoxedVariant};
 
 type RollbackHook = Box<dyn Fn(&mut ExecContext) + Send + Sync>;
@@ -126,13 +126,13 @@ impl<I, O> SequentialAlternatives<I, O> {
                 verdict_status(&verdict),
                 ctx.cost().delta_since(before).snapshot(),
             );
+            record_pattern_run::<O>(&[]);
             return PatternReport {
                 verdict,
                 outcomes: Vec::new(),
                 cost: ctx.cost().delta_since(before),
                 selected: None,
-            }
-            .recorded();
+            };
         }
         let limit = self
             .max_attempts
@@ -166,13 +166,13 @@ impl<I, O> SequentialAlternatives<I, O> {
                         verdict_status(&verdict),
                         ctx.cost().delta_since(before).snapshot(),
                     );
+                    record_pattern_run(&outcomes);
                     return PatternReport {
                         verdict,
                         cost: ctx.cost().delta_since(before),
                         outcomes,
                         selected,
-                    }
-                    .recorded();
+                    };
                 }
                 Some(false) => any_silent_rejection = true,
                 None => {}
@@ -190,13 +190,13 @@ impl<I, O> SequentialAlternatives<I, O> {
             verdict_status(&verdict),
             ctx.cost().delta_since(before).snapshot(),
         );
+        record_pattern_run(&outcomes);
         PatternReport {
             verdict,
             cost: ctx.cost().delta_since(before),
             outcomes,
             selected: None,
         }
-        .recorded()
     }
 }
 

@@ -37,11 +37,13 @@ impl SplitMix64 {
     /// Creates a generator from a seed. Distinct seeds produce
     /// independent-looking streams.
     #[must_use]
+    #[inline]
     pub fn new(seed: u64) -> Self {
         Self { state: seed }
     }
 
     /// Returns the next pseudo-random `u64`.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(GOLDEN_GAMMA);
         let mut z = self.state;
@@ -56,12 +58,14 @@ impl SplitMix64 {
     }
 
     /// Returns a uniformly distributed `f64` in `[0, 1)`.
+    #[inline]
     pub fn next_f64(&mut self) -> f64 {
         // 53 significant bits, the standard trick.
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Returns `true` with probability `p` (clamped to `[0, 1]`).
+    #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
         if p <= 0.0 {
             false
@@ -133,6 +137,7 @@ impl SplitMix64 {
     /// Derives an independent generator. The derived stream does not overlap
     /// with this one for any practical sample count.
     #[must_use]
+    #[inline]
     pub fn split(&mut self) -> SplitMix64 {
         SplitMix64::new(self.next_u64() ^ 0x6a09_e667_f3bc_c909)
     }
@@ -141,6 +146,7 @@ impl SplitMix64 {
     /// `(seed, stream)` pair always yields the same derived generator,
     /// regardless of how many values were drawn in between.
     #[must_use]
+    #[inline]
     pub fn fork(&self, stream: u64) -> SplitMix64 {
         let mut mix = SplitMix64::new(self.state ^ stream.wrapping_mul(GOLDEN_GAMMA));
         // burn one output so consecutive streams decorrelate

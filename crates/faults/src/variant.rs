@@ -30,11 +30,13 @@ impl AgeHandle {
 
     /// Current age (executions since the last reset).
     #[must_use]
+    #[inline]
     pub fn age(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
 
     /// Increments and returns the *previous* age.
+    #[inline]
     pub fn tick(&self) -> u64 {
         self.0.fetch_add(1, Ordering::Relaxed)
     }
@@ -62,6 +64,7 @@ impl EnvSignature {
 
     /// Current signature value.
     #[must_use]
+    #[inline]
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
@@ -128,6 +131,7 @@ impl EnvKnobs {
 
     /// Reads the current knob values.
     #[must_use]
+    #[inline]
     pub fn snapshot(&self) -> KnobSnapshot {
         KnobSnapshot {
             padding: self.0.padding.load(Ordering::Relaxed),

@@ -16,7 +16,9 @@
 //!   when a trace is attached. A disabled observer (the default
 //!   [`NoopObserver`] reports `enabled() == false`) is never attached.
 //! - **One recorder.** A traced execution context owns its [`Trace`]:
-//!   recording an event is a `Vec` push, and a forked context gets a
+//!   recording an event is a `Vec` push, built in place (the recording
+//!   methods are `#[inline]`, so callers in other crates construct the
+//!   event straight in the buffer), and a forked context gets a
 //!   recycled trace of its own, touching no shared state. Two rules
 //!   follow. *A forked traced context must be joined* into its parent,
 //!   after its last event and before the parent records again; a debug
@@ -37,12 +39,12 @@
 //!   (`VariantFailure::kind()`, `RejectionReason::kind()`).
 //! - **Bounded capture.** [`RingBufferObserver`] keeps the most recent N
 //!   events and counts what it dropped; exporters tolerate truncation.
-//! - **Sharded capture.** Parallel campaigns record each trial into a
-//!   buffering [`Trace`] of its own, recycled across the worker's
-//!   trials; [`StreamingMerger`] stitches the trials back together in
-//!   trial order, renumbering span ids so the merged stream is
-//!   bit-for-bit identical to a serial recording ([`merge_shards`] is
-//!   the batch form).
+//! - **Sharded capture.** Parallel campaigns record each worker's trials
+//!   into a buffering [`Trace`] recycled across them, and hand it over a
+//!   run of consecutive trials at a time; [`StreamingMerger`] stitches
+//!   the runs back together in trial order, renumbering span ids so the
+//!   merged stream is bit-for-bit identical to a serial recording
+//!   ([`merge_shards`] is the batch form).
 //! - **Lock-free telemetry.** The [`telemetry`] module keeps per-thread
 //!   shards of relaxed atomic counters and latency histograms, gated on
 //!   one process-wide flag and aggregated only on demand — the data

@@ -5,7 +5,7 @@
 //! [`Trace`](crate::Trace), which buffers events and hands them over
 //! whole — a root trace attached to an [`ObsHandle`] delivers each
 //! finished unit as one [`Observer::record_batch`], and the campaign
-//! engine's merger delivers one batch per trial. When no trace is
+//! engine's merger delivers one batch per run of trials. When no trace is
 //! attached (the default) instrumentation is a single `Option` test; a
 //! disabled observer (e.g. [`NoopObserver`]) is never attached, so event
 //! payloads are not even built. Either way the hot path never allocates.
@@ -36,7 +36,8 @@ pub trait Observer: Send + Sync {
     /// default does just that; sinks override it to pay their locking
     /// once per batch instead of once per event. Traced contexts hand
     /// every sink their events in batches: one per unit of a root trace,
-    /// one per trial from the campaign engine's merge.
+    /// one per run of consecutive trials from the campaign engine's
+    /// merge.
     fn record_batch(&self, events: &[Event]) {
         for &event in events {
             self.record(event);

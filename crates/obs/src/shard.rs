@@ -13,9 +13,10 @@
 //! assigned them. The merged stream is therefore *bit-for-bit identical*
 //! to what the serial traced run records, so every downstream consumer —
 //! `split_trials`, `TraceSummary`, exporters — works unchanged on
-//! parallel campaigns. The [`StreamingMerger`] is the streaming form: it
-//! forwards each finished trial to the sink in one
-//! [`Observer::record_batch`] call, straight from the trial's buffer.
+//! parallel campaigns. The [`StreamingMerger`] is the streaming form: a
+//! worker hands it a run of consecutive trials, recorded back to back in
+//! one buffer, and it forwards the run to the sink in one
+//! [`Observer::record_batch`] call, straight from that buffer.
 //! [`CollectorObserver`] is the plain, locked shard for everything else.
 //!
 //! [`Trace`]: crate::Trace
@@ -95,15 +96,6 @@ impl Observer for CollectorObserver {
     }
 }
 
-/// The number of span ids a shard's local allocator consumed: every
-/// `SpanStart` allocated exactly one id.
-fn spans_allocated(events: &[Event]) -> u64 {
-    events
-        .iter()
-        .filter(|e| matches!(e.kind, EventKind::SpanStart { .. }))
-        .count() as u64
-}
-
 /// Renumbers one shard's span ids into the campaign-wide id space and
 /// forwards its events to `sink` in order, as one batch.
 ///
@@ -121,10 +113,12 @@ pub fn forward_renumbered(mut events: Vec<Event>, offset: u64, sink: &dyn Observ
 
 /// Shifts one shard's span ids into the campaign-wide id space without
 /// forwarding anything: the renumbering half of [`forward_renumbered`].
-/// Returns the number of ids the shard consumed.
+/// Returns the number of ids the shard consumed: every `SpanStart`
+/// allocated exactly one, and they are counted in the same pass.
 pub fn renumber_in_place(events: &mut [Event], offset: u64) -> u64 {
-    let allocated = spans_allocated(events);
+    let mut allocated = 0;
     for event in events.iter_mut() {
+        allocated += u64::from(matches!(event.kind, EventKind::SpanStart { .. }));
         if event.span != ROOT_SPAN {
             event.span += offset;
         }
@@ -158,11 +152,21 @@ type TrialTap = Box<dyn Fn(usize, &[Event]) + Send + Sync>;
 /// soon as every trial `< i` has been submitted, instead of buffering
 /// the whole campaign and merging at the end.
 ///
+/// Submissions are **runs**: consecutive trials recorded back to back in
+/// one buffer, span ids continuing from trial to trial and each trial's
+/// `seq` counted from 0 (a [`Trace`](crate::Trace) that closes each
+/// trial with [`end_trial`](crate::Trace::end_trial) records exactly
+/// that), with the offset where each trial ends. A single trial is a
+/// run of one. The local ids of a run's trials are the ids one shared
+/// allocator would assign them in turn, so a run is renumbered with one
+/// shift, and its lock round trip and sink batch are paid once for all
+/// its trials.
+///
 /// The sink sees exactly the stream [`merge_shards`] would produce —
 /// submissions are renumbered and forwarded under one lock, in strict
-/// trial order, one [`Observer::record_batch`] per trial — but peak
+/// trial order, one [`Observer::record_batch`] per run — but peak
 /// memory is bounded by the *out-of-orderness* of the submitters (a
-/// window of in-flight trials), not by the campaign size. With
+/// window of in-flight runs), not by the campaign size. With
 /// [`with_window`](Self::with_window), submitters that run too far ahead
 /// block until the gap trial arrives, making the bound a hard guarantee
 /// for them; the submitter owning the gap trial can never block, so the
@@ -179,21 +183,30 @@ pub struct StreamingMerger {
     advanced: Condvar,
 }
 
+/// A run submitted ahead of the merge frontier, waiting for the gap to
+/// fill.
+struct Parked {
+    events: Vec<Event>,
+    /// Where each of the run's trials ends in `events`.
+    ends: Vec<usize>,
+    /// Whether it came from [`StreamingMerger::submit`] (as opposed to
+    /// `submit_nested`).
+    windowed: bool,
+}
+
 struct MergeState {
     /// Next trial index to forward.
     next: usize,
     /// Span-id offset accumulated over forwarded shards.
     offset: u64,
-    /// Shards submitted out of order, waiting for the gap to fill, each
-    /// with whether it came from [`StreamingMerger::submit`] (as opposed
-    /// to `submit_nested`).
-    pending: BTreeMap<usize, (Vec<Event>, bool)>,
+    /// Runs submitted out of order, keyed by their first trial.
+    pending: BTreeMap<usize, Parked>,
     /// How many of `pending` came from `submit`.
     windowed: usize,
-    /// Emptied buffers of forwarded pending shards, handed to later
+    /// Emptied buffers of forwarded pending runs, handed to later
     /// out-of-order submitters in exchange for theirs.
-    spare: Vec<Vec<Event>>,
-    /// High-water mark of `windowed`, counting the shard being submitted.
+    spare: Vec<(Vec<Event>, Vec<usize>)>,
+    /// High-water mark of `windowed`, counting the run being submitted.
     peak_buffered: usize,
     /// Set by [`StreamingMerger::abort`]: a submitter is unwinding, so
     /// blocked submitters must wake and later submissions are discarded.
@@ -226,9 +239,10 @@ impl StreamingMerger {
         }
     }
 
-    /// Enforces a hard bound on buffered shards: a submission more than
-    /// `window` trials ahead of the merge frontier blocks until the
-    /// frontier advances. `window` is clamped to at least 1.
+    /// Enforces a hard bound on buffered runs: a submission whose first
+    /// trial is more than `window` trials ahead of the merge frontier
+    /// blocks until the frontier advances. `window` is clamped to at
+    /// least 1.
     #[must_use]
     pub fn with_window(mut self, window: usize) -> Self {
         self.window = Some(window.max(1));
@@ -249,13 +263,13 @@ impl StreamingMerger {
 
     /// Observes each trial's events — span ids renumbered into the
     /// campaign-wide id space, i.e. exactly the slice of the merged
-    /// stream this trial contributes — just before they are forwarded to
-    /// the sink. `seq` values are still shard-local: sinks assign global
-    /// sequence numbers at record time, so replaying tapped slices
-    /// through a fresh sink (the checkpoint-resume path) reproduces the
-    /// merged stream exactly. The tap runs under the merger lock, in
-    /// strict trial order; keep it cheap (the checkpoint committer
-    /// serializes to an in-memory buffer).
+    /// stream this trial contributes — just before its run is forwarded
+    /// to the sink. `seq` values are still trial-local (from 0): sinks
+    /// assign global sequence numbers at record time, so replaying
+    /// tapped slices through a fresh sink (the checkpoint-resume path)
+    /// reproduces the merged stream exactly. The tap runs once per trial,
+    /// under the merger lock, in strict trial order; keep it cheap (the
+    /// checkpoint committer serializes to an in-memory buffer).
     #[must_use]
     pub fn with_tap(mut self, tap: impl Fn(usize, &[Event]) + Send + Sync + 'static) -> Self {
         self.tap = Some(Box::new(tap));
@@ -265,7 +279,7 @@ impl StreamingMerger {
     /// Unblocks every submitter waiting on the window and discards all
     /// later submissions.
     ///
-    /// A submitter that panics never submits its trial, so the merge
+    /// A submitter that panics never submits its run, so the merge
     /// frontier stops there forever and — with a window — every other
     /// submitter eventually blocks on the condvar: the campaign would
     /// deadlock instead of propagating the panic. Callers that catch a
@@ -280,42 +294,49 @@ impl StreamingMerger {
         self.advanced.notify_all();
     }
 
-    /// Submits trial `index`'s shard, forwarding it (and any unblocked
-    /// successors) if the merge frontier has reached it. With a window,
-    /// a submission `window` or more trials ahead of the frontier first
-    /// waits for it.
+    /// Submits the run of trials `first..first + ends.len()`, forwarding
+    /// it (and any unblocked successors) if the merge frontier has
+    /// reached `first`. `events` holds the run's trials back to back,
+    /// trial `first + k` ending at offset `ends[k]`; the last end is
+    /// `events.len()`. With a window, a run whose first trial is
+    /// `window` or more trials ahead of the frontier first waits for it.
+    /// A run counts as one buffered submission.
     ///
-    /// The frontier trial is renumbered, tapped and forwarded straight
+    /// The frontier run is renumbered, tapped and forwarded straight
     /// from `events`, which is left empty with its capacity. Only an
     /// out-of-order submission moves its events into the merger; `events`
     /// then comes back as an empty spare buffer.
     ///
-    /// Each index must be submitted exactly once; indices must cover
-    /// `0..n` by the time the campaign ends or later shards stay queued.
-    pub fn submit(&self, index: usize, events: &mut Vec<Event>) {
-        self.submit_within(index, events, true);
+    /// Each trial must be submitted exactly once, and runs must cover
+    /// `0..n` by the time the campaign ends or later runs stay queued.
+    pub fn submit(&self, first: usize, events: &mut Vec<Event>, ends: &[usize]) {
+        self.submit_within(first, events, ends, true);
     }
 
     /// Like [`submit`](Self::submit), but never waits on the window: for
     /// a trial running above another one, suspended on the same thread,
-    /// whose submission the window could make it wait for. Such a shard
+    /// whose submission the window could make it wait for. Such a run
     /// does not count towards [`peak_buffered`](Self::peak_buffered).
-    pub fn submit_nested(&self, index: usize, events: &mut Vec<Event>) {
-        self.submit_within(index, events, false);
+    pub fn submit_nested(&self, first: usize, events: &mut Vec<Event>, ends: &[usize]) {
+        self.submit_within(first, events, ends, false);
     }
 
     /// Submits as [`submit`](Self::submit) does, waiting on the window
     /// only when `windowed`.
-    fn submit_within(&self, index: usize, events: &mut Vec<Event>, windowed: bool) {
+    fn submit_within(&self, first: usize, events: &mut Vec<Event>, ends: &[usize], windowed: bool) {
+        debug_assert!(
+            ends.last() == Some(&events.len()) && ends.windows(2).all(|w| w[0] <= w[1]),
+            "a run is a non-empty list of ascending trial ends, the last at the buffer's end"
+        );
         let mut state = self.state.lock().expect("merger lock never poisoned");
         if let Some(window) = self.window.filter(|_| windowed) {
             // Too far ahead: wait for the frontier. The submitter of the
-            // frontier trial itself never enters this branch
-            // (index == state.next fails the guard), so progress is
+            // frontier run itself never enters this branch
+            // (first == state.next fails the guard), so progress is
             // guaranteed. Time spent here is run-ahead backpressure — the
             // flight recorder counts and times it per blocked submission.
             let mut stalled_since = None;
-            while !state.aborted && index > state.next && index - state.next >= window {
+            while !state.aborted && first > state.next && first - state.next >= window {
                 if stalled_since.is_none() {
                     crate::telemetry::add(crate::telemetry::Counter::MergerStalls, 1);
                     stalled_since = crate::telemetry::timer_start();
@@ -336,32 +357,37 @@ impl StreamingMerger {
         if windowed {
             state.peak_buffered = state.peak_buffered.max(state.windowed + 1);
         }
-        if index != state.next {
-            // Nothing can be forwarded until the frontier trial arrives.
-            let spare = state
+        if first != state.next {
+            // Nothing can be forwarded until the frontier run arrives.
+            let (spare, mut parked_ends) = state
                 .spare
                 .pop()
-                .unwrap_or_else(|| Vec::with_capacity(events.len()));
-            state
-                .pending
-                .insert(index, (std::mem::replace(events, spare), windowed));
+                .unwrap_or_else(|| (Vec::with_capacity(events.len()), Vec::new()));
+            parked_ends.extend_from_slice(ends);
+            let parked = Parked {
+                events: std::mem::replace(events, spare),
+                ends: parked_ends,
+                windowed,
+            };
+            state.pending.insert(first, parked);
             state.windowed += usize::from(windowed);
             return;
         }
-        // In-order fast path: the frontier trial's shard never touches the
-        // pending map (a BTreeMap insert+remove allocates a node per trial,
-        // which at jobs=1 is every trial).
-        self.forward(&mut state, events);
-        let mut forwarded = 1u64;
+        // In-order fast path: the frontier run never touches the pending
+        // map (a BTreeMap insert+remove allocates a node per run, which at
+        // jobs=1 is every run).
+        self.forward(&mut state, events, ends);
+        let mut forwarded = ends.len() as u64;
         loop {
             let next = state.next;
-            let Some((mut shard, windowed)) = state.pending.remove(&next) else {
+            let Some(mut parked) = state.pending.remove(&next) else {
                 break;
             };
-            state.windowed -= usize::from(windowed);
-            self.forward(&mut state, &mut shard);
-            state.spare.push(shard);
-            forwarded += 1;
+            state.windowed -= usize::from(parked.windowed);
+            self.forward(&mut state, &mut parked.events, &parked.ends);
+            forwarded += parked.ends.len() as u64;
+            parked.ends.clear();
+            state.spare.push((parked.events, parked.ends));
         }
         // Read under the lock: a submitter that starts waiting after
         // this point re-checks the advanced frontier before it sleeps.
@@ -373,19 +399,24 @@ impl StreamingMerger {
         }
     }
 
-    /// Renumbers, taps and forwards the frontier trial's `events` as one
-    /// batch, leaving the buffer empty.
-    fn forward(&self, state: &mut MergeState, events: &mut Vec<Event>) {
+    /// Renumbers the frontier run's `events` with one shift, taps each of
+    /// its trials and forwards the run as one batch, leaving the buffer
+    /// empty.
+    fn forward(&self, state: &mut MergeState, events: &mut Vec<Event>, ends: &[usize]) {
         state.offset += renumber_in_place(events, state.offset);
         if let Some(tap) = &self.tap {
-            tap(state.next, events);
+            let mut from = 0;
+            for (index, &end) in (state.next..).zip(ends) {
+                tap(index, &events[from..end]);
+                from = end;
+            }
         }
         self.sink.record_batch(events);
         events.clear();
-        state.next += 1;
+        state.next += ends.len();
     }
 
-    /// High-water mark of simultaneously buffered shards submitted with
+    /// High-water mark of simultaneously buffered runs submitted with
     /// [`submit`](Self::submit), counting the one being submitted at the
     /// time. With a window, it never exceeds the window.
     #[must_use]
@@ -396,7 +427,7 @@ impl StreamingMerger {
             .peak_buffered
     }
 
-    /// Number of shards forwarded so far.
+    /// Number of trials forwarded so far.
     #[must_use]
     pub fn forwarded(&self) -> usize {
         self.state.lock().expect("merger lock never poisoned").next
@@ -497,7 +528,8 @@ mod tests {
         let merger = StreamingMerger::new(sink.clone());
         // Worst-case order: last first.
         for (i, mut shard) in shards.into_iter().enumerate().rev() {
-            merger.submit(i, &mut shard);
+            let ends = [shard.len()];
+            merger.submit(i, &mut shard, &ends);
         }
         assert_eq!(merger.forwarded(), 6);
         assert_eq!(sink.take(), expected);
@@ -513,11 +545,13 @@ mod tests {
         // In-order submission: each shard is forwarded immediately, so at
         // most one shard is ever buffered.
         let (i0, mut s0) = iter.next().unwrap();
-        merger.submit(i0, &mut s0);
+        let ends = [s0.len()];
+        merger.submit(i0, &mut s0, &ends);
         assert_eq!(merger.forwarded(), 1);
         assert!(!sink.is_empty(), "first shard must stream out immediately");
         for (i, mut s) in iter {
-            merger.submit(i, &mut s);
+            let ends = [s.len()];
+            merger.submit(i, &mut s, &ends);
         }
         assert_eq!(merger.peak_buffered(), 1);
     }
@@ -530,26 +564,29 @@ mod tests {
         // comes back empty with its allocation.
         let mut first = shards[0].clone();
         let allocation = first.as_ptr();
-        merger.submit(0, &mut first);
+        let ends = [first.len()];
+        merger.submit(0, &mut first, &ends);
         assert!(first.is_empty());
         assert_eq!(first.as_ptr(), allocation);
         // Out of order: the events are parked, and the caller gets a dry
         // spare reserved to the parked shard's length.
         let mut parked = shards[2].clone();
         let parked_allocation = parked.as_ptr();
-        merger.submit(2, &mut parked);
+        let ends = [parked.len()];
+        merger.submit(2, &mut parked, &ends);
         assert!(parked.is_empty() && parked.capacity() >= 4);
         assert_ne!(parked.as_ptr(), parked_allocation);
         // Filling the gap forwards trials 1 and 2; trial 2's emptied
         // buffer goes to the spares, and the next out-of-order submitter
         // gets that very allocation back.
-        merger.submit(1, &mut shards[1].clone());
+        merger.submit(1, &mut shards[1].clone(), &[shards[1].len()]);
         assert_eq!(merger.forwarded(), 3);
         let mut ahead = shards[4].clone();
-        merger.submit(4, &mut ahead);
+        let ends = [ahead.len()];
+        merger.submit(4, &mut ahead, &ends);
         assert!(ahead.is_empty());
         assert_eq!(ahead.as_ptr(), parked_allocation);
-        merger.submit(3, &mut shards[3].clone());
+        merger.submit(3, &mut shards[3].clone(), &[shards[3].len()]);
         assert_eq!(merger.forwarded(), 5);
     }
 
@@ -570,7 +607,8 @@ mod tests {
             let mut shard = shards[3].clone();
             std::thread::spawn(move || {
                 tx.send(()).unwrap();
-                merger.submit(3, &mut shard);
+                let ends = [shard.len()];
+                merger.submit(3, &mut shard, &ends);
             })
         };
         rx.recv().unwrap();
@@ -582,7 +620,7 @@ mod tests {
         );
 
         for i in [0usize, 1, 2, 4] {
-            merger.submit(i, &mut shards[i].clone());
+            merger.submit(i, &mut shards[i].clone(), &[shards[i].len()]);
         }
         runner.join().unwrap();
         assert_eq!(merger.forwarded(), 5);
@@ -606,7 +644,7 @@ mod tests {
         // Frontier is at 0. Index 2 == next + window - 1 must be
         // admitted without blocking (submit on this thread would hang
         // forever if the guard were `index - next >= window - 1`).
-        merger.submit(2, &mut shards[2].clone());
+        merger.submit(2, &mut shards[2].clone(), &[shards[2].len()]);
         assert_eq!(merger.forwarded(), 0, "gap at 0 not filled yet");
 
         // Index 3 == next + window sits exactly on the boundary
@@ -617,7 +655,8 @@ mod tests {
             let mut shard = shards[3].clone();
             std::thread::spawn(move || {
                 tx.send(()).unwrap();
-                merger.submit(3, &mut shard);
+                let ends = [shard.len()];
+                merger.submit(3, &mut shard, &ends);
             })
         };
         rx.recv().unwrap();
@@ -632,11 +671,11 @@ mod tests {
 
         // Filling the gap advances the frontier past the boundary and
         // releases the blocked submitter.
-        merger.submit(0, &mut shards[0].clone());
-        merger.submit(1, &mut shards[1].clone());
+        merger.submit(0, &mut shards[0].clone(), &[shards[0].len()]);
+        merger.submit(1, &mut shards[1].clone(), &[shards[1].len()]);
         blocked.join().unwrap();
         for (i, shard) in shards.iter().enumerate().take(6).skip(4) {
-            merger.submit(i, &mut shard.clone());
+            merger.submit(i, &mut shard.clone(), &[shard.len()]);
         }
         assert_eq!(merger.forwarded(), 6);
         assert!(merger.peak_buffered() <= window);
@@ -675,7 +714,7 @@ mod tests {
                     barrier.wait();
                     let mut i = 1 + r;
                     while i < n {
-                        merger.submit(i, &mut shards[i].clone());
+                        merger.submit(i, &mut shards[i].clone(), &[shards[i].len()]);
                         // How far past the frontier did this submission
                         // land? Sampled after the fact, so it can read
                         // low, never high.
@@ -690,7 +729,7 @@ mod tests {
             barrier.wait();
             std::thread::sleep(std::time::Duration::from_millis(30));
             assert_eq!(merger.forwarded(), 0, "nothing may pass the gap");
-            merger.submit(0, &mut shards[0].clone());
+            merger.submit(0, &mut shards[0].clone(), &[shards[0].len()]);
         });
 
         assert_eq!(merger.forwarded(), n);
@@ -726,7 +765,8 @@ mod tests {
             let mut shard = shards[1].clone();
             std::thread::spawn(move || {
                 tx.send(()).unwrap();
-                merger.submit(1, &mut shard);
+                let ends = [shard.len()];
+                merger.submit(1, &mut shard, &ends);
             })
         };
         rx.recv().unwrap();
@@ -735,7 +775,7 @@ mod tests {
         blocked.join().expect("abort must release the submitter");
 
         // Submissions after the abort are discarded, not forwarded.
-        merger.submit(0, &mut shards[0].clone());
+        merger.submit(0, &mut shards[0].clone(), &[shards[0].len()]);
         assert_eq!(merger.forwarded(), 0);
         assert!(sink.is_empty());
     }
@@ -750,8 +790,13 @@ mod tests {
         let first = StreamingMerger::new(first_sink.clone());
         let mut offset = 0;
         for (i, mut shard) in shards.iter().take(3).cloned().enumerate() {
-            first.submit(i, &mut shard);
-            offset = spans_allocated(&first_sink.lock());
+            let ends = [shard.len()];
+            first.submit(i, &mut shard, &ends);
+            offset = first_sink
+                .lock()
+                .iter()
+                .filter(|e| matches!(e.kind, EventKind::SpanStart { .. }))
+                .count() as u64;
         }
         let replayed: Vec<Event> = first_sink.take();
 
@@ -763,7 +808,8 @@ mod tests {
         }
         let resumed = StreamingMerger::new(sink.clone()).with_start(3, offset);
         for (i, mut shard) in shards.iter().cloned().enumerate().skip(3) {
-            resumed.submit(i, &mut shard);
+            let ends = [shard.len()];
+            resumed.submit(i, &mut shard, &ends);
         }
         assert_eq!(resumed.forwarded(), 6);
         assert_eq!(sink.take(), expected);
@@ -783,7 +829,8 @@ mod tests {
         };
         // Reverse order: the tap must still fire 0,1,2,3.
         for (i, mut shard) in shards.into_iter().enumerate().rev() {
-            merger.submit(i, &mut shard);
+            let ends = [shard.len()];
+            merger.submit(i, &mut shard, &ends);
         }
         let tapped = tapped.lock().unwrap();
         assert_eq!(
@@ -811,18 +858,96 @@ mod tests {
         let merger = StreamingMerger::new(sink.clone()).with_window(2);
         // Both sit at least a window past the frontier (0): a windowed
         // submission would block this very thread forever.
-        merger.submit_nested(5, &mut shards[5].clone());
-        merger.submit_nested(3, &mut shards[3].clone());
+        merger.submit_nested(5, &mut shards[5].clone(), &[shards[5].len()]);
+        merger.submit_nested(3, &mut shards[3].clone(), &[shards[3].len()]);
         assert_eq!(merger.forwarded(), 0);
         assert_eq!(merger.peak_buffered(), 0, "nested shards are not counted");
-        merger.submit(1, &mut shards[1].clone());
+        merger.submit(1, &mut shards[1].clone(), &[shards[1].len()]);
         assert_eq!(merger.peak_buffered(), 1);
         for i in [0, 2, 4] {
-            merger.submit(i, &mut shards[i].clone());
+            merger.submit(i, &mut shards[i].clone(), &[shards[i].len()]);
         }
         assert_eq!(merger.forwarded(), 6);
         assert!(merger.peak_buffered() <= 2);
         assert_eq!(sink.take(), expected);
+    }
+
+    /// Trials `first..first + n` recorded back to back on one trace, as
+    /// a traced campaign worker records a run: the run's events and where
+    /// each trial ends.
+    fn recorded_run(first: u64, n: u64) -> (Vec<Event>, Vec<usize>) {
+        let mut trace = Trace::new();
+        let ends = (first..first + n)
+            .map(|i| {
+                record_trial(&mut trace, i);
+                trace.end_trial()
+            })
+            .collect();
+        let mut events = Vec::new();
+        trace.hand_off(|buffered| events.append(buffered));
+        (events, ends)
+    }
+
+    /// Notes the length of every batch.
+    #[derive(Default)]
+    struct BatchLengths(Mutex<Vec<usize>>, CollectorObserver);
+
+    impl Observer for BatchLengths {
+        fn record(&self, event: Event) {
+            self.record_batch(&[event]);
+        }
+
+        fn record_batch(&self, events: &[Event]) {
+            self.0.lock().unwrap().push(events.len());
+            self.1.record_batch(events);
+        }
+    }
+
+    #[test]
+    fn runs_merge_and_tap_exactly_like_their_trials_one_by_one() {
+        let shards = recorded_shards(7);
+        let expected = merge_shards(shards.clone());
+        type Tapped = Arc<Mutex<Vec<(usize, Vec<Event>)>>>;
+        let tap = |tapped: &Tapped| {
+            let tapped = Arc::clone(tapped);
+            move |i, events: &[Event]| tapped.lock().unwrap().push((i, events.to_vec()))
+        };
+
+        // Trial by trial, in order.
+        let one_by_one = Arc::new(Mutex::new(Vec::new()));
+        let merger =
+            StreamingMerger::new(Arc::new(CollectorObserver::new())).with_tap(tap(&one_by_one));
+        for (i, mut shard) in shards.into_iter().enumerate() {
+            let ends = [shard.len()];
+            merger.submit(i, &mut shard, &ends);
+        }
+
+        // Runs 0..3, 3..4 and 4..7, the last submitted first.
+        let by_runs = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::new(BatchLengths::default());
+        let merger = StreamingMerger::new(sink.clone())
+            .with_window(8)
+            .with_tap(tap(&by_runs));
+        for (first, n) in [(4, 3), (0, 3), (3, 1)] {
+            let (mut events, ends) = recorded_run(first, n);
+            assert_eq!(ends.last(), Some(&events.len()));
+            merger.submit(first as usize, &mut events, &ends);
+            assert!(events.is_empty());
+        }
+        assert_eq!(merger.forwarded(), 7);
+        assert_eq!(merger.peak_buffered(), 2, "a run counts as one submission");
+        // One batch per run, in trial order; the stream a serial merge of
+        // the trials gives.
+        assert_eq!(*sink.0.lock().unwrap(), [12, 4, 12]);
+        assert_eq!(sink.1.take(), expected);
+        // Each trial tapped once, in order, with its own slice: ids
+        // renumbered, `seq` from 0.
+        assert_eq!(*by_runs.lock().unwrap(), *one_by_one.lock().unwrap());
+        assert!(by_runs
+            .lock()
+            .unwrap()
+            .iter()
+            .all(|(_, events)| events.iter().zip(0..).all(|(e, seq)| e.seq == seq)));
     }
 
     #[test]
@@ -845,7 +970,9 @@ mod tests {
         let sink = Arc::new(CollectorObserver::new());
         let merger = StreamingMerger::new(sink.clone());
         for i in 0..8 {
-            merger.submit(i as usize, &mut recorded_shard(i));
+            let mut shard = recorded_shard(i);
+            let ends = [shard.len()];
+            merger.submit(i as usize, &mut shard, &ends);
         }
         assert_eq!(merger.forwarded(), 8);
         assert_eq!(

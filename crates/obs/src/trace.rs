@@ -1,6 +1,7 @@
 //! Owned trace recording: each traced execution context owns its
 //! [`Trace`], a forked context's events reach its parent when the parent
-//! joins it, and a root trace hands finished units to its observer.
+//! joins it, and a root trace hands finished units to its observer — or
+//! a whole run of trials to a campaign's merger.
 
 use std::cell::Cell;
 use std::fmt;
@@ -37,11 +38,19 @@ pub struct SpanToken {
 /// fork order, so the stream does not depend on the schedule.
 ///
 /// Recording touches no shared state: no lock, no atomic, no refcount.
+/// Each event is built straight in the buffer: the hot recording methods
+/// are `#[inline]`, so a caller in another crate constructs the event in
+/// place rather than in a temporary that the push copies.
+///
 /// The buffered events leave a root trace in one of two ways:
 ///
 /// - [`hand_off`](Self::hand_off) gives them to the caller, recycling the
-///   trace — and every child trace it recycled — for the next trial. The
-///   simulator's traced campaigns hand each trial to a
+///   trace — and every child trace it recycled — for the next trial. A
+///   trace can record a **run** of consecutive trials before it is handed
+///   off: [`end_trial`](Self::end_trial) closes each one, restarting `seq`
+///   at 0 while span ids continue, so the run's ids are exactly those one
+///   shared allocator would assign its trials. The simulator's traced
+///   campaigns hand each run to a
 ///   [`StreamingMerger`](crate::StreamingMerger) this way.
 /// - A root trace [`attached`](Self::attached) to an [`ObsHandle`] hands
 ///   the handle each **unit** as soon as it finishes: everything recorded
@@ -77,8 +86,12 @@ pub struct Trace(Box<Recorder>);
 
 #[derive(Default)]
 struct Recorder {
-    /// Buffered events in program order; each one's `seq` is its position.
+    /// Buffered events in program order; each one's `seq` is its position
+    /// from `trial_start`.
     events: Vec<Event>,
+    /// Where the trial being recorded starts in `events`: 0 unless
+    /// [`Trace::end_trial`] closed earlier trials of a run.
+    trial_start: usize,
     /// Span ids this trace allocated: its local ids are `1..=spans`.
     spans: u64,
     /// The span new events belong to, in local ids.
@@ -95,8 +108,9 @@ struct Recorder {
 }
 
 impl Recorder {
+    #[inline]
     fn push(&mut self, span: SpanId, parent: SpanId, clock: u64, kind: EventKind) {
-        let seq = self.events.len() as u64;
+        let seq = (self.events.len() - self.trial_start) as u64;
         self.events.push(Event {
             seq,
             span,
@@ -108,6 +122,7 @@ impl Recorder {
 
     /// Delivers the buffered unit to the attached handle once the trace
     /// stands at its root again.
+    #[inline]
     fn unit_done(&mut self) {
         if self.current != ROOT_SPAN || self.events.is_empty() {
             return;
@@ -138,6 +153,7 @@ impl Trace {
     }
 
     /// Opens a span; `kind` is evaluated once.
+    #[inline]
     pub fn begin_span(&mut self, clock: u64, kind: impl FnOnce() -> SpanKind) -> SpanToken {
         let recorder = &mut *self.0;
         recorder.spans += 1;
@@ -157,6 +173,7 @@ impl Trace {
 
     /// Closes a span opened by [`begin_span`](Self::begin_span), restoring
     /// the previous current span.
+    #[inline]
     pub fn end_span(
         &mut self,
         token: SpanToken,
@@ -176,6 +193,7 @@ impl Trace {
     }
 
     /// Emits a point event in the current span; `point` is evaluated once.
+    #[inline]
     pub fn emit(&mut self, clock: u64, point: impl FnOnce() -> Point) {
         let recorder = &mut *self.0;
         let current = recorder.current;
@@ -191,6 +209,7 @@ impl Trace {
     /// again. Dropping a child that still holds events is a bug, caught
     /// by a debug assertion.
     #[must_use]
+    #[inline]
     pub fn fork(&self) -> Trace {
         let mut spare = self.0.spare.take();
         let child = spare.pop();
@@ -204,6 +223,7 @@ impl Trace {
     /// back in: its span ids shifted past the ones this trace allocated,
     /// its local root mapped to the fork-time span. The emptied child is
     /// kept for the next fork.
+    #[inline]
     pub fn join(&mut self, mut child: Trace) {
         let recorder = &mut *self.0;
         let joined = &mut *child.0;
@@ -212,10 +232,13 @@ impl Trace {
             recorder.spans += joined.spans;
             let root = joined.root;
             let map = |id: SpanId| if id == ROOT_SPAN { root } else { id + shift };
-            let first = recorder.events.len() as u64;
+            let first = (recorder.events.len() - recorder.trial_start) as u64;
+            // A bounded range keeps the iterator's length exact, so the
+            // splice reserves once instead of checking per event.
+            let seqs = first..first + joined.events.len() as u64;
             recorder
                 .events
-                .extend(joined.events.iter().zip(first..).map(|(event, seq)| Event {
+                .extend(joined.events.iter().zip(seqs).map(|(event, seq)| Event {
                     seq,
                     span: map(event.span),
                     parent: map(event.parent),
@@ -229,16 +252,31 @@ impl Trace {
         recorder.spare.get_mut().push(child);
     }
 
+    /// Closes the trial recorded since the trace was last handed off or
+    /// closed a trial, and returns where it ends in the buffer. The trace
+    /// keeps recording: the next event starts the next trial at `seq` 0,
+    /// and span ids continue, so a run of trials numbers its spans exactly
+    /// as one shared allocator would. Call it at the root span.
+    #[inline]
+    pub fn end_trial(&mut self) -> usize {
+        let recorder = &mut *self.0;
+        debug_assert_eq!(recorder.current, ROOT_SPAN, "a trial ends at the root");
+        recorder.trial_start = recorder.events.len();
+        recorder.trial_start
+    }
+
     /// Hands the buffered events to `take` — typically
     /// [`StreamingMerger::submit`](crate::StreamingMerger::submit), which
     /// leaves the vector empty with its capacity — and restarts this
     /// trace: empty, span ids from 1, the root span current. The buffer
-    /// and the recycled children stay, so the next trial recorded here
+    /// and the recycled children stay, so the next run recorded here
     /// allocates nothing.
+    #[inline]
     pub fn hand_off(&mut self, take: impl FnOnce(&mut Vec<Event>)) {
         let recorder = &mut *self.0;
         take(&mut recorder.events);
         recorder.events.clear();
+        recorder.trial_start = 0;
         recorder.spans = 0;
         recorder.current = ROOT_SPAN;
     }
@@ -299,6 +337,42 @@ mod tests {
             trace.hand_off(|events| trial.append(events));
         }
         assert_eq!(trials[0], trials[1], "ids and seqs restart at hand-off");
+    }
+
+    #[test]
+    fn a_run_restarts_seq_per_trial_and_continues_span_ids() {
+        let mut run = Trace::new();
+        scope(&mut run, 0);
+        let first_end = run.end_trial();
+        // The second trial forks a child and joins it under its span.
+        let outer = run.begin_span(0, || SpanKind::Scope { name: "outer" });
+        let mut child = run.fork();
+        scope(&mut child, 0);
+        run.join(child);
+        run.end_span(outer, 1, SpanStatus::Ok, CostSnapshot::ZERO);
+        let ends = [first_end, run.end_trial()];
+        let mut events = Vec::new();
+        run.hand_off(|buffered| events.append(buffered));
+        assert_eq!(ends, [3, 8]);
+        let ids: Vec<_> = events.iter().map(|e| (e.seq, e.span, e.parent)).collect();
+        assert_eq!(
+            ids,
+            [
+                (0, 1, 0),
+                (1, 1, 1),
+                (2, 1, 0),
+                (0, 2, 0),
+                (1, 3, 2),
+                (2, 3, 3),
+                (3, 3, 2),
+                (4, 2, 0),
+            ]
+        );
+        // A hand-off restarts both: the next trial is numbered afresh.
+        scope(&mut run, 0);
+        run.hand_off(|buffered| events = buffered.clone());
+        assert_eq!(events[0].seq, 0);
+        assert_eq!(events[0].span, 1);
     }
 
     /// Records the size of every batch it receives.

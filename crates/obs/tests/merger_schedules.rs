@@ -105,7 +105,7 @@ proptest! {
                             merger.abort();
                             break 'claim;
                         }
-                        merger.submit(i, &mut shards[i].clone());
+                        merger.submit(i, &mut shards[i].clone(), &[shards[i].len()]);
                     }
                 }
                 let _ = done.send(());

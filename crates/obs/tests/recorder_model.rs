@@ -258,7 +258,10 @@ proptest! {
             let clock = clock as u64;
             step(&mut shared, op, clock, SharedHandle::clone, |_, child| drop(child), |_| {});
             step(&mut buffering, op, clock, Trace::fork, Trace::join, |root| {
-                root.hand_off(|events| merger.submit(trials, events));
+                root.hand_off(|events| {
+                    let ends = [events.len()];
+                    merger.submit(trials, events, &ends);
+                });
                 trials += 1;
             });
             step(&mut attached, op, clock, Trace::fork, Trace::join, |_| {});

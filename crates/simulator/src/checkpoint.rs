@@ -28,19 +28,20 @@
 //! ## Commit discipline
 //!
 //! Each completed trial is serialized once: straight into a reused
-//! commit buffer when it extends the contiguous frontier, or into a
-//! parked slot when it completes ahead of it (a later chunk at
-//! `jobs > 1`, or a traced trial whose events the merge has not tapped
-//! yet). Parked lines join the buffer when the frontier reaches them,
-//! so the frontier advances in O(1) amortized time per trial. Whole
-//! trials are flushed to the file in contiguous batches of
-//! [`CheckpointSpec::interval`] trials, one `write` per batch. Nothing
-//! is flushed on drop: if the process (or an injected chaos panic, see
-//! [`crate::chaos`]) kills the campaign, the un-flushed tail is
-//! deliberately lost — that is exactly the checkpoint-interval/work-lost
-//! trade-off experiment E19 measures. A crash can also tear the final
-//! batch mid-line; the loader keeps the longest valid prefix ending in
-//! an outcome line and truncates the rest before appending.
+//! commit buffer when it extends the contiguous frontier, or parked when
+//! it completes ahead of it (a later chunk at `jobs > 1`, or a traced
+//! trial whose run the merge has not tapped yet). A parked outcome keeps
+//! its value, with no allocation, and is serialized when the frontier
+//! reaches it; parked event lines are serialized at once. The frontier
+//! advances in O(1) amortized time per trial. Whole trials are flushed
+//! to the file in contiguous batches of [`CheckpointSpec::interval`]
+//! trials, one `write` per batch. Nothing is flushed on drop: if the
+//! process (or an injected chaos panic, see [`crate::chaos`]) kills the
+//! campaign, the un-flushed tail is deliberately lost — that is exactly
+//! the checkpoint-interval/work-lost trade-off experiment E19 measures.
+//! A crash can also tear the final batch mid-line; the loader keeps the
+//! longest valid prefix ending in an outcome line and truncates the rest
+//! before appending.
 //!
 //! [`Campaign::execute`]: crate::trial::Campaign::execute
 //! [`RunSpec::checkpoint`]: crate::trial::RunSpec::checkpoint
@@ -155,21 +156,21 @@ pub struct Resumed {
     pub span_offset: u64,
 }
 
-/// Lines of one trial that arrived before the commit frontier reached
-/// it, serialized and waiting their turn.
+/// What of one trial arrived before the commit frontier reached it,
+/// waiting its turn.
 #[derive(Debug, Default)]
 struct Parked {
     /// Event lines (traced runs), from the merger tap.
     events: Option<String>,
-    /// The outcome line.
-    outcome: Option<String>,
+    /// The outcome, serialized when its line is in turn.
+    outcome: Option<TrialOutcome>,
 }
 
 /// Which half of a trial's lines a record call carries.
 #[derive(Clone, Copy)]
-enum Half {
-    Events,
-    Outcome,
+enum Half<'a> {
+    Events(&'a [Event]),
+    Outcome(&'a TrialOutcome),
 }
 
 #[derive(Debug)]
@@ -211,7 +212,7 @@ impl LogState {
         }
         match slot.outcome.take() {
             Some(outcome) => {
-                self.buf.push_str(&outcome);
+                write_outcome_line(&mut self.buf, self.frontier, &outcome);
                 true
             }
             None => false,
@@ -338,56 +339,47 @@ impl CheckpointLog {
         self.state.lock().expect("checkpoint lock").committed
     }
 
+    /// Trials per commit batch.
+    pub(crate) fn interval(&self) -> usize {
+        self.interval
+    }
+
     /// Records trial `index`'s slice of the merged event stream
     /// (installed as the [`StreamingMerger`] tap by the traced runner).
     ///
     /// [`StreamingMerger`]: redundancy_core::obs::StreamingMerger
     pub fn record_events(&self, index: usize, events: &[Event]) {
-        self.record(index, Half::Events, |out| {
-            for event in events {
-                write_event_json(event, out);
-                out.push('\n');
-            }
-        });
+        self.record(index, Half::Events(events));
     }
 
     /// Records trial `index`'s outcome; flushes a batch when `interval`
     /// contiguous trials beyond the committed frontier are complete.
     pub fn record_outcome(&self, index: usize, outcome: &TrialOutcome) {
-        let cost = outcome.cost();
-        self.record(index, Half::Outcome, |out| {
-            let _ = writeln!(
-                out,
-                "{{\"kind\":\"trial\",\"index\":{index},\"disposition\":\"{}\",\
-                 \"work_units\":{},\"virtual_ns\":{},\"invocations\":{},\"design_cost_bits\":{}}}",
-                outcome.disposition(),
-                cost.work_units,
-                cost.virtual_ns,
-                cost.invocations,
-                cost.design_cost.to_bits()
-            );
-        });
+        self.record(index, Half::Outcome(outcome));
     }
 
-    /// Serializes one half of trial `index` with `write`: straight into
-    /// the commit buffer when it is the frontier trial's next line,
-    /// parked otherwise. Then flushes once `interval` whole trials wait.
-    /// Lines of trials already whole (a replayed prefix) are ignored.
-    fn record(&self, index: usize, half: Half, write: impl FnOnce(&mut String)) {
+    /// Serializes one half of trial `index` straight into the commit
+    /// buffer when it is the frontier trial's next line, and parks it
+    /// otherwise. Then flushes once `interval` whole trials wait. Lines
+    /// of trials already whole (a replayed prefix) are ignored.
+    fn record(&self, index: usize, half: Half<'_>) {
         let mut state = self.state.lock().expect("checkpoint lock");
         if state.error.is_some() || index < state.frontier {
             return;
         }
         let in_turn = index == state.frontier
             && match half {
-                Half::Events => true,
-                Half::Outcome => !self.traced || state.frontier_events,
+                Half::Events(_) => true,
+                Half::Outcome(_) => !self.traced || state.frontier_events,
             };
         if in_turn {
-            write(&mut state.buf);
             let whole = match half {
-                Half::Outcome => true,
-                Half::Events => {
+                Half::Outcome(outcome) => {
+                    write_outcome_line(&mut state.buf, index, outcome);
+                    true
+                }
+                Half::Events(events) => {
+                    write_event_lines(&mut state.buf, events);
                     state.frontier_events = true;
                     state.take_parked(self.traced)
                 }
@@ -400,12 +392,14 @@ impl CheckpointLog {
             if state.parked.len() <= slot {
                 state.parked.resize_with(slot + 1, Parked::default);
             }
-            let mut lines = String::new();
-            write(&mut lines);
             let parked = &mut state.parked[slot];
             match half {
-                Half::Events => parked.events = Some(lines),
-                Half::Outcome => parked.outcome = Some(lines),
+                Half::Events(events) => {
+                    let mut lines = String::new();
+                    write_event_lines(&mut lines, events);
+                    parked.events = Some(lines);
+                }
+                Half::Outcome(outcome) => parked.outcome = Some(*outcome),
             }
         }
         if state.frontier - state.committed >= self.interval {
@@ -426,6 +420,30 @@ impl CheckpointLog {
             None => Ok(state.committed),
         }
     }
+}
+
+/// Appends one line per event, each exactly
+/// [`event_to_json`](redundancy_core::obs::event_to_json)'s output.
+fn write_event_lines(out: &mut String, events: &[Event]) {
+    for event in events {
+        write_event_json(event, out);
+        out.push('\n');
+    }
+}
+
+/// Appends trial `index`'s outcome line.
+fn write_outcome_line(out: &mut String, index: usize, outcome: &TrialOutcome) {
+    let cost = outcome.cost();
+    let _ = writeln!(
+        out,
+        "{{\"kind\":\"trial\",\"index\":{index},\"disposition\":\"{}\",\
+         \"work_units\":{},\"virtual_ns\":{},\"invocations\":{},\"design_cost_bits\":{}}}",
+        outcome.disposition(),
+        cost.work_units,
+        cost.virtual_ns,
+        cost.invocations,
+        cost.design_cost.to_bits()
+    );
 }
 
 /// Scans a checkpoint file's bytes, returning the committed prefix and

@@ -98,7 +98,7 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    parallel_indexed_chunked_hooked(jobs, n, chunk, |_| {}, |(): &mut (), i| f(i))
+    parallel_indexed_chunked_hooked(jobs, n, chunk, |_| {}, |(): &mut (), i, _| f(i))
 }
 
 /// Like [`parallel_indexed_chunked`] with a `before_chunk` hook invoked
@@ -112,8 +112,10 @@ where
 /// Each participant — the calling thread, and each helper a pool worker
 /// runs — starts from `S::default()` and hands the same scratch to `f`
 /// for every index it runs, so buffers can be recycled across items with
-/// no lock and no thread-local. The traced campaign runner keeps each
-/// worker's trace there.
+/// no lock and no thread-local. `f` also learns whether the index is the
+/// last of its chunk, the point to hand over what the scratch gathered
+/// from the chunk. The traced campaign runner keeps each worker's trace
+/// there and ends its run of trials with the chunk.
 ///
 /// [`ChaosPlan::chunk_delay`]: crate::chaos::ChaosPlan::chunk_delay
 pub fn parallel_indexed_chunked_hooked<T, S, F, H>(
@@ -126,7 +128,7 @@ pub fn parallel_indexed_chunked_hooked<T, S, F, H>(
 where
     T: Send,
     S: Default,
-    F: Fn(&mut S, usize) -> T + Sync,
+    F: Fn(&mut S, usize, bool) -> T + Sync,
     H: Fn(usize) + Sync,
 {
     let jobs = jobs.clamp(1, n.max(1));
@@ -147,8 +149,9 @@ where
             telemetry::add(Counter::ChunksClaimed, 1);
             before_chunk(c);
             let run_timer = telemetry::timer_start();
-            for i in c * chunk..((c + 1) * chunk).min(n) {
-                out.push(f(&mut scratch, i));
+            let end = ((c + 1) * chunk).min(n);
+            for i in c * chunk..end {
+                out.push(f(&mut scratch, i, i + 1 == end));
             }
             if let Some(ns) = telemetry::timer_stop(Timer::ChunkRunNs, run_timer) {
                 telemetry::add(Counter::WorkerBusyNs, ns);
@@ -175,7 +178,7 @@ where
             let end = ((c + 1) * chunk).min(n);
             let run_timer = telemetry::timer_start();
             for i in start..end {
-                let value = f(&mut scratch, i);
+                let value = f(&mut scratch, i, i + 1 == end);
                 // SAFETY: chunk `c` was claimed exactly once, so indices
                 // `start..end` are written by this worker alone, in bounds.
                 unsafe { writer.set(i, value) };
@@ -346,9 +349,11 @@ mod tests {
                 10,
                 3,
                 |c| seen.lock().unwrap().push(c),
-                |(): &mut (), i| i,
+                |(): &mut (), i, chunk_ends| (i, chunk_ends),
             );
-            assert_eq!(out, (0..10).collect::<Vec<_>>());
+            // Chunks of 3: 0..3, 3..6, 6..9 and the short 9..10.
+            let expected: Vec<_> = (0..10).map(|i| (i, [2, 5, 8, 9].contains(&i))).collect();
+            assert_eq!(out, expected, "jobs={jobs}");
             let mut seen = seen.into_inner().unwrap();
             seen.sort_unstable();
             assert_eq!(seen, vec![0, 1, 2, 3], "jobs={jobs}");
@@ -359,7 +364,7 @@ mod tests {
     fn each_participant_keeps_one_scratch_across_its_items() {
         // Each item reports how many items its participant's scratch has
         // seen, itself included: one participant numbers them all.
-        let count = |seen: &mut usize, _: usize| {
+        let count = |seen: &mut usize, _: usize, _: bool| {
             *seen += 1;
             *seen
         };

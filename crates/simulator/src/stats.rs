@@ -72,21 +72,50 @@ impl fmt::Display for Estimate {
 #[must_use]
 pub fn mean_ci(samples: &[f64]) -> Estimate {
     assert!(!samples.is_empty(), "cannot summarize an empty sample");
-    let n = samples.len();
-    let mean = samples.iter().sum::<f64>() / n as f64;
-    let var = if n > 1 {
-        samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1) as f64
-    } else {
-        0.0
-    };
-    let stddev = var.sqrt();
-    let ci95 = critical_value_95(n) * stddev / (n as f64).sqrt();
-    Estimate {
-        mean,
-        stddev,
-        ci95,
-        n,
+    let [estimate] = mean_ci_fields(samples, |&x| [x]);
+    estimate
+}
+
+/// [`mean_ci`] of each of the `K` samples `fields` reads from every
+/// record, in one sum pass and one squared-deviation pass over the
+/// records. Each field is summed in record order from `-0.0`, exactly as
+/// `mean_ci` sums a slice of it, so every estimate is bit-identical to
+/// `mean_ci` over that field alone — without collecting the field into
+/// a vector, or reading the records twice per field.
+pub(crate) fn mean_ci_fields<T, const K: usize>(
+    records: &[T],
+    fields: impl Fn(&T) -> [f64; K],
+) -> [Estimate; K] {
+    let n = records.len();
+    let mut sums = [-0.0; K];
+    for record in records {
+        for (sum, x) in sums.iter_mut().zip(fields(record)) {
+            *sum += x;
+        }
     }
+    let means = sums.map(|sum| sum / n as f64);
+    let mut squares = [-0.0; K];
+    if n > 1 {
+        for record in records {
+            for ((square, x), mean) in squares.iter_mut().zip(fields(record)).zip(means) {
+                *square += (x - mean).powi(2);
+            }
+        }
+    }
+    std::array::from_fn(|k| {
+        let var = if n > 1 {
+            squares[k] / (n - 1) as f64
+        } else {
+            0.0
+        };
+        let stddev = var.sqrt();
+        Estimate {
+            mean: means[k],
+            stddev,
+            ci95: critical_value_95(n) * stddev / (n as f64).sqrt(),
+            n,
+        }
+    })
 }
 
 /// A binomial proportion with a Wilson 95% interval — the right summary
@@ -212,6 +241,51 @@ mod tests {
     #[should_panic(expected = "empty sample")]
     fn empty_sample_panics() {
         let _ = mean_ci(&[]);
+    }
+
+    /// The fused passes must not move a bit: each field's estimate is
+    /// the one `mean_ci` gives for a separately collected vector of it,
+    /// computed here the way `mean_ci` always has.
+    #[test]
+    fn field_estimates_match_separately_collected_samples_bit_for_bit() {
+        fn reference(samples: &[f64]) -> Estimate {
+            let n = samples.len();
+            let mean = samples.iter().sum::<f64>() / n as f64;
+            let var = if n > 1 {
+                samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1) as f64
+            } else {
+                0.0
+            };
+            let stddev = var.sqrt();
+            Estimate {
+                mean,
+                stddev,
+                ci95: critical_value_95(n) * stddev / (n as f64).sqrt(),
+                n,
+            }
+        }
+        let bits = |e: Estimate| (e.mean.to_bits(), e.stddev.to_bits(), e.ci95.to_bits(), e.n);
+        let mut x = 0x9e37_79b9_7f4a_7c15_u64;
+        for n in [1, 2, 3, 29, 30, 31, 1000] {
+            let records: Vec<[f64; 3]> = (0..n)
+                .map(|i| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    [
+                        (x % 1000) as f64,
+                        (x >> 20) as f64 * 1e-3 - 7.5,
+                        -0.0 * i as f64,
+                    ]
+                })
+                .collect();
+            let fused = mean_ci_fields(&records, |&r| r);
+            for (k, estimate) in fused.into_iter().enumerate() {
+                let field: Vec<f64> = records.iter().map(|r| r[k]).collect();
+                assert_eq!(bits(estimate), bits(reference(&field)), "n={n}, field {k}");
+                assert_eq!(bits(estimate), bits(mean_ci(&field)), "n={n}, field {k}");
+            }
+        }
     }
 
     #[test]

@@ -7,13 +7,14 @@
 //! The contract under test: once the worker's recycled trace and the
 //! ring sink are warm, recording a traced trial — open spans in the
 //! trial's context, fork a child context that records its own span and
-//! point, join it, close the trial span, and hand the trace's buffer to
-//! the merger, which forwards it in place into the sink as one batch —
-//! performs **zero** heap allocations. Every dynamic string is an
-//! interned [`Symbol`], every event is `Copy`, the fork reuses the child
-//! trace the previous trial's join recycled, the buffers keep their
-//! capacity across trials, and the in-order merge path never touches the
-//! pending map.
+//! point, join it, close the trial span, end the trial in the worker's
+//! run, and every few trials hand the run's buffer to the merger, which
+//! forwards it in place into the sink as one batch — performs **zero**
+//! heap allocations. Every dynamic string is an interned [`Symbol`],
+//! every event is `Copy`, the fork reuses the child trace the previous
+//! trial's join recycled, the event buffer and the run's list of trial
+//! ends keep their capacity across runs, and the in-order merge path
+//! never touches the pending map.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -71,18 +72,23 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 /// point = 2 begins, 1 point, 2 ends).
 const EVENTS_PER_TRIAL: u64 = 5;
 
-/// One steady-state traced trial, exactly as the campaign driver runs
-/// it at jobs=1: the trial's context records into the worker's trace, a
-/// forked child records the variant span and is joined, and the trace's
-/// events go to the merger, which streams them to the sink in order.
-fn traced_trial(
-    trace: &mut Option<Trace>,
-    i: usize,
-    variant: Symbol,
-    rule: Symbol,
-    merger: &StreamingMerger,
-) {
-    let mut ctx = ExecContext::new(i as u64).with_trace(trace.take().unwrap_or_default());
+/// Trials per run handed to the merger.
+const RUN: usize = 8;
+
+/// A worker's open run: its trace and where each recorded trial ends.
+#[derive(Default)]
+struct Run {
+    trace: Option<Trace>,
+    ends: Vec<usize>,
+}
+
+/// One steady-state traced trial, as the traced campaign runner runs it at
+/// jobs=1: the trial's context records into the worker's trace, a
+/// forked child records the variant span and is joined, the trial ends
+/// in the worker's run, and every `RUN` trials the run's events go to
+/// the merger, which streams them to the sink in order.
+fn traced_trial(run: &mut Run, i: usize, variant: Symbol, rule: Symbol, merger: &StreamingMerger) {
+    let mut ctx = ExecContext::new(i as u64).with_trace(run.trace.take().unwrap_or_default());
     let span = ctx.obs_begin(|| SpanKind::Trial {
         index: i as u64,
         seed: i as u64,
@@ -105,8 +111,12 @@ fn traced_trial(
         Cost::ZERO.snapshot(),
     );
     let mut recorded = ctx.take_trace().expect("the trial's trace");
-    recorded.hand_off(|events| merger.submit(i, events));
-    *trace = Some(recorded);
+    run.ends.push(recorded.end_trial());
+    if run.ends.len() == RUN {
+        recorded.hand_off(|events| merger.submit(i + 1 - RUN, events, &run.ends));
+        run.ends.clear();
+    }
+    run.trace = Some(recorded);
 }
 
 #[test]
@@ -120,17 +130,17 @@ fn steady_state_traced_path_allocates_zero_per_event() {
 
     // Warmup: the trace and its first child, first buffer growth, ring
     // fill, telemetry thread-locals — every one-time cost the steady
-    // state amortizes.
-    const WARMUP: usize = 32;
-    const MEASURED: usize = 512;
-    let mut trace = None;
+    // state amortizes. Both phases are whole runs.
+    const WARMUP: usize = 4 * RUN;
+    const MEASURED: usize = 64 * RUN;
+    let mut run = Run::default();
     for i in 0..WARMUP {
-        traced_trial(&mut trace, i, variant, rule, &merger);
+        traced_trial(&mut run, i, variant, rule, &merger);
     }
 
     MEASURING.with(|m| m.set(true));
     for i in WARMUP..WARMUP + MEASURED {
-        traced_trial(&mut trace, i, variant, rule, &merger);
+        traced_trial(&mut run, i, variant, rule, &merger);
     }
     MEASURING.with(|m| m.set(false));
     let measured_allocations = ALLOCATIONS.load(Ordering::Relaxed);
