@@ -134,10 +134,12 @@ perfbench-check:
 # and none failed. Seed 1 is pinned in perfbench/references.tsv, so this
 # checks the 10 000-trial summaries, ledger digests and the resumable
 # reopen that perfbench-check's 256-trial self-consistency tests do not.
-# One more run traces campaign-traced (`--trace 1`): its speed-up pass
-# runs run_traced_parallel at jobs = nproc against the same pinned
-# references, the only gate that has traced workers hand the merger
-# runs of trials concurrently on the real workload.
+# Two more runs are traced (`--trace 1`), and their speed-up passes run
+# at jobs = nproc against the same pinned references. campaign-traced's
+# is the only gate that has traced workers hand the merger runs of
+# trials concurrently on the real workload; campaign-resumable's is the
+# only one that drives the checkpoint committer's out-of-order (parked)
+# path on it, and the run ends by reopening a checkpoint it wrote.
 PERFBENCH_WORKLOADS = $(shell python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
 PERFBENCH_CHECK = python3 -c 'import json, sys; r = json.load(sys.stdin); sys.exit(r["correct"] is not True or r["failed"] != 0)'
 
@@ -148,7 +150,9 @@ perfbench-smoke:
 		echo "$$last"; \
 		echo "$$last" | $(PERFBENCH_CHECK); \
 	done; \
-	echo "perfbench-smoke: campaign-traced --trace 1"; \
-	last=$$(python3 perfbench/run.py --workload campaign-traced --seed 1 --seconds 2 --trace 1 | tail -n 1); \
-	echo "$$last" | python3 -c 'import json, sys; r = json.load(sys.stdin); print({k: r[k] for k in ("correct", "attempted", "failed")})'; \
-	echo "$$last" | $(PERFBENCH_CHECK)
+	for w in campaign-traced campaign-resumable; do \
+		echo "perfbench-smoke: $$w --trace 1"; \
+		last=$$(python3 perfbench/run.py --workload $$w --seed 1 --seconds 2 --trace 1 | tail -n 1); \
+		echo "$$last" | python3 -c 'import json, sys; r = json.load(sys.stdin); print({k: r[k] for k in ("correct", "attempted", "failed")})'; \
+		echo "$$last" | $(PERFBENCH_CHECK); \
+	done

@@ -11,18 +11,30 @@
 //! finished traced file at every byte offset must reopen to a
 //! whole-trial committed prefix from which the campaign resumes to the
 //! same bytes.
+//!
+//! Those checks compare the committer with itself. The last test pins
+//! the bytes of an untraced NVP campaign's checkpoint, and the prefix a
+//! chaos kill leaves, to values recorded with the `writeln!`-formatted
+//! committer, so a change to how outcome lines are written or how the
+//! file is opened cannot move a byte unnoticed.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use proptest::prelude::*;
+use redundancy_core::adjudicator::voting::MajorityVoter;
+use redundancy_core::context::ExecContext;
 use redundancy_core::cost::Cost;
 use redundancy_core::obs::{
     CollectorObserver, CostSnapshot, Event, EventKind, ObsHandle, SpanKind, SpanStatus, Symbol,
     Trace,
 };
+use redundancy_core::patterns::ParallelEvaluation;
 use redundancy_core::rng::SplitMix64;
-use redundancy_sim::{CheckpointLog, CheckpointSpec, TrialOutcome};
+use redundancy_core::variant::BoxedVariant;
+use redundancy_faults::FaultPlan;
+use redundancy_sim::{Campaign, ChaosPlan, CheckpointLog, CheckpointSpec, RunSpec, TrialOutcome};
 
 /// Campaign seed pinned in every checkpoint header here.
 const SEED: u64 = 0x5eed;
@@ -257,4 +269,122 @@ fn every_truncation_of_a_traced_file_resumes_a_whole_trial_prefix() {
         );
     }
     let _ = std::fs::remove_file(&path);
+}
+
+/// Campaign seed, trial count (a partial last batch) and commit interval
+/// of the pinned untraced campaign.
+const PINNED: (u64, usize, usize) = (11, 3_001, 32);
+
+/// Length and FNV-1a digest of the checkpoint file the pinned untraced
+/// NVP campaign writes.
+const UNTRACED_BYTES: (usize, u64) = (422_598, 0x00bd_61bf_1ce8_e229);
+
+/// Trials a serial run of the pinned campaign has committed when a chaos
+/// kill strikes after [`KILLED_TRIAL`]: the first batch only.
+const COMMITTED_AFTER_KILL: usize = 32;
+
+/// The trial the chaos case kills the worker after, inside the second
+/// commit batch.
+const KILLED_TRIAL: usize = 40;
+
+/// The benchmark's NVP ensemble: three Bohrbug-carrying versions whose
+/// wrong outputs disagree, voted by `MajorityVoter`.
+fn nvp_pattern() -> ParallelEvaluation<u64, u64> {
+    let plan = FaultPlan::bohrbugs(7, 3, 0.25);
+    let mut pattern = ParallelEvaluation::new(MajorityVoter::new());
+    for slot in 0..plan.slots() {
+        let shift = 1001 * (slot as u64 + 1);
+        let variant: BoxedVariant<u64, u64> = Box::new(plan.build_variant_corrupting(
+            slot,
+            format!("v{slot}"),
+            25,
+            |x| x * 2,
+            move |c, _| c + shift,
+        ));
+        pattern.push_variant(variant);
+    }
+    pattern
+}
+
+fn nvp_trial(
+    pattern: &ParallelEvaluation<u64, u64>,
+    ctx: &mut ExecContext,
+    seed: u64,
+) -> TrialOutcome {
+    let input = seed >> 8;
+    let report = pattern.run(&input, ctx);
+    let cost = ctx.cost();
+    match report.verdict.output() {
+        Some(out) if *out == input * 2 => TrialOutcome::Correct { cost },
+        Some(_) => TrialOutcome::Undetected { cost },
+        None => TrialOutcome::Detected { cost },
+    }
+}
+
+/// Length and FNV-1a digest of the file at `path`, which is then removed.
+fn take_digest(path: &Path) -> (usize, u64) {
+    let bytes = std::fs::read(path).expect("checkpoint written");
+    let _ = std::fs::remove_file(path);
+    let digest = bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    });
+    (bytes.len(), digest)
+}
+
+#[test]
+fn untraced_campaign_checkpoints_keep_their_pinned_bytes() {
+    let (seed, trials, interval) = PINNED;
+    let pattern = nvp_pattern();
+    let campaign = Campaign::new(trials);
+    let path = temp_path("pinned");
+    let spec = CheckpointSpec::new(&path, interval);
+    let run = |jobs: usize, chaos: Option<&ChaosPlan>| {
+        let spec = RunSpec {
+            jobs,
+            checkpoint: Some(&spec),
+            chaos,
+            ..RunSpec::default()
+        };
+        catch_unwind(AssertUnwindSafe(|| {
+            campaign
+                .execute(seed, &spec, |ctx, s, _| nvp_trial(&pattern, ctx, s))
+                .expect("checkpoint i/o")
+        }))
+    };
+
+    let _ = std::fs::remove_file(&path);
+    let summary = run(1, None).expect("no fault injected");
+    assert_eq!(
+        take_digest(&path),
+        UNTRACED_BYTES,
+        "checkpoint bytes at jobs=1"
+    );
+    for jobs in [2, 8] {
+        let got = run(jobs, None).expect("no fault injected");
+        assert_eq!(got, summary, "jobs={jobs}");
+        assert_eq!(
+            take_digest(&path),
+            UNTRACED_BYTES,
+            "checkpoint bytes at jobs={jobs}"
+        );
+    }
+
+    // A serial run commits in trial order: the kill leaves exactly the
+    // batches completed before it, and resuming converges on the
+    // uninterrupted file.
+    let chaos = ChaosPlan::new(3).kill_after_trial(KILLED_TRIAL);
+    let payload = run(1, Some(&chaos)).expect_err("the chaos plan kills the run");
+    assert!(ChaosPlan::is_chaos_panic(&*payload));
+    let (log, resumed) =
+        CheckpointLog::open(&spec, seed, trials, false).expect("checkpoint readable");
+    assert_eq!(log.committed(), COMMITTED_AFTER_KILL);
+    assert_eq!(resumed.outcomes.len(), COMMITTED_AFTER_KILL);
+    drop(log);
+    let got = run(1, Some(&chaos)).expect("the kill fires once");
+    assert_eq!(got, summary, "resumed run");
+    assert_eq!(
+        take_digest(&path),
+        UNTRACED_BYTES,
+        "resumed checkpoint bytes"
+    );
 }
